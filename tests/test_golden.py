@@ -1,0 +1,189 @@
+"""Golden digests: four small runs must reproduce pinned output bytes.
+
+Each case runs the `run` pipeline (config, synthetic data, partition,
+federation, CSV and summary writers) and pins the sha256 of rounds.csv,
+summary.json and the final float64 parameters.  A refactor of the training
+or evaluation path must leave all three unchanged.  The digests were taken
+with numpy 2.4 on OpenBLAS 0.3.31 (x86-64, Haswell kernels); another BLAS
+build may round matrix products differently, so a failure names the build
+it ran on.
+"""
+
+import hashlib
+from collections import Counter
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from fednsim.config import parse_config_text
+from fednsim.data import make_partition, synth_dataset
+from fednsim.federation import run_federation, sample_clients
+from fednsim.runio import write_round_csv, write_summary_json
+
+_COMMON = """\
+data = synth
+synth_dim = 6
+synth_separation = 2.0
+hidden_dims = 8,8
+"""
+
+CASES = {
+    # iid, fedntd, evaluation every 2nd round (the last round is always logged)
+    "iid_fedntd_stride": (
+        """\
+synth_classes = 4
+synth_per_class = 24
+synth_test_per_class = 10
+partition = iid
+clients = 6
+method = fedntd
+beta = 0.7
+tau = 2.0
+rounds = 5
+local_epochs = 2
+batch_size = 5
+sampling_ratio = 0.5
+lr0 = 0.05
+eval_stride = 2
+seed = 3
+""",
+        {
+            "rounds.csv": "7e4debfe06f83127e9dfe0f705343fd86acd9d0e75b08122e2ab636c77e65d05",
+            "summary.json": "ccac6702ca30df1a22095ccaab90ff369596c77decd3eba0f28d1ebecf704a48",
+            "final_params": "246c4e474170f01e92a31fe0378736f3b54500b30a0925a59ef55a4841adeef5",
+        },
+    ),
+    # sharding, KL + not-true interpolation
+    "sharding_kd_ntd_interp": (
+        """\
+synth_classes = 3
+synth_per_class = 20
+synth_test_per_class = 8
+partition = sharding
+clients = 5
+shards_per_client = 2
+method = kd_ntd_interp
+interp_lambda = 0.3
+rounds = 4
+local_epochs = 2
+batch_size = 5
+sampling_ratio = 0.6
+lr0 = 0.08
+seed = 7
+""",
+        {
+            "rounds.csv": "10e8477217a33d1d6a28c21482965ae1a99efefb9b3aa729ea483852f0613e0e",
+            "summary.json": "ff62813b024aa9a4781eb0511978ec1d8fe4c70449875981a39a08e15bf7164c",
+            "final_params": "da2a16abf336a9ac4a507189a51e1b0e90947d5b870a3f3f1f4ce17d542d8636",
+        },
+    ),
+    # dirichlet, fedprox; rounds mix clients that share a size with clients that do not
+    "dirichlet_fedprox_mixed": (
+        """\
+synth_classes = 4
+synth_per_class = 15
+synth_test_per_class = 6
+partition = dirichlet
+clients = 8
+dirichlet_alpha = 20.0
+method = fedprox
+mu = 0.5
+rounds = 4
+local_epochs = 2
+batch_size = 3
+sampling_ratio = 0.5
+lr0 = 0.05
+seed = 0
+""",
+        {
+            "rounds.csv": "7ec92ee959d3cfe7aa8ab1d4d1a6d262db724e932701df6fa3ee442197ad15d1",
+            "summary.json": "e851eb820a28d4cd57227132bbbae268fe186cecba19201e3bf009f09500f6a0",
+            "final_params": "58e14f4dff0f49517c192bbe082b09c766979cab4e4433ac84337cdddfbebac1",
+        },
+    ),
+    # dirichlet, not-true logit MSE, evaluation every 3rd round
+    "dirichlet_fedntd_mse_stride": (
+        """\
+synth_classes = 4
+synth_per_class = 15
+synth_test_per_class = 6
+partition = dirichlet
+clients = 8
+dirichlet_alpha = 5.0
+method = fedntd_mse
+beta = 0.5
+rounds = 5
+local_epochs = 1
+batch_size = 4
+sampling_ratio = 0.5
+lr0 = 0.05
+eval_stride = 3
+seed = 2
+""",
+        {
+            "rounds.csv": "9c08f2b80f82fb8a8f1ddcaf216e66f014c97f075f214290511b421d5f9ce01b",
+            "summary.json": "f91f5e31d51593db12aaf39d34b1a71e25b384c1658882e3a5f15120568b5ead",
+            "final_params": "d320e826aaa21918ace2523fc0c2ecf936b5489721091f71f8b65505ecc33155",
+        },
+    ),
+}
+
+
+def _config(name):
+    return replace(parse_config_text(_COMMON + CASES[name][0], name), out_dir="golden")
+
+
+def _inputs(cfg):
+    train = synth_dataset(cfg.synth_classes, cfg.synth_per_class, cfg.synth_dim,
+                          cfg.synth_separation, cfg.seed, split=0)
+    test = synth_dataset(cfg.synth_classes, cfg.synth_test_per_class, cfg.synth_dim,
+                         cfg.synth_separation, cfg.seed, split=1)
+    return train, test, make_partition(train, cfg.partition_spec())
+
+
+def run_digests(name, out_dir) -> dict[str, str]:
+    """Runs case `name`, writes its outputs under `out_dir`, returns their sha256."""
+    cfg = _config(name)
+    train, test, partition = _inputs(cfg)
+    mlp = cfg.mlp_config(train.dim, train.num_classes)
+    result = run_federation(cfg.federation_config(), mlp, train, partition, test)
+    write_round_csv(result.logs, out_dir / "rounds.csv", mlp.num_classes)
+    write_summary_json(result.logs, cfg, out_dir / "summary.json", "rounds.csv")
+    return {
+        "rounds.csv": hashlib.sha256((out_dir / "rounds.csv").read_bytes()).hexdigest(),
+        "summary.json": hashlib.sha256((out_dir / "summary.json").read_bytes()).hexdigest(),
+        "final_params": hashlib.sha256(result.final_params.astype("<f8").tobytes()).hexdigest(),
+    }
+
+
+def _blas_build() -> str:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"numpy {np.__version__}, {blas.get('name')} {blas.get('version')}"
+    except Exception:  # older numpy without mode="dicts"
+        return f"numpy {np.__version__}, BLAS unknown"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_outputs_match_golden_digests(name, tmp_path):
+    got = run_digests(name, tmp_path)
+    assert got == CASES[name][1], (
+        f"{name}: output digests changed (ran on {_blas_build()}; pinned on numpy 2.4, "
+        f"OpenBLAS 0.3.31)"
+    )
+
+
+def test_mixed_case_has_shared_and_lone_sizes_in_one_round():
+    # the pinned dirichlet fedprox case must hold a round whose sampled clients
+    # include two of one size and one of a size no other sampled client has
+    cfg = _config("dirichlet_fedprox_mixed")
+    _train, _test, partition = _inputs(cfg)
+    sizes = {c.client_id: len(c) for c in partition}
+    eligible = [cid for cid, n in sizes.items() if n > 0]
+    mixed = []
+    for t in range(1, cfg.rounds + 1):
+        ids = sample_clients(cfg.clients, cfg.sampling_ratio, t, cfg.seed, eligible)
+        counts = Counter(sizes[i] for i in ids).values()
+        mixed.append(max(counts) >= 2 and min(counts) == 1)
+    assert any(mixed)

@@ -24,6 +24,7 @@ from .config import ConfigError, ExperimentConfig, parse_config
 from .data import (
     Dataset,
     IdxFormatError,
+    PartitionError,
     export_partition_json,
     in_local_distribution,
     make_partition,
@@ -34,7 +35,7 @@ from .data import (
 from .federation import DivergenceError, run_federation
 from .metrics import accuracy_cosine_similarity, forgetting_measure
 from .model import save_params
-from .runio import read_round_csv, write_round_csv, write_summary_json
+from .runio import RoundCsvError, read_round_csv, write_round_csv, write_summary_json
 from .verify import run_all
 
 THREADS_ENV = "FEDNSIM_THREADS"
@@ -47,7 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a federated training experiment")
     run_p.add_argument("config", help="path to a key = value config file")
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    run_p.add_argument("--threads", type=int, default=None, help="client-level worker threads")
+    run_p.add_argument("--threads", type=int, default=None,
+                       help="accepted for compatibility (>= 1); no effect, clients train in lockstep")
     run_p.add_argument("--out", default=None, help="override the output directory")
 
     part_p = sub.add_parser("partition", help="build and inspect a client partition")
@@ -65,15 +67,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_threads(flag: int | None) -> int:
+    """--threads, else FEDNSIM_THREADS, else 1; validated, though it changes nothing."""
     if flag is not None:
-        return max(1, flag)
-    env = os.environ.get(THREADS_ENV, "").strip()
-    if env:
+        name, value = "--threads", flag
+    else:
+        env = os.environ.get(THREADS_ENV, "").strip()
+        if not env:
+            return 1
         try:
-            return max(1, int(env))
+            name, value = THREADS_ENV, int(env)
         except ValueError:
             raise ConfigError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
-    return 1
+    if value < 1:
+        raise ConfigError(f"{name} must be >= 1, got {value}")
+    return value
 
 
 def _load_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
@@ -163,6 +170,8 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     results = run_all(
         trials=args.trials, seed=args.seed, diversity_instances=max(1, args.trials // 2)
     )
@@ -173,6 +182,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_metrics(args) -> int:
     logs = read_round_csv(args.round_csv)
+    if not logs:
+        raise RoundCsvError(f"{args.round_csv}: no rounds logged")
     history = [log.class_acc for log in logs]
     print(f"rounds logged: {len(logs)} (final round {logs[-1].t})")
     if len(history) >= 2:
@@ -201,7 +212,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, IdxFormatError, FileNotFoundError) as exc:
+    except (ConfigError, IdxFormatError, PartitionError, RoundCsvError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DivergenceError as exc:

@@ -38,6 +38,10 @@ class IdxCountMismatchError(IdxFormatError):
     pass
 
 
+class PartitionError(ValueError):
+    """The partition settings do not fit the dataset."""
+
+
 @dataclass
 class Dataset:
     features: np.ndarray  # (N, d) float64
@@ -178,8 +182,10 @@ def shard_partition(dataset: Dataset, clients: int, shards_per_client: int, seed
     n = len(dataset)
     total_shards = clients * shards_per_client
     if n % total_shards != 0:
-        raise ValueError(
-            f"dataset size {n} not divisible by clients*shards ({clients}*{shards_per_client})"
+        raise PartitionError(
+            f"sharding cuts the {n} training samples into clients * shards_per_client = "
+            f"{clients} * {shards_per_client} = {total_shards} equal shards, "
+            f"but {n} is not divisible by {total_shards}"
         )
     shard_size = n // total_shards
     order = np.lexsort((np.arange(n), dataset.labels))  # label, ties by original index

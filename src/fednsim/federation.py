@@ -2,14 +2,15 @@
 
 Each round: sample clients, train every sampled client locally from the
 incoming global parameters, aggregate by parameter averaging, evaluate.
-Clients draw their batch order from private per-(round, client) RNG
-streams and aggregation sums in ascending client id, so results are
-bit-identical for any number of worker threads.
+Sampled clients of equal size train in lockstep, as one stack of
+parameter vectors.  Clients draw their batch order from private
+per-(round, client) RNG streams, every matrix product stays one BLAS call
+per client, and aggregation sums in ascending client id, so each client's
+update is bit-identical to training it alone.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,11 +24,13 @@ from .metrics import (
     masked_accuracy,
     normalized_accuracy_vector,
     overall_accuracy,
+    per_class_accuracy,
+    predict,
     weight_divergence,
 )
 from .model import (
-    Batch,
     MlpConfig,
+    NonFiniteError,
     backward,
     forward,
     init_params,
@@ -40,10 +43,12 @@ AGGREGATION_MODES = ("size_weighted", "uniform")
 
 
 class DivergenceError(RuntimeError):
-    """Local training produced a non-finite loss."""
+    """Local training produced a non-finite loss, gradient or parameter."""
 
     def __init__(self, round_t: int, client_id: int):
-        super().__init__(f"non-finite loss at round {round_t}, client {client_id}")
+        super().__init__(
+            f"non-finite loss, gradient or parameters at round {round_t}, client {client_id}"
+        )
         self.round_t = round_t
         self.client_id = client_id
 
@@ -115,50 +120,84 @@ def sample_clients(
 
 def local_train(
     w_global: np.ndarray,
-    client: ClientData,
+    clients: list[ClientData],
     dataset: Dataset,
     fed: FederationConfig,
     mlp: MlpConfig,
     round_t: int,
-) -> ClientUpdate:
+) -> list[ClientUpdate]:
     """Run E local epochs of mini-batch momentum SGD from the global weights.
 
-    The momentum buffer starts at zero and is discarded afterwards.  For
-    distillation methods the teacher logits come from the frozen incoming
-    global weights.  Raises DivergenceError on a non-finite loss.
+    The clients must hold equally many samples; they train in lockstep:
+    parameters and momentum buffers are stacked as (K, P), each step feeds
+    one (K, B, d) batch, and each client keeps its own shuffle stream.
+    Momentum starts at zero and is discarded afterwards.  For distillation
+    methods the teacher logits come from the frozen incoming global weights.
+    Updates come back in ascending client id; their parameters are rows of
+    one stacked block.
+
+    Raises DivergenceError when a loss, gradient or parameter turns
+    non-finite, naming the lowest such client id, which is the client a
+    one-client-at-a-time loop in ascending id would stop at.
     """
-    if len(client) == 0:
-        raise ValueError(f"client {client.client_id} has no samples")
+    clients = sorted(clients, key=lambda c: c.client_id)
+    n = len(clients[0])
+    if n == 0:
+        raise ValueError(f"client {clients[0].client_id} has no samples")
+    if any(len(c) != n for c in clients):
+        raise ValueError("clients trained in lockstep must hold equally many samples")
+    ids = [c.client_id for c in clients]
+    rngs = [stream(fed.master_seed, NS_CLIENT_SHUFFLE, round_t, cid) for cid in ids]
+    indices = np.stack([c.indices for c in clients])
     lr = lr_at_round(fed.lr0, round_t - 1, fed.lr_decay)
-    rng = stream(fed.master_seed, NS_CLIENT_SHUFFLE, round_t, client.client_id)
-    w = w_global.copy()
+    w = np.repeat(w_global[None, :], len(clients), axis=0)
     velocity = np.zeros_like(w)
+    grad = np.empty_like(w)
+    loss_total = np.zeros(len(clients))
     needs_teacher = fed.loss.needs_teacher
-    loss_total = 0.0
+    diverged = None  # lowest client id seen to diverge so far
     steps = 0
     for _epoch in range(fed.local_epochs):
-        order = client.indices[rng.permutation(len(client))]
-        for start in range(0, len(order), fed.batch_size):
-            idx = order[start : start + fed.batch_size]
+        orders = np.take_along_axis(indices, np.stack([r.permutation(n) for r in rngs]), axis=1)
+        for start in range(0, n, fed.batch_size):
+            idx = orders[:, start : start + fed.batch_size]
             x = dataset.features[idx]
             y = dataset.labels[idx]
-            z_l = forward(mlp, w, x)
+            hidden = []
+            z_l = forward(mlp, w, x, hidden)
             z_g = forward(mlp, w_global, x) if needs_teacher else None
-            losses, dl_dz = batch_loss_and_grad(fed.loss, z_l, y, z_g)
-            batch_loss = float(losses.mean())
-            grad = backward(mlp, w, Batch(x, y), dl_dz)
-            if fed.loss.method == "fedprox":
-                prox_loss, prox_grad = fedprox_penalty(w, w_global, fed.loss.mu)
-                batch_loss += prox_loss
-                grad += prox_grad
-            if not np.isfinite(batch_loss):
-                raise DivergenceError(round_t, client.client_id)
-            w, velocity = sgd_momentum_step(
-                w, grad, velocity, lr, fed.momentum, fed.weight_decay
+            # the loss kernels are row-wise, so they may see all K*B rows at once
+            losses, dl_dz = batch_loss_and_grad(
+                fed.loss, z_l.reshape(-1, mlp.num_classes), y.reshape(-1),
+                None if z_g is None else z_g.reshape(-1, mlp.num_classes),
             )
+            batch_loss = losses.reshape(len(ids), -1).mean(axis=1)
+            backward(mlp, w, x, hidden, dl_dz.reshape(z_l.shape), out=grad)
+            if fed.loss.method == "fedprox":
+                for k in range(len(ids)):
+                    prox_loss, prox_grad = fedprox_penalty(w[k], w_global, fed.loss.mu)
+                    batch_loss[k] += prox_loss
+                    grad[k] += prox_grad
+            try:
+                if not np.isfinite(batch_loss).all():
+                    raise NonFiniteError("non-finite loss")
+                sgd_momentum_step(w, grad, velocity, lr, fed.momentum, fed.weight_decay)
+            except NonFiniteError:
+                ok = np.isfinite(batch_loss) & np.isfinite(w).all(axis=1)
+                first = int(np.argmin(ok & np.isfinite(grad).all(axis=1)))
+                diverged = ids[first]
+                if first == 0:
+                    raise DivergenceError(round_t, diverged) from None
+                # only clients with lower ids can still change which client is named
+                ids, rngs, orders = ids[:first], rngs[:first], orders[:first]
+                indices, w, velocity = indices[:first], w[:first], velocity[:first]
+                grad, loss_total, batch_loss = grad[:first], loss_total[:first], batch_loss[:first]
+                sgd_momentum_step(w, grad, velocity, lr, fed.momentum, fed.weight_decay)
             loss_total += batch_loss
             steps += 1
-    return ClientUpdate(client.client_id, w, len(client), loss_total / steps)
+    if diverged is not None:
+        raise DivergenceError(round_t, diverged)
+    return [ClientUpdate(cid, w[k], n, float(loss_total[k] / steps)) for k, cid in enumerate(ids)]
 
 
 def aggregate(updates: list[ClientUpdate], mode: str = "size_weighted") -> np.ndarray:
@@ -200,8 +239,12 @@ def run_federation(
     """Run the full synchronous loop and log metrics every eval_stride rounds.
 
     The final round is always logged.  `checkpoint_fn(t, params)` fires
-    every `checkpoint_stride` rounds when given.
+    every `checkpoint_stride` rounds when given.  Each round trains its
+    sampled clients in lockstep groups of equal size.  `threads` must be
+    >= 1 and changes nothing: training runs on the calling thread.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if dataset.dim != mlp.input_dim or testset.dim != mlp.input_dim:
         raise ValueError("dataset feature width does not match the model input_dim")
     if dataset.num_classes != mlp.num_classes or testset.num_classes != mlp.num_classes:
@@ -219,15 +262,19 @@ def run_federation(
     logs: list[RoundLog] = []
     for t in range(1, fed.rounds + 1):
         ids = sample_clients(len(partition), fed.sampling_ratio, t, fed.master_seed, eligible)
-
-        def train_one(cid: int) -> ClientUpdate:
-            return local_train(w, clients[cid], dataset, fed, mlp, t)
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                updates = list(pool.map(train_one, ids))
-        else:
-            updates = [train_one(cid) for cid in ids]
+        groups: dict[int, list[ClientData]] = {}
+        for cid in ids:
+            groups.setdefault(len(clients[cid]), []).append(clients[cid])
+        updates: list[ClientUpdate] = []
+        diverged: list[DivergenceError] = []
+        for group in groups.values():
+            try:
+                updates += local_train(w, group, dataset, fed, mlp, t)
+            except DivergenceError as err:
+                diverged.append(err)
+        if diverged:
+            raise min(diverged, key=lambda err: err.client_id)
+        updates.sort(key=lambda u: u.client_id)
 
         w_in = w
         w = aggregate(updates, fed.aggregation)
@@ -248,24 +295,29 @@ def _evaluate_round(
     updates: list[ClientUpdate],
     dists: dict[int, np.ndarray],
 ) -> RoundLog:
-    class_acc = class_wise_accuracy(mlp, w_out, testset)
-    incoming_acc = class_wise_accuracy(mlp, w_in, testset)
+    """Scores the round with one test-set forward per model: w_out, w_in and each update.
+
+    `updates` come in ascending client id.
+    """
+    pred_out = predict(mlp, w_out, testset)
+    incoming_acc = class_wise_accuracy(predict(mlp, w_in, testset), testset)
     try:
         a_g = normalized_accuracy_vector(incoming_acc)
     except ValueError:  # incoming model got every test sample wrong
         a_g = None
 
     in_accs, out_accs, wdivs, ddists = [], [], [], []
-    for update in sorted(updates, key=lambda u: u.client_id):
+    for update in updates:
         p = dists[update.client_id]
-        in_accs.append(masked_accuracy(mlp, update.params, testset, p))
-        out_accs.append(masked_accuracy(mlp, update.params, testset, out_local_distribution(p)))
+        acc = per_class_accuracy(predict(mlp, update.params, testset), testset)
+        in_accs.append(masked_accuracy(acc, p))
+        out_accs.append(masked_accuracy(acc, out_local_distribution(p)))
         wdivs.append(weight_divergence(w_in, update.params))
         ddists.append(distribution_distance(a_g, p) if a_g is not None else float("nan"))
     return RoundLog(
         t=t,
-        global_acc=overall_accuracy(mlp, w_out, testset),
-        class_acc=class_acc,
+        global_acc=overall_accuracy(pred_out, testset),
+        class_acc=class_wise_accuracy(pred_out, testset),
         local_in_acc_mean=float(np.mean(in_accs)),
         local_in_acc_std=float(np.std(in_accs)),
         local_out_acc_mean=float(np.mean(out_accs)),

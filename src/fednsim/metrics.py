@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .model import MlpConfig, forward, forward_with_activations
+from .model import MlpConfig, forward
 
 
 @dataclass(frozen=True)
@@ -30,36 +30,36 @@ class RoundLog:
     train_loss: float
 
 
-def _predictions(config: MlpConfig, params: np.ndarray, testset: Dataset) -> np.ndarray:
+def predict(config: MlpConfig, params: np.ndarray, testset: Dataset) -> np.ndarray:
+    """Top-1 class of every test sample: one forward of the whole set.
+
+    Every accuracy below is derived from these predictions, so a model is
+    scored with one forward however many accuracies are taken from it.
+    """
     logits = forward(config, params, testset.features)
-    return logits.argmax(axis=1)  # argmax ties go to the lowest class index
+    return logits.argmax(axis=-1)  # argmax ties go to the lowest class index
 
 
-def per_class_accuracy(
-    config: MlpConfig, params: np.ndarray, testset: Dataset
-) -> tuple[np.ndarray, np.ndarray]:
-    """(per-class accuracy with NaN for absent classes, per-class counts)."""
-    pred = _predictions(config, params, testset)
+def per_class_accuracy(pred: np.ndarray, testset: Dataset) -> np.ndarray:
+    """Accuracy of each class, NaN for classes absent from the testset."""
     counts = testset.class_counts()
     correct = np.bincount(
         testset.labels[pred == testset.labels], minlength=testset.num_classes
     )
     with np.errstate(invalid="ignore"):
-        acc = np.where(counts > 0, correct / np.maximum(counts, 1), np.nan)
-    return acc, counts
+        return np.where(counts > 0, correct / np.maximum(counts, 1), np.nan)
 
 
-def class_wise_accuracy(config: MlpConfig, params: np.ndarray, testset: Dataset) -> np.ndarray:
+def class_wise_accuracy(pred: np.ndarray, testset: Dataset) -> np.ndarray:
     """Top-1 accuracy per class; every class must appear in the testset."""
-    acc, counts = per_class_accuracy(config, params, testset)
-    missing = np.flatnonzero(counts == 0)
+    acc = per_class_accuracy(pred, testset)
+    missing = np.flatnonzero(np.isnan(acc))
     if missing.size:
         raise ValueError(f"testset has no samples for classes {missing.tolist()}")
     return acc
 
 
-def overall_accuracy(config: MlpConfig, params: np.ndarray, testset: Dataset) -> float:
-    pred = _predictions(config, params, testset)
+def overall_accuracy(pred: np.ndarray, testset: Dataset) -> float:
     return float(np.mean(pred == testset.labels))
 
 
@@ -132,22 +132,20 @@ def distribution_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(a - b).sum())
 
 
-def masked_accuracy(
-    config: MlpConfig, params: np.ndarray, testset: Dataset, weights: np.ndarray
-) -> float:
+def masked_accuracy(class_acc: np.ndarray, weights: np.ndarray) -> float:
     """Accuracy under a reweighted label distribution: sum_c w_c * acc_c.
 
-    Classes with zero weight may be absent from the testset; a missing
-    class with nonzero weight is an error.
+    `class_acc` comes from `per_class_accuracy`, NaN marking classes absent
+    from the testset.  Those may carry zero weight; a missing class with
+    nonzero weight is an error.
     """
     weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (testset.num_classes,):
-        raise ValueError(f"weights must have length {testset.num_classes}")
-    acc, counts = per_class_accuracy(config, params, testset)
-    bad = np.flatnonzero((counts == 0) & (weights > 0))
+    if weights.shape != class_acc.shape:
+        raise ValueError(f"weights must have length {class_acc.shape[0]}")
+    bad = np.flatnonzero(np.isnan(class_acc) & (weights > 0))
     if bad.size:
         raise ValueError(f"nonzero weight on classes missing from the testset: {bad.tolist()}")
-    return float(np.sum(np.where(weights > 0, weights * np.nan_to_num(acc), 0.0)))
+    return float(np.sum(np.where(weights > 0, weights * np.nan_to_num(class_acc), 0.0)))
 
 
 def neuron_class_preference(
@@ -166,7 +164,8 @@ def neuron_class_preference(
     missing = np.flatnonzero(counts == 0)
     if missing.size:
         raise ValueError(f"dataset has no samples for classes {missing.tolist()}")
-    _, hidden = forward_with_activations(config, params, dataset.features)
+    hidden = []
+    forward(config, params, dataset.features, hidden)
     acts = hidden[layer]  # (N, width)
     totals = np.zeros((dataset.num_classes, acts.shape[1]))
     np.add.at(totals, dataset.labels, acts)

@@ -12,6 +12,7 @@ bias vector of length fan_out.  Layer l maps activations via
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -49,38 +50,34 @@ class MlpConfig:
         return sum(fi * fo + fo for fi, fo in self.layer_shapes())
 
 
-@dataclass
-class Batch:
-    features: np.ndarray  # (B, input_dim) float64
-    labels: np.ndarray  # (B,) int
+class NonFiniteError(ValueError):
+    """An optimizer step met non-finite parameters or gradients."""
 
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2 or self.labels.ndim != 1:
-            raise ValueError("features must be 2-D and labels 1-D")
-        if self.features.shape[0] != self.labels.shape[0]:
-            raise ValueError(
-                f"feature rows ({self.features.shape[0]}) != label count ({self.labels.shape[0]})"
-            )
+
+@functools.cache
+def _layout(config: MlpConfig) -> tuple[tuple[slice, tuple[int, int], slice], ...]:
+    """(weight slice, weight shape, bias slice) of every layer, computed once per config."""
+    layout, off = [], 0
+    for fan_in, fan_out in config.layer_shapes():
+        end = off + fan_in * fan_out
+        layout.append((slice(off, end), (fan_in, fan_out), slice(end, end + fan_out)))
+        off = end + fan_out
+    return tuple(layout)
 
 
 def unpack_params(config: MlpConfig, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Views of (weight, bias) per layer into the flat vector."""
-    params = np.asarray(params)
-    if params.shape != (config.param_count(),):
+    """Views of (weight, bias) per layer into a flat vector (P,) or a stack (K, P).
+
+    Weights come out as (..., fan_in, fan_out) and biases as (..., fan_out),
+    the leading axis being the stack axis when there is one.
+    """
+    if params.shape[-1:] != (config.param_count(),):
         raise ValueError(
             f"parameter vector has length {params.shape}, config implies {config.param_count()}"
         )
-    layers = []
-    off = 0
-    for fan_in, fan_out in config.layer_shapes():
-        w = params[off : off + fan_in * fan_out].reshape(fan_in, fan_out)
-        off += fan_in * fan_out
-        b = params[off : off + fan_out]
-        off += fan_out
-        layers.append((w, b))
-    return layers
+    lead = params.shape[:-1]
+    return [(params[..., w].reshape(*lead, *shape), params[..., b])
+            for w, shape, b in _layout(config)]
 
 
 def init_params(config: MlpConfig, seed: int) -> np.ndarray:
@@ -98,67 +95,76 @@ def init_params(config: MlpConfig, seed: int) -> np.ndarray:
 
 def _check_features(config: MlpConfig, features: np.ndarray) -> np.ndarray:
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != config.input_dim:
+    if features.ndim < 2 or features.shape[-1] != config.input_dim:
         raise ValueError(
             f"features shape {features.shape} incompatible with input_dim {config.input_dim}"
         )
     return features
 
 
-def forward(config: MlpConfig, params: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Logits matrix (rows x num_classes)."""
-    return forward_with_activations(config, params, features)[0]
+def forward(
+    config: MlpConfig, params: np.ndarray, features: np.ndarray, hidden: list | None = None
+) -> np.ndarray:
+    """Logits (..., B, num_classes) of features (..., B, input_dim).
 
+    `params` is one flat vector, or a stack (K, P) of K models that each see
+    their own batch of a (K, B, input_dim) stack.  One vector may also score
+    a whole stack of batches.  Every product stays one BLAS call per model
+    and batch: a stack is never flattened into (K*B, ...) rows, because BLAS
+    may round a product of more rows differently, and per-client results
+    must not depend on how many clients train together.
 
-def forward_with_activations(
-    config: MlpConfig, params: np.ndarray, features: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Logits plus the post-ReLU output of every hidden layer."""
+    When `hidden` is a list, the post-ReLU output of every hidden layer is
+    appended to it; `backward` takes them and recomputes nothing.
+    """
     h = _check_features(config, features)
     layers = unpack_params(config, params)
-    hidden = []
     for w, b in layers[:-1]:
-        h = np.maximum(h @ w + b, 0.0)
-        hidden.append(h)
+        h = h @ w
+        h += b[..., None, :]
+        np.maximum(h, 0.0, out=h)
+        if hidden is not None:
+            hidden.append(h)
     w, b = layers[-1]
-    return h @ w + b, hidden
+    logits = h @ w
+    logits += b[..., None, :]
+    return logits
 
 
 def backward(
-    config: MlpConfig, params: np.ndarray, batch: Batch, dl_dlogits: np.ndarray
+    config: MlpConfig,
+    params: np.ndarray,
+    features: np.ndarray,
+    hidden: list[np.ndarray],
+    dl_dlogits: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Gradient of the mean-over-batch loss w.r.t. the flat parameter vector.
+    """Gradient of the mean-over-batch loss w.r.t. the parameters, shaped like `params`.
 
-    `dl_dlogits` holds per-sample logit gradients (B x num_classes); the
-    1/B averaging happens here.
+    `hidden` is the list `forward` filled for the same parameters and
+    features.  `dl_dlogits` (..., B, num_classes) holds per-sample logit
+    gradients; the 1/B averaging happens here.  With `out`, the gradient is
+    written into it and it is returned, so that a training loop can reuse
+    one buffer for every step.
     """
-    x = _check_features(config, batch.features)
-    dl_dlogits = np.asarray(dl_dlogits, dtype=np.float64)
-    if dl_dlogits.shape != (x.shape[0], config.num_classes):
+    if dl_dlogits.shape != (*features.shape[:-1], config.num_classes):
         raise ValueError(
-            f"dl_dlogits shape {dl_dlogits.shape} != ({x.shape[0]}, {config.num_classes})"
+            f"dl_dlogits shape {dl_dlogits.shape} != {(*features.shape[:-1], config.num_classes)}"
         )
+    if len(hidden) != len(config.hidden_dims):
+        raise ValueError(f"need {len(config.hidden_dims)} hidden activations, got {len(hidden)}")
+    grad = np.empty(params.shape) if out is None else out
     layers = unpack_params(config, params)
-
-    # Forward, keeping pre-activation inputs of every layer.
-    inputs = [x]
-    h = x
-    for w, b in layers[:-1]:
-        h = np.maximum(h @ w + b, 0.0)
-        inputs.append(h)
-
-    grad = np.zeros_like(np.asarray(params, dtype=np.float64))
     glayers = unpack_params(config, grad)
-    nb = x.shape[0]
-    delta = dl_dlogits / nb
+    inputs = [features, *hidden]
+    delta = dl_dlogits / dl_dlogits.shape[-2]
     for li in range(len(layers) - 1, -1, -1):
-        w, _b = layers[li]
         gw, gb = glayers[li]
-        gw[...] = inputs[li].T @ delta
-        gb[...] = delta.sum(axis=0)
+        np.matmul(np.swapaxes(inputs[li], -1, -2), delta, out=gw)
+        np.sum(delta, axis=-2, out=gb)
         if li > 0:
             # ReLU derivative: post-activation output > 0 iff pre-activation > 0.
-            delta = (delta @ w.T) * (inputs[li] > 0.0)
+            delta = (delta @ np.swapaxes(layers[li][0], -1, -2)) * (inputs[li] > 0.0)
     return grad
 
 
@@ -170,13 +176,16 @@ def sgd_momentum_step(
     momentum: float,
     weight_decay: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One classical momentum-SGD step with coupled L2 weight decay.
+    """One classical momentum-SGD step with coupled L2 weight decay, in place.
 
     g' = grad + weight_decay * params
     v' = momentum * v + g'
     params' = params - lr * v'
 
-    lr = 0 is allowed and leaves the parameters unchanged.
+    `params` and `velocity` (float64, any shape, a stack of clients
+    included) are updated in place and returned; `grad` is overwritten as
+    scratch.  Non-finite parameters or gradients raise NonFiniteError
+    before anything is written.  lr = 0 leaves the parameters unchanged.
     """
     if not (lr >= 0.0):
         raise ValueError(f"lr must be >= 0, got {lr}")
@@ -184,13 +193,15 @@ def sgd_momentum_step(
         raise ValueError(f"momentum must be in [0, 1), got {momentum}")
     if weight_decay < 0.0:
         raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
-    params = np.asarray(params, dtype=np.float64)
-    grad = np.asarray(grad, dtype=np.float64)
     if not (np.isfinite(params).all() and np.isfinite(grad).all()):
-        raise ValueError("non-finite parameters or gradient")
-    g = grad + weight_decay * params if weight_decay != 0.0 else grad
-    new_velocity = momentum * velocity + g
-    return params - lr * new_velocity, new_velocity
+        raise NonFiniteError("non-finite parameters or gradient")
+    if weight_decay != 0.0:
+        grad += weight_decay * params
+    velocity *= momentum
+    velocity += grad
+    np.multiply(velocity, lr, out=grad)
+    params -= grad
+    return params, velocity
 
 
 def lr_at_round(lr0: float, t: int, decay: float = 0.99) -> float:

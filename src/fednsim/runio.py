@@ -15,6 +15,10 @@ from .config import ExperimentConfig, config_dict, config_hash
 from .metrics import RoundLog, forgetting_measure
 
 
+class RoundCsvError(ValueError):
+    """A round CSV that cannot be read back."""
+
+
 def _fmt(value: float) -> str:
     return repr(float(value))
 
@@ -62,22 +66,25 @@ def read_round_csv(path) -> list[RoundLog]:
     with open(path, "r", encoding="utf-8") as f:
         lines = [line.rstrip("\n") for line in f if line.strip()]
     if not lines:
-        raise ValueError(f"{path}: empty round CSV")
+        raise RoundCsvError(f"{path}: empty round CSV")
     header = lines[0].split(",")
     class_cols = [i for i, name in enumerate(header) if name.startswith("acc_class_")]
     expected = csv_header(len(class_cols))
     if header != expected:
-        raise ValueError(f"{path}: unexpected CSV header")
+        raise RoundCsvError(f"{path}: unexpected CSV header")
     logs = []
     for line in lines[1:]:
         cells = line.split(",")
         if len(cells) != len(header):
-            raise ValueError(f"{path}: row has {len(cells)} cells, expected {len(header)}")
-        values = [float(c) for c in cells[1:]]
+            raise RoundCsvError(f"{path}: row has {len(cells)} cells, expected {len(header)}")
+        try:
+            t, values = int(cells[0]), [float(c) for c in cells[1:]]
+        except ValueError:
+            raise RoundCsvError(f"{path}: row {line!r} holds a non-number") from None
         n = len(class_cols)
         logs.append(
             RoundLog(
-                t=int(cells[0]),
+                t=t,
                 global_acc=values[0],
                 class_acc=np.array(values[1 : 1 + n]),
                 local_in_acc_mean=values[1 + n],

@@ -1,0 +1,71 @@
+"""Guards for the benchmark tracer's hooks into fednsim.
+
+perfbench/spans.py wraps fednsim functions at the module attributes their
+callers look up.  These tests load it read-only and check that every hooked
+attribute exists, that install() and uninstall() round-trip, and that a
+traced run still counts what the benchmark reports.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from fednsim import federation
+
+from test_federation import tiny_setup
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # leave perfbench/ untouched
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+def _hooks(spans):
+    return [(module, attr) for module, attr, _, _ in spans._TARGETS] + [(federation, "local_train")]
+
+
+def test_every_hooked_attribute_exists(spans):
+    missing = [f"{m.__name__}.{a}" for m, a in _hooks(spans) if not hasattr(m, a)]
+    assert missing == []
+
+
+def test_install_uninstall_round_trip(spans):
+    originals = [getattr(m, a) for m, a in _hooks(spans)]
+    recorder = spans.Recorder()
+    recorder.install()
+    try:
+        assert all(getattr(m, a) is not o for (m, a), o in zip(_hooks(spans), originals))
+    finally:
+        recorder.uninstall()
+    assert all(getattr(m, a) is o for (m, a), o in zip(_hooks(spans), originals))
+
+
+def test_traced_run_counts_and_changes_nothing(spans):
+    # 3 of 4 clients a round, fedntd: every round logs 2 + 3 test-set forwards
+    fed, mlp, dataset, partition, testset = tiny_setup(method="fedntd", sampling_ratio=0.75)
+    plain = federation.run_federation(fed, mlp, dataset, partition, testset)
+    recorder = spans.Recorder()
+    recorder.install()
+    try:
+        traced = federation.run_federation(fed, mlp, dataset, partition, testset)
+    finally:
+        recorder.uninstall()
+    assert traced.final_params.tobytes() == plain.final_params.tobytes()
+    layers = recorder.layer_metrics(len(traced.logs), 1)
+    assert layers["metrics.forwards_per_eval_round"] == 5
+    assert layers["federation.local_train.calls"] >= fed.rounds
+    # teacher forwards are told apart by local_train's argument 0
+    assert layers["model.forward.teacher.calls"] == layers["model.forward.local.calls"] > 0
+    assert np.isfinite(layers["federation.straggler_ratio"])

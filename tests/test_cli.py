@@ -76,6 +76,29 @@ class TestRunCommand:
         out = tmp_path / "env"
         assert run_cli("run", tiny_config, "--out", out) == 0
 
+    def test_nonpositive_threads_flag_exit_1(self, tiny_config, tmp_path, capsys):
+        assert run_cli("run", tiny_config, "--out", tmp_path / "o", "--threads", -5) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--threads" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_nonpositive_threads_env_exit_1(self, tiny_config, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("FEDNSIM_THREADS", value)
+        assert run_cli("run", tiny_config, "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "FEDNSIM_THREADS" in err
+
+    def test_indivisible_sharding_exit_1(self, tmp_path, capsys):
+        # the default 1000 samples do not split into 3 * 2 equal shards
+        path = tmp_path / "shard.cfg"
+        path.write_text("partition = sharding\nclients = 3\nshards_per_client = 2\n")
+        assert run_cli("run", path, "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "clients" in err and "shards_per_client" in err
+        assert run_cli("partition", path, "--stats") == 1
+
     def test_checkpoints_written(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text(TINY_CONFIG + "checkpoint_stride = 2\n")
@@ -170,6 +193,11 @@ class TestVerifyCommand:
         assert all(l.startswith("PASS") for l in lines)
         assert any("kl_split_identity" in l for l in lines)
 
+    def test_zero_trials_exit_1(self, capsys):
+        assert run_cli("verify", "--trials", 0) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--trials" in err
+
 
 class TestMetricsCommand:
     def test_recomputes_from_csv(self, tiny_config, tmp_path, capsys):
@@ -183,6 +211,30 @@ class TestMetricsCommand:
 
     def test_missing_csv_exit_1(self, tmp_path):
         assert run_cli("metrics", tmp_path / "nope.csv") == 1
+
+    def test_header_only_csv_exit_1(self, tmp_path, capsys):
+        from fednsim.runio import write_round_csv
+
+        path = tmp_path / "rounds.csv"
+        write_round_csv([], path, num_classes=3)
+        assert run_cli("metrics", path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "rounds.csv" in err and "no rounds" in err
+
+    @pytest.mark.parametrize("edit", ["header", "cell"])
+    def test_malformed_csv_exit_1(self, tiny_config, tmp_path, capsys, edit):
+        out = tmp_path / "out"
+        assert run_cli("run", tiny_config, "--out", out) == 0
+        path = out / "rounds.csv"
+        lines = path.read_text().splitlines()
+        if edit == "header":
+            lines[0] = lines[0].replace("global_acc", "global")
+        else:
+            lines[1] = lines[1].replace(",", ",x", 1)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("metrics", path) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestUsage:

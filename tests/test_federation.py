@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fednsim.data import ClientData, make_partition, PartitionSpec, synth_dataset
+from fednsim.data import ClientData, Dataset, make_partition, PartitionSpec, synth_dataset
 from fednsim.federation import (
     ClientUpdate,
     DivergenceError,
@@ -71,7 +71,7 @@ class TestLocalTrain:
     def test_zero_lr_keeps_params(self):
         fed, mlp, dataset, partition, _ = tiny_setup(lr0=0.0)
         w0 = init_params(mlp, 1)
-        update = local_train(w0, partition[0], dataset, fed, mlp, round_t=1)
+        [update] = local_train(w0, [partition[0]], dataset, fed, mlp, round_t=1)
         assert np.array_equal(update.params, w0)
         assert update.sample_count == len(partition[0])
 
@@ -79,8 +79,8 @@ class TestLocalTrain:
         fed_a, mlp, dataset, partition, _ = tiny_setup(method="fedavg")
         fed_b = dataclasses.replace(fed_a, loss=LossConfig(method="fedntd", beta=0.0))
         w0 = init_params(mlp, 1)
-        ua = local_train(w0, partition[1], dataset, fed_a, mlp, round_t=2)
-        ub = local_train(w0, partition[1], dataset, fed_b, mlp, round_t=2)
+        [ua] = local_train(w0, [partition[1]], dataset, fed_a, mlp, round_t=2)
+        [ub] = local_train(w0, [partition[1]], dataset, fed_b, mlp, round_t=2)
         assert ua.params.tobytes() == ub.params.tobytes()
 
     def test_single_step_linear_model_hand_oracle(self):
@@ -98,7 +98,7 @@ class TestLocalTrain:
             master_seed=0,
         )
         w0 = init_params(mlp, 3)
-        update = local_train(w0, client, dataset_cls, fed, mlp, round_t=1)
+        [update] = local_train(w0, [client], dataset_cls, fed, mlp, round_t=1)
 
         w_mat, b = unpack_params(mlp, w0)[0]
         z = x[0] @ w_mat + b
@@ -112,7 +112,7 @@ class TestLocalTrain:
     def test_teacher_frozen_at_incoming_weights(self):
         # two single-sample steps: the second step's teacher must still be w0
         from fednsim.losses import fedntd_objective
-        from fednsim.model import backward, forward, Batch
+        from fednsim.model import backward, forward
         from fednsim.rng import NS_CLIENT_SHUFFLE, stream
 
         mlp = MlpConfig(input_dim=3, hidden_dims=(), num_classes=3)
@@ -128,38 +128,77 @@ class TestLocalTrain:
             lr0=0.1, momentum=0.0, weight_decay=0.0, master_seed=4,
         )
         w0 = init_params(mlp, 6)
-        update = local_train(w0, client, dataset, fed, mlp, round_t=1)
+        [update] = local_train(w0, [client], dataset, fed, mlp, round_t=1)
 
         order = client.indices[stream(4, NS_CLIENT_SHUFFLE, 1, 0).permutation(2)]
         w = w0.copy()
         for idx in order:
             x = feats[idx : idx + 1]
-            z_l = forward(mlp, w, x)[0]
+            hidden = []
+            z_l = forward(mlp, w, x, hidden)[0]
             z_g = forward(mlp, w0, x)[0]  # teacher pinned to the round start
             _, dz = fedntd_objective(z_l, z_g, int(labels[idx]), 1.0, 1.0)
-            w = w - 0.1 * backward(mlp, w, Batch(x, labels[idx : idx + 1]), dz[None, :])
+            w = w - 0.1 * backward(mlp, w, x, hidden, dz[None, :])
         assert np.allclose(update.params, w, atol=1e-15)
 
     def test_momentum_resets_each_session(self):
         # two identical sessions from the same start give identical results
         fed, mlp, dataset, partition, _ = tiny_setup()
         w0 = init_params(mlp, 1)
-        u1 = local_train(w0, partition[0], dataset, fed, mlp, round_t=1)
-        u2 = local_train(w0, partition[0], dataset, fed, mlp, round_t=1)
+        [u1] = local_train(w0, [partition[0]], dataset, fed, mlp, round_t=1)
+        [u2] = local_train(w0, [partition[0]], dataset, fed, mlp, round_t=1)
         assert u1.params.tobytes() == u2.params.tobytes()
 
     def test_empty_client_rejected(self):
         fed, mlp, dataset, _, _ = tiny_setup()
         empty = ClientData(9, np.empty(0, dtype=np.int64))
         with pytest.raises(ValueError, match="no samples"):
-            local_train(init_params(mlp, 0), empty, dataset, fed, mlp, 1)
+            local_train(init_params(mlp, 0), [empty], dataset, fed, mlp, 1)
 
     def test_divergence_reported_with_location(self):
         fed, mlp, dataset, partition, _ = tiny_setup(lr0=1e150, weight_decay=0.0)
         with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
-            local_train(init_params(mlp, 0), partition[2], dataset, fed, mlp, round_t=4)
+            local_train(init_params(mlp, 0), [partition[2]], dataset, fed, mlp, round_t=4)
         assert err.value.round_t == 4
         assert err.value.client_id == 2
+
+    @pytest.mark.parametrize("method", ["fedntd", "fedprox", "kd_ntd_interp"])
+    def test_lockstep_equals_training_alone(self, method):
+        # equal-sized clients trained together give each client's solo bytes
+        fed, mlp, dataset, partition, _ = tiny_setup(method=method, batch_size=5)
+        w0 = init_params(mlp, 1)
+        together = local_train(w0, [partition[2], partition[0], partition[3]], dataset, fed, mlp, 2)
+        assert [u.client_id for u in together] == [0, 2, 3]
+        for update in together:
+            [alone] = local_train(w0, [partition[update.client_id]], dataset, fed, mlp, 2)
+            assert update.params.tobytes() == alone.params.tobytes()
+            assert update.mean_loss == alone.mean_loss
+
+    def test_unequal_sizes_rejected(self):
+        fed, mlp, dataset, _, _ = tiny_setup()
+        clients = [ClientData(0, np.arange(6)), ClientData(1, np.arange(6, 13))]
+        with pytest.raises(ValueError, match="equally many"):
+            local_train(init_params(mlp, 0), clients, dataset, fed, mlp, 1)
+
+    def test_nonfinite_parameters_with_finite_loss_diverge(self):
+        # a dead hidden unit with bias -inf keeps the loss finite; the
+        # non-finite parameter must still be reported as divergence
+        fed, mlp, dataset, partition, _ = tiny_setup(method="fedntd")
+        w0 = init_params(mlp, 0)
+        _w1, b1 = unpack_params(mlp, w0)[0]
+        b1[0] = -np.inf
+        client = partition[1]
+        from fednsim.losses import batch_loss_and_grad
+        from fednsim.model import forward
+
+        x = dataset.features[client.indices]
+        losses, _ = batch_loss_and_grad(
+            fed.loss, forward(mlp, w0, x), dataset.labels[client.indices], forward(mlp, w0, x)
+        )
+        assert np.isfinite(losses).all()
+        with pytest.raises(DivergenceError) as err:
+            local_train(w0, [client], dataset, fed, mlp, round_t=3)
+        assert (err.value.round_t, err.value.client_id) == (3, 1)
 
 
 class TestAggregate:
@@ -222,6 +261,8 @@ class TestRunFederation:
         par = run_federation(fed, mlp, dataset, partition, testset, threads=4)
         assert seq.final_params.tobytes() == par.final_params.tobytes()
         assert [l.train_loss for l in seq.logs] == [l.train_loss for l in par.logs]
+        with pytest.raises(ValueError, match="threads"):
+            run_federation(fed, mlp, dataset, partition, testset, threads=0)
 
     def test_beta_zero_trajectory_equals_fedavg(self):
         fed_a, mlp, dataset, partition, testset = tiny_setup(method="fedavg", sampling_ratio=0.5)
@@ -280,6 +321,65 @@ class TestRunFederation:
             checkpoint_stride=2, checkpoint_fn=lambda t, w: seen.append(t),
         )
         assert seen == [2, 4]
+
+
+def diverging_setup():
+    # samples 12.. have features 1e50 times larger: a client made of them
+    # diverges within its first epoch, while a client holding samples 0..11
+    # survives one epoch and diverges in the second
+    base = synth_dataset(3, 12, 4, 3.0, seed=0)
+    perm = np.random.default_rng(0).permutation(len(base))
+    feats = base.features[perm]
+    feats[12:] *= 1e50
+    dataset = Dataset(feats, base.labels[perm], 3)
+    mlp = MlpConfig(input_dim=4, hidden_dims=(6,), num_classes=3)
+
+    def fed(epochs):
+        return FederationConfig(
+            rounds=1, local_epochs=epochs, batch_size=4, sampling_ratio=1.0,
+            lr0=1e50, weight_decay=0.0, master_seed=0,
+        )
+
+    return dataset, mlp, fed
+
+
+def diverges(w0, client, dataset, fed, mlp) -> bool:
+    try:
+        local_train(w0, [client], dataset, fed, mlp, 1)
+    except DivergenceError:
+        return True
+    return False
+
+
+class TestDivergenceNamesLowestClient:
+    def test_lockstep_names_lowest_id_not_first_in_step_order(self):
+        dataset, mlp, fed = diverging_setup()
+        w0 = init_params(mlp, 0)
+        clients = [ClientData(0, np.arange(12)), ClientData(1, np.arange(12, 24))]
+        with np.errstate(all="ignore"):
+            # client 1 diverges in epoch 1, client 0 only in epoch 2
+            assert [diverges(w0, c, dataset, fed(1), mlp) for c in clients] == [False, True]
+            assert diverges(w0, clients[0], dataset, fed(2), mlp)
+            with pytest.raises(DivergenceError) as err:
+                local_train(w0, clients, dataset, fed(2), mlp, 1)
+        assert err.value.client_id == 0
+
+    def test_round_names_lowest_id_across_size_groups(self):
+        # clients 0 and 2 (12 samples) train as one group, client 1 (11) alone;
+        # clients 1 and 2 diverge, so the round must name client 1
+        dataset, mlp, fed = diverging_setup()
+        partition = [
+            ClientData(0, np.arange(12)),
+            ClientData(1, np.arange(12, 23)),
+            ClientData(2, np.arange(24, 36)),
+        ]
+        w0 = init_params(mlp, fed(1).master_seed)
+        testset = synth_dataset(3, 4, 4, 3.0, seed=0, split=1)
+        with np.errstate(all="ignore"):
+            assert [diverges(w0, c, dataset, fed(1), mlp) for c in partition] == [False, True, True]
+            with pytest.raises(DivergenceError) as err:
+                run_federation(fed(1), mlp, dataset, partition, testset)
+        assert (err.value.round_t, err.value.client_id) == (1, 1)
 
 
 class TestFederationConfigValidation:

@@ -15,6 +15,8 @@ from fednsim.metrics import (
     neuron_class_preference,
     normalized_accuracy_vector,
     overall_accuracy,
+    per_class_accuracy,
+    predict,
     weight_divergence,
 )
 from fednsim.model import MlpConfig, init_params, unpack_params
@@ -38,6 +40,10 @@ def identity_predictor(num_classes: int):
     return cfg, params
 
 
+def masked(cfg, params, ds, weights) -> float:
+    return masked_accuracy(per_class_accuracy(predict(cfg, params, ds), ds), weights)
+
+
 def onehot_dataset(num_classes: int, per_class: int) -> Dataset:
     labels = np.repeat(np.arange(num_classes), per_class)
     return Dataset(np.eye(num_classes)[labels], labels, num_classes)
@@ -47,18 +53,18 @@ class TestClassWiseAccuracy:
     def test_constant_predictor(self):
         ds = onehot_dataset(2, 5)
         cfg, params = constant_predictor(2, 2, winner=0)
-        assert np.array_equal(class_wise_accuracy(cfg, params, ds), [1.0, 0.0])
+        assert np.array_equal(class_wise_accuracy(predict(cfg, params, ds), ds), [1.0, 0.0])
 
     def test_perfect_model(self):
         ds = onehot_dataset(3, 4)
         cfg, params = identity_predictor(3)
-        assert np.array_equal(class_wise_accuracy(cfg, params, ds), [1.0, 1.0, 1.0])
+        assert np.array_equal(class_wise_accuracy(predict(cfg, params, ds), ds), [1.0, 1.0, 1.0])
 
     def test_random_model_near_chance(self):
         ds = synth_dataset(10, 1000, 8, 0.0, seed=0)  # indistinguishable classes
         cfg = MlpConfig(input_dim=8, hidden_dims=(16,), num_classes=10)
         params = init_params(cfg, 1)
-        acc = class_wise_accuracy(cfg, params, ds)
+        acc = class_wise_accuracy(predict(cfg, params, ds), ds)
         assert np.all(acc >= 0.0) and np.all(acc <= 1.0)
         assert abs(acc.mean() - 0.1) < 0.05
 
@@ -66,7 +72,7 @@ class TestClassWiseAccuracy:
         ds = Dataset(np.eye(3)[[0, 1]], np.array([0, 1]), 3)
         cfg, params = identity_predictor(3)
         with pytest.raises(ValueError, match="no samples"):
-            class_wise_accuracy(cfg, params, ds)
+            class_wise_accuracy(predict(cfg, params, ds), ds)
 
 
 class TestForgetting:
@@ -184,15 +190,15 @@ class TestMaskedAccuracy:
     def test_uniform_weights_equal_mean(self):
         ds = onehot_dataset(3, 7)
         cfg, params = constant_predictor(3, 3, winner=1)
-        mean_acc = class_wise_accuracy(cfg, params, ds).mean()
-        got = masked_accuracy(cfg, params, ds, np.full(3, 1 / 3))
+        mean_acc = class_wise_accuracy(predict(cfg, params, ds), ds).mean()
+        got = masked(cfg, params, ds, np.full(3, 1 / 3))
         assert abs(got - mean_acc) < 1e-12
 
     def test_onehot_weight_selects_class(self):
         ds = onehot_dataset(3, 7)
         cfg, params = constant_predictor(3, 3, winner=1)
-        assert masked_accuracy(cfg, params, ds, np.array([0.0, 1.0, 0.0])) == 1.0
-        assert masked_accuracy(cfg, params, ds, np.array([1.0, 0.0, 0.0])) == 0.0
+        assert masked(cfg, params, ds, np.array([0.0, 1.0, 0.0])) == 1.0
+        assert masked(cfg, params, ds, np.array([1.0, 0.0, 0.0])) == 0.0
 
     def test_weighted_arithmetic(self):
         # class accuracies [0.4, 0.8] via a mixed dataset and a hand model
@@ -205,18 +211,18 @@ class TestMaskedAccuracy:
         feats[5] = [1, 0]
         ds = Dataset(feats, labels, 2)
         cfg, params = identity_predictor(2)
-        accs = class_wise_accuracy(cfg, params, ds)
+        accs = class_wise_accuracy(predict(cfg, params, ds), ds)
         assert np.allclose(accs, [0.4, 0.8])
-        got = masked_accuracy(cfg, params, ds, np.array([0.75, 0.25]))
+        got = masked(cfg, params, ds, np.array([0.75, 0.25]))
         assert abs(got - 0.5) < 1e-12
 
     def test_missing_class_with_weight_errors(self):
         ds = Dataset(np.eye(3)[[0, 1]], np.array([0, 1]), 3)
         cfg, params = identity_predictor(3)
         with pytest.raises(ValueError, match="missing"):
-            masked_accuracy(cfg, params, ds, np.array([0.0, 0.5, 0.5]))
+            masked(cfg, params, ds, np.array([0.0, 0.5, 0.5]))
         # zero weight on the absent class is fine
-        assert masked_accuracy(cfg, params, ds, np.array([0.5, 0.5, 0.0])) == 1.0
+        assert masked(cfg, params, ds, np.array([0.5, 0.5, 0.0])) == 1.0
 
 
 class TestNeuronPreference:
@@ -274,7 +280,7 @@ class TestOverallAccuracy:
         ds = synth_dataset(3, 50, 4, 5.0, seed=0)
         cfg = MlpConfig(input_dim=4, hidden_dims=(8,), num_classes=3)
         params = init_params(cfg, 3)
-        class_acc = class_wise_accuracy(cfg, params, ds)
+        class_acc = class_wise_accuracy(predict(cfg, params, ds), ds)
         counts = ds.class_counts()
         expected = float((class_acc * counts).sum() / counts.sum())
-        assert abs(overall_accuracy(cfg, params, ds) - expected) < 1e-12
+        assert abs(overall_accuracy(predict(cfg, params, ds), ds) - expected) < 1e-12

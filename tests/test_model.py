@@ -5,7 +5,6 @@ import pytest
 
 from fednsim.losses import ce_loss_and_grad
 from fednsim.model import (
-    Batch,
     MlpConfig,
     backward,
     forward,
@@ -123,8 +122,10 @@ class TestBackward:
         cfg = small_config()
         rng = np.random.default_rng(0)
         params = init_params(cfg, 0)
-        batch = Batch(rng.normal(size=(3, 4)), np.array([0, 1, 2]))
-        grad = backward(cfg, params, batch, np.zeros((3, 3)))
+        x = rng.normal(size=(3, 4))
+        hidden = []
+        forward(cfg, params, x, hidden)
+        grad = backward(cfg, params, x, hidden, np.zeros((3, 3)))
         assert np.all(grad == 0.0)
 
     def test_single_linear_layer_outer_product(self):
@@ -133,7 +134,7 @@ class TestBackward:
         params = rng.normal(size=cfg.param_count())
         x = rng.normal(size=(1, 3))
         g = rng.normal(size=(1, 2))
-        grad = backward(cfg, params, Batch(x, np.array([0])), g)
+        grad = backward(cfg, params, x, [], g)
         gw, gb = unpack_params(cfg, grad)[0]
         assert np.allclose(gw, np.outer(x[0], g[0]), atol=1e-15)
         assert np.allclose(gb, g[0], atol=1e-15)
@@ -151,22 +152,21 @@ class TestBackward:
             )
             params = rng.normal(scale=0.8, size=cfg.param_count())
             nb = int(rng.integers(1, 6))
-            batch = Batch(
-                rng.normal(size=(nb, cfg.input_dim)),
-                rng.integers(0, cfg.num_classes, size=nb),
-            )
+            feats = rng.normal(size=(nb, cfg.input_dim))
+            labels = rng.integers(0, cfg.num_classes, size=nb)
 
             def scalar_loss(p):
-                logits = forward(cfg, p, batch.features)
+                logits = forward(cfg, p, feats)
                 return float(
-                    np.mean([ce_loss_and_grad(z, int(y))[0] for z, y in zip(logits, batch.labels)])
+                    np.mean([ce_loss_and_grad(z, int(y))[0] for z, y in zip(logits, labels)])
                 )
 
-            logits = forward(cfg, params, batch.features)
+            hidden = []
+            logits = forward(cfg, params, feats, hidden)
             dl_dz = np.stack(
-                [ce_loss_and_grad(z, int(y))[1] for z, y in zip(logits, batch.labels)]
+                [ce_loss_and_grad(z, int(y))[1] for z, y in zip(logits, labels)]
             )
-            analytic = backward(cfg, params, batch, dl_dz)
+            analytic = backward(cfg, params, feats, hidden, dl_dz)
             numeric = central_difference_grad(scalar_loss, params)
             worst = max(worst, max_relative_error(analytic, numeric))
         assert worst < 1e-4
@@ -198,27 +198,26 @@ class TestBackward:
             params = rng.normal(scale=0.8, size=cfg.param_count())
             anchor = rng.normal(scale=0.8, size=cfg.param_count())
             nb = int(rng.integers(1, 4))
-            batch = Batch(
-                rng.normal(size=(nb, cfg.input_dim)),
-                rng.integers(0, cfg.num_classes, size=nb),
-            )
-            teacher = forward(cfg, anchor, batch.features)
+            feats = rng.normal(size=(nb, cfg.input_dim))
+            labels = rng.integers(0, cfg.num_classes, size=nb)
+            teacher = forward(cfg, anchor, feats)
 
             def scalar_loss(p):
-                logits = forward(cfg, p, batch.features)
+                logits = forward(cfg, p, feats)
                 total = sum(
-                    logit_loss(logits[r], teacher[r], int(batch.labels[r]))[0]
+                    logit_loss(logits[r], teacher[r], int(labels[r]))[0]
                     for r in range(nb)
                 ) / nb
                 if objective == "fedprox":
                     total += fedprox_penalty(p, anchor, 0.3)[0]
                 return total
 
-            logits = forward(cfg, params, batch.features)
+            hidden = []
+            logits = forward(cfg, params, feats, hidden)
             dl_dz = np.stack(
-                [logit_loss(logits[r], teacher[r], int(batch.labels[r]))[1] for r in range(nb)]
+                [logit_loss(logits[r], teacher[r], int(labels[r]))[1] for r in range(nb)]
             )
-            analytic = backward(cfg, params, batch, dl_dz)
+            analytic = backward(cfg, params, feats, hidden, dl_dz)
             if objective == "fedprox":
                 analytic = analytic + fedprox_penalty(params, anchor, 0.3)[1]
             numeric = central_difference_grad(scalar_loss, params)
@@ -228,16 +227,60 @@ class TestBackward:
     def test_shape_check(self):
         cfg = small_config()
         params = init_params(cfg, 0)
-        batch = Batch(np.zeros((2, 4)), np.array([0, 1]))
+        x = np.zeros((2, 4))
+        hidden = []
+        forward(cfg, params, x, hidden)
         with pytest.raises(ValueError):
-            backward(cfg, params, batch, np.zeros((2, 4)))
+            backward(cfg, params, x, hidden, np.zeros((2, 4)))
+
+
+class TestStacked:
+    """A (K, P) stack of models must give each model's solo results bit for bit."""
+
+    def test_stack_matches_each_model_alone(self):
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            cfg = MlpConfig(
+                input_dim=int(rng.integers(1, 9)),
+                hidden_dims=tuple(int(rng.integers(1, 9)) for _ in range(int(rng.integers(0, 3)))),
+                num_classes=int(rng.integers(2, 11)),
+            )
+            k, nb = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+            params = rng.normal(size=(k, cfg.param_count()))
+            x = rng.normal(size=(k, nb, cfg.input_dim))
+            g = rng.normal(size=(k, nb, cfg.num_classes))
+            hidden = []
+            logits = forward(cfg, params, x, hidden)
+            grad = backward(cfg, params, x, hidden, g)
+            teacher = forward(cfg, params[0], x)
+            for i in range(k):
+                solo_hidden = []
+                solo = forward(cfg, params[i], x[i], solo_hidden)
+                assert logits[i].tobytes() == solo.tobytes()
+                solo_grad = backward(cfg, params[i], x[i], solo_hidden, g[i])
+                assert grad[i].tobytes() == solo_grad.tobytes()
+                assert teacher[i].tobytes() == forward(cfg, params[0], x[i]).tobytes()
+
+    def test_backward_writes_into_out(self):
+        cfg = small_config()
+        rng = np.random.default_rng(3)
+        params = rng.normal(size=(2, cfg.param_count()))
+        x = rng.normal(size=(2, 4, 4))
+        hidden = []
+        forward(cfg, params, x, hidden)
+        out = np.full_like(params, np.nan)
+        g = rng.normal(size=(2, 4, 3))
+        assert backward(cfg, params, x, hidden, g, out=out) is out
+        assert out.tobytes() == backward(cfg, params, x, hidden, g).tobytes()
 
 
 class TestSgdMomentum:
     def test_no_force_no_motion(self):
         p = np.array([1.0, -2.0])
         v = np.zeros(2)
-        p2, v2 = sgd_momentum_step(p, np.zeros(2), v, lr=0.1, momentum=0.9, weight_decay=0.0)
+        p2, v2 = sgd_momentum_step(
+            p.copy(), np.zeros(2), v.copy(), lr=0.1, momentum=0.9, weight_decay=0.0
+        )
         assert np.array_equal(p2, p)
         assert np.array_equal(v2, v)
 
@@ -249,10 +292,11 @@ class TestSgdMomentum:
 
     def test_two_steps_momentum_accumulates(self):
         p, v = np.array([1.0]), np.zeros(1)
-        p, v = sgd_momentum_step(p, np.array([1.0]), v, 0.1, 0.9, 0.0)
-        p2, _ = sgd_momentum_step(p, np.array([1.0]), v, 0.1, 0.9, 0.0)
+        sgd_momentum_step(p, np.array([1.0]), v, 0.1, 0.9, 0.0)
+        before = p.copy()
+        sgd_momentum_step(p, np.array([1.0]), v, 0.1, 0.9, 0.0)
         # v2 = 0.9 * 1 + 1 = 1.9, so the second update subtracts 0.19
-        assert np.allclose(p - p2, [0.19], atol=1e-15)
+        assert np.allclose(before - p, [0.19], atol=1e-15)
 
     def test_weight_decay_coupled(self):
         p, v = np.array([2.0]), np.zeros(1)
@@ -264,9 +308,15 @@ class TestSgdMomentum:
         with pytest.raises(ValueError):
             sgd_momentum_step(np.array([np.nan]), np.array([0.0]), np.zeros(1), 0.1, 0.0, 0.0)
 
+    def test_updates_in_place(self):
+        p, v = np.array([1.0, 2.0]), np.zeros(2)
+        p2, v2 = sgd_momentum_step(p, np.array([1.0, 1.0]), v, 0.5, 0.9, 0.0)
+        assert p2 is p and v2 is v
+        assert np.array_equal(p, [0.5, 1.5])
+
     def test_zero_lr_is_noop(self):
         p = np.array([1.0, 2.0])
-        p2, _ = sgd_momentum_step(p, np.array([3.0, 4.0]), np.zeros(2), 0.0, 0.9, 0.0)
+        p2, _ = sgd_momentum_step(p.copy(), np.array([3.0, 4.0]), np.zeros(2), 0.0, 0.9, 0.0)
         assert np.array_equal(p2, p)
 
 

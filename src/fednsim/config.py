@@ -3,20 +3,24 @@
 The format is deliberately flat and diff-friendly: one `key = value` per
 line, `#` comments, blank lines allowed.  Unknown keys, bad types, and
 out-of-range values are reported with the key name and line number.
-Serialization emits every key in a fixed order so that
-parse -> serialize -> parse is the identity and the config hash is
-whitespace- and comment-insensitive.
+Each key is parsed by its field's type, and each range is checked once,
+by the dataclass that carries the field.  Serialization emits every key
+in a fixed order so that parse -> serialize -> parse is the identity and
+the config hash is whitespace- and comment-insensitive.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import get_type_hints
 
-from .data import PARTITION_STRATEGIES, PartitionSpec
-from .federation import AGGREGATION_MODES, FederationConfig
-from .losses import METHODS, LossConfig
+from .data import PartitionSpec
+from .federation import FederationConfig
+from .losses import LossConfig
 from .model import MlpConfig
+
+DATA_SOURCES = ("synth", "idx")
 
 
 class ConfigError(ValueError):
@@ -64,6 +68,20 @@ class ExperimentConfig:
     checkpoint_stride: int = 0
     out_dir: str = "runs"
 
+    def __post_init__(self):
+        if self.data not in DATA_SOURCES:
+            raise ValueError(f"data must be one of {', '.join(DATA_SOURCES)}, got {self.data!r}")
+        if min(self.synth_per_class, self.synth_test_per_class) < 1:
+            raise ValueError("synth_per_class and synth_test_per_class must be >= 1")
+        if not (0.0 <= self.synth_separation < float("inf")):
+            raise ValueError(f"synth_separation must be finite and >= 0, got {self.synth_separation}")
+        if self.checkpoint_stride < 0:
+            raise ValueError(f"checkpoint_stride must be >= 0, got {self.checkpoint_stride}")
+        # the component configs check every other key
+        self.federation_config()
+        self.partition_spec()
+        self.mlp_config(self.synth_dim, self.synth_classes)
+
     def loss_config(self) -> LossConfig:
         return LossConfig(
             method=self.method,
@@ -102,68 +120,15 @@ class ExperimentConfig:
         return MlpConfig(input_dim=input_dim, hidden_dims=self.hidden_dims, num_classes=num_classes)
 
 
-_FIELD_ORDER = [f.name for f in fields(ExperimentConfig)]
-
-
-def _parse_int(raw: str) -> int:
-    return int(raw, 10)
-
-
-def _parse_float(raw: str) -> float:
-    return float(raw)
-
-
-def _parse_str(raw: str) -> str:
-    return raw
-
-
 def _parse_dims(raw: str) -> tuple[int, ...]:
-    raw = raw.strip()
     if not raw:
         return ()
-    return tuple(int(part.strip(), 10) for part in raw.split(","))
+    return tuple(int(part, 10) for part in raw.split(","))
 
 
-_PARSERS = {int: _parse_int, float: _parse_float, str: _parse_str}
-
-# key -> (parser, range check, human-readable requirement)
-_SCHEMA: dict[str, tuple] = {
-    "data": (_parse_str, lambda v: v in ("synth", "idx"), "one of synth, idx"),
-    "synth_classes": (_parse_int, lambda v: v >= 2, ">= 2"),
-    "synth_per_class": (_parse_int, lambda v: v >= 1, ">= 1"),
-    "synth_test_per_class": (_parse_int, lambda v: v >= 1, ">= 1"),
-    "synth_dim": (_parse_int, lambda v: v >= 1, ">= 1"),
-    "synth_separation": (_parse_float, lambda v: v >= 0.0, ">= 0"),
-    "idx_train_images": (_parse_str, lambda v: True, ""),
-    "idx_train_labels": (_parse_str, lambda v: True, ""),
-    "idx_test_images": (_parse_str, lambda v: True, ""),
-    "idx_test_labels": (_parse_str, lambda v: True, ""),
-    "partition": (_parse_str, lambda v: v in PARTITION_STRATEGIES, f"one of {', '.join(PARTITION_STRATEGIES)}"),
-    "clients": (_parse_int, lambda v: v >= 1, ">= 1"),
-    "shards_per_client": (_parse_int, lambda v: v >= 1, ">= 1"),
-    "dirichlet_alpha": (_parse_float, lambda v: v > 0.0, "> 0"),
-    "hidden_dims": (_parse_dims, lambda v: all(h >= 1 for h in v), "comma-separated integers >= 1"),
-    "method": (_parse_str, lambda v: v in METHODS, f"one of {', '.join(METHODS)}"),
-    "rounds": (_parse_int, lambda v: v >= 1, ">= 1"),
-    "local_epochs": (_parse_int, lambda v: v >= 1, ">= 1"),
-    "batch_size": (_parse_int, lambda v: v >= 1, ">= 1"),
-    "sampling_ratio": (_parse_float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-    "lr0": (_parse_float, lambda v: v >= 0.0, ">= 0"),
-    "momentum": (_parse_float, lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
-    "weight_decay": (_parse_float, lambda v: v >= 0.0, ">= 0"),
-    "lr_decay": (_parse_float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-    "beta": (_parse_float, lambda v: v >= 0.0, ">= 0"),
-    "tau": (_parse_float, lambda v: v > 0.0, "> 0"),
-    "mu": (_parse_float, lambda v: v >= 0.0, ">= 0"),
-    "interp_lambda": (_parse_float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
-    "aggregation": (_parse_str, lambda v: v in AGGREGATION_MODES, f"one of {', '.join(AGGREGATION_MODES)}"),
-    "seed": (_parse_int, lambda v: True, ""),
-    "eval_stride": (_parse_int, lambda v: v >= 1, ">= 1"),
-    "checkpoint_stride": (_parse_int, lambda v: v >= 0, ">= 0"),
-    "out_dir": (_parse_str, lambda v: True, ""),
-}
-
-assert set(_SCHEMA) == set(_FIELD_ORDER)
+_PARSERS = {int: int, float: float, str: str, tuple[int, ...]: _parse_dims}
+# every key, in field order, with its parser
+_KEY_PARSERS = {key: _PARSERS[hint] for key, hint in get_type_hints(ExperimentConfig).items()}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
@@ -176,24 +141,31 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw_line.strip()!r}")
         key, raw_value = (part.strip() for part in line.split("=", 1))
-        if key not in _SCHEMA:
+        if key not in _KEY_PARSERS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(
                 f"{source}:{lineno}: duplicate key {key!r} (first set on line {seen_lines[key]})"
             )
-        parser, check, requirement = _SCHEMA[key]
         try:
-            value = parser(raw_value)
+            values[key] = _KEY_PARSERS[key](raw_value)
         except ValueError:
             raise ConfigError(
                 f"{source}:{lineno}: {key}: cannot parse {raw_value!r}"
             ) from None
-        if not check(value):
-            raise ConfigError(f"{source}:{lineno}: {key}: must be {requirement}, got {raw_value}")
-        values[key] = value
         seen_lines[key] = lineno
-    cfg = ExperimentConfig(**values)
+    try:
+        cfg = ExperimentConfig(**values)
+    except ValueError:
+        # name the first key, in line order, whose value breaks a range on top of the defaults
+        checked = {}
+        for key, value in values.items():
+            checked[key] = value
+            try:
+                ExperimentConfig(**checked)
+            except ValueError as exc:
+                raise ConfigError(f"{source}:{seen_lines[key]}: {key}: {exc}") from None
+        raise
     if cfg.data == "idx":
         for key in ("idx_train_images", "idx_train_labels", "idx_test_images", "idx_test_labels"):
             if not getattr(cfg, key):
@@ -220,7 +192,7 @@ def _format_value(value) -> str:
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical text: every key once, fixed order, normalized values."""
-    lines = [f"{name} = {_format_value(getattr(cfg, name))}" for name in _FIELD_ORDER]
+    lines = [f"{name} = {_format_value(getattr(cfg, name))}" for name in _KEY_PARSERS]
     return "\n".join(lines) + "\n"
 
 
@@ -232,7 +204,7 @@ def config_hash(cfg: ExperimentConfig) -> str:
 def config_dict(cfg: ExperimentConfig) -> dict:
     """Plain dict echo with JSON-friendly values, in canonical key order."""
     out = {}
-    for name in _FIELD_ORDER:
+    for name in _KEY_PARSERS:
         value = getattr(cfg, name)
         out[name] = list(value) if isinstance(value, tuple) else value
     return out

@@ -95,10 +95,10 @@ class PartitionSpec:
             )
         if self.clients < 1:
             raise ValueError("need at least one client")
-        if self.strategy == "sharding" and self.shards_per_client < 1:
-            raise ValueError("shards_per_client must be >= 1")
-        if self.strategy == "dirichlet" and not (self.alpha > 0.0):
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        if self.shards_per_client < 1:
+            raise ValueError(f"shards_per_client must be >= 1, got {self.shards_per_client}")
+        if not (0.0 < self.alpha < np.inf):
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
 
 
 def synth_dataset(
@@ -206,8 +206,8 @@ def dirichlet_partition(dataset: Dataset, clients: int, alpha: float, seed: int)
     largest-remainder rounding so every sample is assigned exactly once.
     Clients may receive zero samples of a class, or zero samples overall.
     """
-    if not (alpha > 0.0):
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    if not (0.0 < alpha < np.inf):
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     assigned = [[] for _ in range(clients)]
     for c in range(dataset.num_classes):
         idx_c = np.flatnonzero(dataset.labels == c)

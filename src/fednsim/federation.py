@@ -81,7 +81,7 @@ class FederationConfig:
             raise ValueError(f"lr0 must be >= 0, got {self.lr0}")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0.0:
+        if not (self.weight_decay >= 0.0):
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if not (0.0 < self.lr_decay <= 1.0):
             raise ValueError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
@@ -173,7 +173,7 @@ def local_train(
             )
             batch_loss = losses.reshape(len(ids), -1).mean(axis=1)
             backward(mlp, w, x, hidden, dl_dz.reshape(z_l.shape), out=grad)
-            if fed.loss.method == "fedprox":
+            if fed.loss.proximal:
                 for k in range(len(ids)):
                     prox_loss, prox_grad = fedprox_penalty(w[k], w_global, fed.loss.mu)
                     batch_loss[k] += prox_loss
@@ -195,6 +195,9 @@ def local_train(
                 sgd_momentum_step(w, grad, velocity, lr, fed.momentum, fed.weight_decay)
             loss_total += batch_loss
             steps += 1
+    finite = np.isfinite(w).all(axis=1)
+    if not finite.all():  # the last step diverged
+        diverged = ids[int(np.argmin(finite))]
     if diverged is not None:
         raise DivergenceError(round_t, diverged)
     return [ClientUpdate(cid, w[k], n, float(loss_total[k] / steps)) for k, cid in enumerate(ids)]
@@ -226,6 +229,7 @@ def aggregate(updates: list[ClientUpdate], mode: str = "size_weighted") -> np.nd
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # divergence raises DivergenceError instead
 def run_federation(
     fed: FederationConfig,
     mlp: MlpConfig,

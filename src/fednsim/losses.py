@@ -16,34 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-METHODS = ("fedavg", "fedprox", "fedntd", "fedntd_mse", "kd", "kd_ntd_interp")
-_TEACHER_METHODS = frozenset({"fedntd", "fedntd_mse", "kd", "kd_ntd_interp"})
 _KL_TEACHER_FLOOR = 1e-15
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    method: str = "fedavg"
-    beta: float = 1.0
-    tau: float = 1.0
-    mu: float = 0.1
-    interp_lambda: float = 0.5
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        if not (self.beta >= 0.0 and np.isfinite(self.beta)):
-            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
-        if not (self.tau > 0.0 and np.isfinite(self.tau)):
-            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
-        if not (self.mu >= 0.0 and np.isfinite(self.mu)):
-            raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
-        if not (0.0 <= self.interp_lambda <= 1.0):
-            raise ValueError(f"interp_lambda must be in [0, 1], got {self.interp_lambda}")
-
-    @property
-    def needs_teacher(self) -> bool:
-        return self.method in _TEACHER_METHODS
 
 
 def _rows(z) -> np.ndarray:
@@ -178,43 +151,6 @@ def ntd_mse_loss_and_grad(z_l, z_g, y: int) -> tuple[float, np.ndarray]:
     return float(loss[0]), grad[0]
 
 
-def fedntd_objective(z_l, z_g, y: int, beta: float, tau: float) -> tuple[float, np.ndarray]:
-    """Cross-entropy plus beta times the not-true distillation term.
-
-    beta == 0 short-circuits to plain cross-entropy, bit for bit.
-    """
-    if beta < 0.0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
-    ce, ce_grad = ce_loss_and_grad(z_l, y)
-    if beta == 0.0:
-        return ce, ce_grad
-    ntd, ntd_grad = ntd_loss_and_grad(z_l, z_g, y, tau)
-    return ce + beta * ntd, ce_grad + beta * ntd_grad
-
-
-def kd_ntd_interp_objective(
-    z_l, z_g, y: int, lam: float, tau: float
-) -> tuple[float, np.ndarray]:
-    """CE + (1-lam) * full-class KL + lam * not-true KL.
-
-    lam = 0 keeps the full-class distillation; lam = 1 keeps only the
-    not-true term.
-    """
-    if not (0.0 <= lam <= 1.0):
-        raise ValueError(f"lam must be in [0, 1], got {lam}")
-    ce, grad = ce_loss_and_grad(z_l, y)
-    loss = ce
-    if lam < 1.0:
-        kd, kd_grad = kd_loss_and_grad(z_l, z_g, tau)
-        loss += (1.0 - lam) * kd
-        grad = grad + (1.0 - lam) * kd_grad
-    if lam > 0.0:
-        ntd, ntd_grad = ntd_loss_and_grad(z_l, z_g, y, tau)
-        loss += lam * ntd
-        grad = grad + lam * ntd_grad
-    return loss, grad
-
-
 def fedprox_penalty(w, w_g, mu: float) -> tuple[float, np.ndarray]:
     """(mu/2) * ||w - w_g||^2 and its gradient mu * (w - w_g)."""
     if mu < 0.0:
@@ -227,50 +163,98 @@ def fedprox_penalty(w, w_g, mu: float) -> tuple[float, np.ndarray]:
     return 0.5 * mu * float(diff @ diff), mu * diff
 
 
+# The local objectives as data: cfg -> (cross-entropy weight, ((weight, term), ...)),
+# where a term maps (z_l, z_g, y, tau) to per-row losses and logit gradients.
+# Terms are added in the order listed, and only where they count: fedntd with
+# beta = 0 is plain cross-entropy, bit for bit.  fedprox's proximal term acts
+# on parameters, not logits, so the trainer adds it (`LossConfig.proximal`).
+_KL = lambda z_l, z_g, y, tau: _kl_rows(z_l, z_g, tau)
+_NTD_MSE = lambda z_l, z_g, y, tau: _ntd_mse_rows(z_l, z_g, y)
+_OBJECTIVES = {
+    "fedavg": lambda c: (1.0, ()),
+    "fedprox": lambda c: (1.0, ()),
+    "fedntd": lambda c: (1.0, ((c.beta, _ntd_rows),) if c.beta else ()),
+    "fedntd_mse": lambda c: (1.0, ((c.beta, _NTD_MSE),) if c.beta else ()),
+    "kd": lambda c: (1.0 - c.beta, ((c.beta * c.tau * c.tau, _KL),)),
+    "kd_ntd_interp": lambda c: (1.0, tuple(
+        (w, term) for w, term in ((1.0 - c.interp_lambda, _KL), (c.interp_lambda, _ntd_rows)) if w
+    )),
+}
+METHODS = tuple(_OBJECTIVES)
+
+
+@dataclass(frozen=True)
+class LossConfig:
+    method: str = "fedavg"
+    beta: float = 1.0
+    tau: float = 1.0
+    mu: float = 0.1
+    interp_lambda: float = 0.5
+
+    def __post_init__(self):
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
+        if not (self.beta >= 0.0 and np.isfinite(self.beta)):
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
+        if not (self.tau > 0.0 and np.isfinite(self.tau)):
+            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
+        if not (self.mu >= 0.0 and np.isfinite(self.mu)):
+            raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
+        if not (0.0 <= self.interp_lambda <= 1.0):
+            raise ValueError(f"interp_lambda must be in [0, 1], got {self.interp_lambda}")
+
+    @property
+    def needs_teacher(self) -> bool:
+        return bool(_OBJECTIVES[self.method](self)[1])
+
+    @property
+    def proximal(self) -> bool:
+        """Whether the trainer adds fedprox_penalty(w, w_global, mu) to the loss."""
+        return self.method == "fedprox"
+
+
 def batch_loss_and_grad(
     cfg: LossConfig, z_l: np.ndarray, y: np.ndarray, z_g: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample losses and logit gradients for a batch under `cfg`.
-
-    The proximal term of fedprox acts on parameters, not logits, and is
-    applied by the trainer; here fedprox is plain cross-entropy.
-    """
+    """Per-sample losses and logit gradients for a batch under `cfg`'s row of _OBJECTIVES."""
     z_l = np.asarray(z_l, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    if cfg.needs_teacher:
+    ce_weight, terms = _OBJECTIVES[cfg.method](cfg)
+    if terms:
         if z_g is None:
             raise ValueError(f"method {cfg.method!r} requires teacher logits")
         z_g = np.asarray(z_g, dtype=np.float64)
         if z_g.shape != z_l.shape:
             raise ValueError(f"logit shapes differ: {z_l.shape} vs {z_g.shape}")
+    loss, grad = _ce_rows(z_l, y)
+    if ce_weight != 1.0:
+        loss, grad = ce_weight * loss, ce_weight * grad
+    for weight, term in terms:
+        term_loss, term_grad = term(z_l, z_g, y, cfg.tau)
+        loss += weight * term_loss
+        grad += weight * term_grad
+    return loss, grad
 
-    ce, ce_grad = _ce_rows(z_l, y)
-    if cfg.method in ("fedavg", "fedprox"):
-        return ce, ce_grad
-    if cfg.method == "fedntd":
-        if cfg.beta == 0.0:
-            return ce, ce_grad
-        ntd, ntd_grad = _ntd_rows(z_l, z_g, y, cfg.tau)
-        return ce + cfg.beta * ntd, ce_grad + cfg.beta * ntd_grad
-    if cfg.method == "fedntd_mse":
-        if cfg.beta == 0.0:
-            return ce, ce_grad
-        mse, mse_grad = _ntd_mse_rows(z_l, z_g, y)
-        return ce + cfg.beta * mse, ce_grad + cfg.beta * mse_grad
-    if cfg.method == "kd":
-        kl, kl_grad = _kl_rows(z_l, z_g, cfg.tau)
-        scale = cfg.beta * cfg.tau * cfg.tau
-        return (1.0 - cfg.beta) * ce + scale * kl, (1.0 - cfg.beta) * ce_grad + scale * kl_grad
-    if cfg.method == "kd_ntd_interp":
-        lam = cfg.interp_lambda
-        loss, grad = ce.copy(), ce_grad.copy()
-        if lam < 1.0:
-            kl, kl_grad = _kl_rows(z_l, z_g, cfg.tau)
-            loss += (1.0 - lam) * kl
-            grad += (1.0 - lam) * kl_grad
-        if lam > 0.0:
-            ntd, ntd_grad = _ntd_rows(z_l, z_g, y, cfg.tau)
-            loss += lam * ntd
-            grad += lam * ntd_grad
-        return loss, grad
-    raise AssertionError(f"unhandled method {cfg.method!r}")
+
+def _one_row(cfg: LossConfig, z_l, z_g, y: int) -> tuple[float, np.ndarray]:
+    loss, grad = batch_loss_and_grad(cfg, _rows(z_l), np.asarray([y]), _rows(z_g))
+    return float(loss[0]), grad[0]
+
+
+def fedntd_objective(z_l, z_g, y: int, beta: float, tau: float) -> tuple[float, np.ndarray]:
+    """Cross-entropy plus beta times the not-true distillation term, on one sample.
+
+    beta == 0 short-circuits to plain cross-entropy, bit for bit.
+    """
+    return _one_row(LossConfig("fedntd", beta=beta, tau=tau), z_l, z_g, y)
+
+
+def kd_ntd_interp_objective(
+    z_l, z_g, y: int, lam: float, tau: float
+) -> tuple[float, np.ndarray]:
+    """CE + (1-lam) * full-class KL + lam * not-true KL, on one sample.
+
+    lam = 0 keeps the full-class distillation; lam = 1 keeps only the
+    not-true term.
+    """
+    return _one_row(LossConfig("kd_ntd_interp", tau=tau, interp_lambda=lam), z_l, z_g, y)

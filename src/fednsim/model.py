@@ -29,7 +29,6 @@ class MlpConfig:
     input_dim: int
     hidden_dims: tuple[int, ...]
     num_classes: int
-    activation: str = "relu"
 
     def __post_init__(self):
         if self.input_dim < 1:
@@ -38,8 +37,6 @@ class MlpConfig:
             raise ValueError(f"hidden dims must be >= 1, got {self.hidden_dims}")
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.activation != "relu":
-            raise ValueError(f"unsupported activation {self.activation!r}")
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
 
     def layer_shapes(self) -> list[tuple[int, int]]:

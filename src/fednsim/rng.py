@@ -3,8 +3,8 @@
 Every source of randomness in the simulator is a Philox (counter-based)
 generator keyed by a master seed plus an integer namespace path.  Streams
 with different paths are statistically independent and do not depend on
-the order in which they are created, so client-level work can run on any
-number of threads without changing results.
+the order in which they are created, so a client's draws do not depend on
+which other clients train in the same round or in what order.
 """
 
 from __future__ import annotations

@@ -1,10 +1,14 @@
 """Tests for the command-line interface: subcommands, exit codes, determinism."""
 
 import json
+import re
+import warnings
+from dataclasses import fields
 
 import pytest
 
 from fednsim.cli import main
+from fednsim.config import ExperimentConfig
 
 TINY_CONFIG = """\
 data = synth
@@ -123,6 +127,65 @@ class TestRunCommand:
         path.write_text(TINY_CONFIG.replace("lr0 = 0.05", "lr0 = 1e150"))
         with np.errstate(all="ignore"):
             assert run_cli("run", path, "--out", tmp_path / "x") == 2
+
+    def test_divergence_prints_no_numpy_warnings(self, tmp_path, capsys):
+        path = tmp_path / "explode.cfg"
+        path.write_text(TINY_CONFIG.replace("lr0 = 0.05", "lr0 = 1e150"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("run", path, "--out", tmp_path / "x") == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: non-finite .* client \d+\n", err)
+
+
+# Every config key fed each boundary value through `fednsim run`.  A value is
+# rejected (exit 1, naming the key and its line) unless listed here; a listed
+# value runs, and lr0 or weight_decay = inf diverges (exit 2).
+BOUNDARY_VALUES = ("0", "-1", "nan", "inf")
+BOUNDARY_ACCEPTED = {
+    "synth_separation": {"0"},
+    "lr0": {"0", "inf"},
+    "momentum": {"0"},
+    "weight_decay": {"0", "inf"},
+    "beta": {"0"},
+    "mu": {"0"},
+    "interp_lambda": {"0"},
+    "seed": {"0", "-1"},
+    "checkpoint_stride": {"0"},
+    # paths have no range; with data = synth the idx paths go unread
+    **{key: set(BOUNDARY_VALUES) for key in (
+        "idx_train_images", "idx_train_labels", "idx_test_images", "idx_test_labels", "out_dir",
+    )},
+}
+BOUNDARY_BASE = {
+    "synth_classes": "3", "synth_per_class": "4", "synth_test_per_class": "2", "synth_dim": "3",
+    "clients": "2", "hidden_dims": "4", "rounds": "2", "local_epochs": "1", "batch_size": "4",
+    "sampling_ratio": "1.0",
+}
+
+
+class TestConfigBoundaries:
+    @pytest.mark.parametrize(
+        "key,value", [(f.name, v) for f in fields(ExperimentConfig) for v in BOUNDARY_VALUES]
+    )
+    def test_boundary_value(self, key, value, tmp_path, monkeypatch, capsys):
+        lines = ["# boundary case", f"{key} = {value}"]
+        lines += [f"{k} = {v}" for k, v in BOUNDARY_BASE.items() if k != key]
+        path = tmp_path / "edge.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("run", path)
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        if value not in BOUNDARY_ACCEPTED.get(key, ()):
+            assert code == 1
+            assert err.startswith(f"error: {path}:2: {key}: ")
+        elif (key, value) in {("lr0", "inf"), ("weight_decay", "inf")}:
+            assert code == 2 and err.startswith("error: non-finite")
+        else:
+            assert code == 0 and err == ""
 
 
 class TestIdxDataSource:

@@ -1,9 +1,12 @@
 """Tests for config parsing/serialization/hashing and metric persistence."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fednsim.config import (
     ConfigError,
@@ -57,6 +60,24 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="idx_train_images"):
             parse_config_text("data = idx")
 
+    def test_component_ranges_name_key_and_line(self):
+        cases = {
+            "partition = iid\ndirichlet_alpha = 0\n": ":2: dirichlet_alpha:",
+            "rounds = 3\ntau = inf\n": ":2: tau:",
+            "hidden_dims = 4,0\n": ":1: hidden_dims:",
+            "synth_classes = 1\n": ":1: synth_classes:",
+            "# two bad keys: the first in line order is named\nmu = inf\nrounds = 0\n": ":2: mu:",
+        }
+        for text, where in cases.items():
+            with pytest.raises(ConfigError, match=where):
+                parse_config_text(text)
+
+    def test_direct_construction_checks_ranges(self):
+        with pytest.raises(ValueError, match="beta"):
+            ExperimentConfig(beta=float("inf"))
+        with pytest.raises(ValueError, match="checkpoint_stride"):
+            ExperimentConfig(checkpoint_stride=-1)
+
     def test_hidden_dims_list(self):
         assert parse_config_text("hidden_dims = 32,16,8").hidden_dims == (32, 16, 8)
         assert parse_config_text("hidden_dims = ").hidden_dims == ()
@@ -85,6 +106,64 @@ class TestSerializeRoundTrip:
         again = parse_config_text(serialize_config(cfg))
         assert again.lr0 == cfg.lr0
         assert again.tau == cfg.tau
+
+
+_PATHS = st.text(alphabet="abcXYZ019_-./", min_size=1, max_size=12)
+_NAMES = st.text(alphabet="abcXYZ019_-./", max_size=12)
+
+
+def _floats(lo=None, hi=None, **kw):
+    kw.setdefault("allow_infinity", False)
+    return st.floats(lo, hi, allow_nan=False, **kw)
+
+
+VALID_VALUES = dict(
+    data=st.sampled_from(("synth", "idx")),
+    synth_classes=st.integers(2, 10**9),
+    synth_per_class=st.integers(1, 10**9),
+    synth_test_per_class=st.integers(1, 10**9),
+    synth_dim=st.integers(1, 10**9),
+    synth_separation=_floats(0.0),
+    idx_train_images=_PATHS,
+    idx_train_labels=_PATHS,
+    idx_test_images=_PATHS,
+    idx_test_labels=_PATHS,
+    partition=st.sampled_from(("iid", "sharding", "dirichlet")),
+    clients=st.integers(1, 10**9),
+    shards_per_client=st.integers(1, 10**9),
+    dirichlet_alpha=_floats(0.0, exclude_min=True),
+    hidden_dims=st.lists(st.integers(1, 10**6), max_size=4).map(tuple),
+    method=st.sampled_from(("fedavg", "fedprox", "fedntd", "fedntd_mse", "kd", "kd_ntd_interp")),
+    rounds=st.integers(1, 10**9),
+    local_epochs=st.integers(1, 10**9),
+    batch_size=st.integers(1, 10**9),
+    sampling_ratio=_floats(0.0, 1.0, exclude_min=True),
+    lr0=_floats(0.0, allow_infinity=True),
+    momentum=_floats(0.0, 1.0, exclude_max=True),
+    weight_decay=_floats(0.0, allow_infinity=True),
+    lr_decay=_floats(0.0, 1.0, exclude_min=True),
+    beta=_floats(0.0),
+    tau=_floats(0.0, exclude_min=True),
+    mu=_floats(0.0),
+    interp_lambda=_floats(0.0, 1.0),
+    aggregation=st.sampled_from(("size_weighted", "uniform")),
+    seed=st.integers(-(2**70), 2**70),
+    eval_stride=st.integers(1, 10**9),
+    checkpoint_stride=st.integers(0, 10**9),
+    out_dir=_NAMES,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.builds(ExperimentConfig, **VALID_VALUES))
+def test_random_valid_config_round_trips(cfg):
+    again = parse_config_text(serialize_config(cfg))
+    assert again == cfg
+    assert config_hash(again) == config_hash(cfg)
+
+
+def test_valid_values_cover_every_key():
+    assert set(VALID_VALUES) == {f.name for f in fields(ExperimentConfig)}
 
 
 class TestConfigHash:

@@ -12,6 +12,7 @@ from fednsim.data import (
     IdxBadMagicError,
     IdxCountMismatchError,
     IdxTruncatedError,
+    PartitionSpec,
     dirichlet_partition,
     export_partition_json,
     iid_partition,
@@ -189,12 +190,24 @@ class TestDirichletPartition:
         ds = synth_dataset(2, 5, 2, 1.0, seed=0)
         with pytest.raises(ValueError):
             dirichlet_partition(ds, 2, alpha=0.0, seed=0)
+        with pytest.raises(ValueError):
+            dirichlet_partition(ds, 2, alpha=np.inf, seed=0)
 
     def test_deterministic(self):
         ds = synth_dataset(3, 30, 2, 1.0, seed=0)
         a = dirichlet_partition(ds, 4, 0.5, seed=3)
         b = dirichlet_partition(ds, 4, 0.5, seed=3)
         assert all(np.array_equal(x.indices, y.indices) for x, y in zip(a, b))
+
+
+class TestPartitionSpec:
+    @pytest.mark.parametrize("strategy", ["iid", "sharding", "dirichlet"])
+    def test_every_range_checked_under_every_strategy(self, strategy):
+        with pytest.raises(ValueError, match="shards_per_client"):
+            PartitionSpec(strategy, shards_per_client=0)
+        for alpha in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="alpha"):
+                PartitionSpec(strategy, alpha=alpha)
 
 
 class TestIidPartition:

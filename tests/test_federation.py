@@ -162,6 +162,13 @@ class TestLocalTrain:
         assert err.value.round_t == 4
         assert err.value.client_id == 2
 
+    def test_nonfinite_last_step_diverges(self):
+        # one step per session: only the returned parameters show the blow-up
+        fed, mlp, dataset, partition, _ = tiny_setup(lr0=np.inf, local_epochs=1, batch_size=100)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
+            local_train(init_params(mlp, 0), [partition[3], partition[1]], dataset, fed, mlp, 2)
+        assert (err.value.round_t, err.value.client_id) == (2, 1)
+
     @pytest.mark.parametrize("method", ["fedntd", "fedprox", "kd_ntd_interp"])
     def test_lockstep_equals_training_alone(self, method):
         # equal-sized clients trained together give each client's solo bytes
@@ -394,3 +401,7 @@ class TestFederationConfigValidation:
     def test_bad_rounds(self):
         with pytest.raises(ValueError):
             FederationConfig(rounds=0)
+
+    def test_nan_weight_decay(self):
+        with pytest.raises(ValueError, match="weight_decay"):
+            FederationConfig(weight_decay=float("nan"))

@@ -316,3 +316,34 @@ class TestBatchApi:
             LossConfig(tau=0.0)
         with pytest.raises(ValueError):
             LossConfig(interp_lambda=1.2)
+        for key in ("beta", "tau", "mu"):
+            with pytest.raises(ValueError, match=f"{key} must be finite"):
+                LossConfig(**{key: float("inf")})
+
+    @pytest.mark.parametrize(
+        "cfg,teacher,proximal",
+        [
+            (LossConfig("fedavg"), False, False),
+            (LossConfig("fedprox"), False, True),
+            (LossConfig("fedntd"), True, False),
+            (LossConfig("fedntd", beta=0.0), False, False),
+            (LossConfig("fedntd_mse", beta=0.0), False, False),
+            (LossConfig("kd", beta=0.0), True, False),
+            (LossConfig("kd_ntd_interp", interp_lambda=1.0), True, False),
+        ],
+    )
+    def test_teacher_and_proximal_follow_the_objective(self, cfg, teacher, proximal):
+        assert cfg.needs_teacher is teacher
+        assert cfg.proximal is proximal
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+    def test_interp_matches_written_formula(self, lam):
+        rng = np.random.default_rng(13)
+        z_l, z_g = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
+        y = rng.integers(0, 5, size=4)
+        losses, _ = batch_loss_and_grad(LossConfig("kd_ntd_interp", tau=1.5, interp_lambda=lam), z_l, y, z_g)
+        for i in range(4):
+            ce, _ = ce_loss_and_grad(z_l[i], int(y[i]))
+            kl, _ = kd_loss_and_grad(z_l[i], z_g[i], 1.5)
+            ntd, _ = ntd_loss_and_grad(z_l[i], z_g[i], int(y[i]), 1.5)
+            assert abs(losses[i] - (ce + (1 - lam) * kl + lam * ntd)) < 1e-12

@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 bad configuration or usage, 2 runtime failure
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -38,8 +37,6 @@ from .model import save_params
 from .runio import RoundCsvError, read_round_csv, write_round_csv, write_summary_json
 from .verify import run_all
 
-THREADS_ENV = "FEDNSIM_THREADS"
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fednsim", description=__doc__.strip().splitlines()[0])
@@ -48,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a federated training experiment")
     run_p.add_argument("config", help="path to a key = value config file")
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    run_p.add_argument("--threads", type=int, default=None,
+    run_p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility (>= 1); no effect, clients train in lockstep")
     run_p.add_argument("--out", default=None, help="override the output directory")
 
@@ -64,23 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     met_p = sub.add_parser("metrics", help="recompute metrics from a round CSV")
     met_p.add_argument("round_csv", help="path to a rounds.csv written by `run`")
     return parser
-
-
-def _resolve_threads(flag: int | None) -> int:
-    """--threads, else FEDNSIM_THREADS, else 1; validated, though it changes nothing."""
-    if flag is not None:
-        name, value = "--threads", flag
-    else:
-        env = os.environ.get(THREADS_ENV, "").strip()
-        if not env:
-            return 1
-        try:
-            name, value = THREADS_ENV, int(env)
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
-    if value < 1:
-        raise ConfigError(f"{name} must be >= 1, got {value}")
-    return value
 
 
 def _load_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
@@ -108,7 +88,8 @@ def _cmd_run(args) -> int:
         cfg = replace(cfg, seed=args.seed)
     if args.out is not None:
         cfg = replace(cfg, out_dir=args.out)
-    threads = _resolve_threads(args.threads)
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
 
     train, test = _load_datasets(cfg)
     partition = make_partition(train, cfg.partition_spec())
@@ -122,7 +103,7 @@ def _cmd_run(args) -> int:
 
     result = run_federation(
         cfg.federation_config(), mlp, train, partition, test,
-        threads=threads,
+        threads=args.threads,
         checkpoint_stride=cfg.checkpoint_stride,
         checkpoint_fn=checkpoint,
     )

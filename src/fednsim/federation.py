@@ -30,7 +30,6 @@ from .metrics import (
 )
 from .model import (
     MlpConfig,
-    NonFiniteError,
     backward,
     forward,
     init_params,
@@ -118,6 +117,7 @@ def sample_clients(
     return sorted(int(i) for i in picked)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverging session computes through NaN
 def local_train(
     w_global: np.ndarray,
     clients: list[ClientData],
@@ -136,9 +136,13 @@ def local_train(
     Updates come back in ascending client id; their parameters are rows of
     one stacked block.
 
-    Raises DivergenceError when a loss, gradient or parameter turns
-    non-finite, naming the lowest such client id, which is the client a
-    one-client-at-a-time loop in ascending id would stop at.
+    Raises DivergenceError when a client ends the session with a non-finite
+    summed loss or parameters, naming the lowest such client id.  That is
+    the lowest id whose loss, gradient or parameters turned non-finite at
+    any step, the client a one-client-at-a-time loop in ascending id would
+    stop at: a non-finite gradient makes the velocity and then the
+    parameters non-finite (even at lr = 0, as 0 * inf is NaN), non-finite
+    values never turn finite again, and no step mixes rows of the stack.
     """
     clients = sorted(clients, key=lambda c: c.client_id)
     n = len(clients[0])
@@ -155,7 +159,6 @@ def local_train(
     grad = np.empty_like(w)
     loss_total = np.zeros(len(clients))
     needs_teacher = fed.loss.needs_teacher
-    diverged = None  # lowest client id seen to diverge so far
     steps = 0
     for _epoch in range(fed.local_epochs):
         orders = np.take_along_axis(indices, np.stack([r.permutation(n) for r in rngs]), axis=1)
@@ -178,28 +181,12 @@ def local_train(
                     prox_loss, prox_grad = fedprox_penalty(w[k], w_global, fed.loss.mu)
                     batch_loss[k] += prox_loss
                     grad[k] += prox_grad
-            try:
-                if not np.isfinite(batch_loss).all():
-                    raise NonFiniteError("non-finite loss")
-                sgd_momentum_step(w, grad, velocity, lr, fed.momentum, fed.weight_decay)
-            except NonFiniteError:
-                ok = np.isfinite(batch_loss) & np.isfinite(w).all(axis=1)
-                first = int(np.argmin(ok & np.isfinite(grad).all(axis=1)))
-                diverged = ids[first]
-                if first == 0:
-                    raise DivergenceError(round_t, diverged) from None
-                # only clients with lower ids can still change which client is named
-                ids, rngs, orders = ids[:first], rngs[:first], orders[:first]
-                indices, w, velocity = indices[:first], w[:first], velocity[:first]
-                grad, loss_total, batch_loss = grad[:first], loss_total[:first], batch_loss[:first]
-                sgd_momentum_step(w, grad, velocity, lr, fed.momentum, fed.weight_decay)
+            sgd_momentum_step(w, grad, velocity, lr, fed.momentum, fed.weight_decay)
             loss_total += batch_loss
             steps += 1
-    finite = np.isfinite(w).all(axis=1)
-    if not finite.all():  # the last step diverged
-        diverged = ids[int(np.argmin(finite))]
-    if diverged is not None:
-        raise DivergenceError(round_t, diverged)
+    ok = np.isfinite(loss_total) & np.isfinite(w).all(axis=1)
+    if not ok.all():
+        raise DivergenceError(round_t, ids[int(np.argmin(ok))])
     return [ClientUpdate(cid, w[k], n, float(loss_total[k] / steps)) for k, cid in enumerate(ids)]
 
 

@@ -1,4 +1,4 @@
-"""Measurement machinery: accuracies, forgetting, drift and alignment.
+"""Measurement machinery: accuracies, forgetting and drift.
 
 Everything here is a pure function over immutable inputs.  Class-wise
 accuracy vectors are plain float64 arrays of length C.
@@ -146,36 +146,3 @@ def masked_accuracy(class_acc: np.ndarray, weights: np.ndarray) -> float:
     if bad.size:
         raise ValueError(f"nonzero weight on classes missing from the testset: {bad.tolist()}")
     return float(np.sum(np.where(weights > 0, weights * np.nan_to_num(class_acc), 0.0)))
-
-
-def neuron_class_preference(
-    config: MlpConfig, params: np.ndarray, dataset: Dataset, layer: int
-) -> np.ndarray:
-    """Most activating class per neuron of one hidden layer.
-
-    For each neuron, post-ReLU outputs are summed over the samples of each
-    class; the preference is the argmax class, ties to the lowest index.
-    """
-    if not (0 <= layer < len(config.hidden_dims)):
-        raise ValueError(
-            f"layer {layer} out of range for {len(config.hidden_dims)} hidden layers"
-        )
-    counts = dataset.class_counts()
-    missing = np.flatnonzero(counts == 0)
-    if missing.size:
-        raise ValueError(f"dataset has no samples for classes {missing.tolist()}")
-    hidden = []
-    forward(config, params, dataset.features, hidden)
-    acts = hidden[layer]  # (N, width)
-    totals = np.zeros((dataset.num_classes, acts.shape[1]))
-    np.add.at(totals, dataset.labels, acts)
-    return totals.argmax(axis=0)
-
-
-def alignment(pref_a: np.ndarray, pref_b: np.ndarray) -> float:
-    """Fraction of neurons whose class preference matches."""
-    pref_a = np.asarray(pref_a)
-    pref_b = np.asarray(pref_b)
-    if pref_a.shape != pref_b.shape:
-        raise ValueError(f"shapes differ: {pref_a.shape} vs {pref_b.shape}")
-    return float(np.mean(pref_a == pref_b))

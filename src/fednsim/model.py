@@ -47,10 +47,6 @@ class MlpConfig:
         return sum(fi * fo + fo for fi, fo in self.layer_shapes())
 
 
-class NonFiniteError(ValueError):
-    """An optimizer step met non-finite parameters or gradients."""
-
-
 @functools.cache
 def _layout(config: MlpConfig) -> tuple[tuple[slice, tuple[int, int], slice], ...]:
     """(weight slice, weight shape, bias slice) of every layer, computed once per config."""
@@ -181,8 +177,9 @@ def sgd_momentum_step(
 
     `params` and `velocity` (float64, any shape, a stack of clients
     included) are updated in place and returned; `grad` is overwritten as
-    scratch.  Non-finite parameters or gradients raise NonFiniteError
-    before anything is written.  lr = 0 leaves the parameters unchanged.
+    scratch.  lr = 0 leaves finite parameters unchanged; a NaN or inf in
+    `params` or `grad` leaves `params` non-finite, whatever lr, momentum
+    and weight_decay are (0 * inf is NaN).
     """
     if not (lr >= 0.0):
         raise ValueError(f"lr must be >= 0, got {lr}")
@@ -190,8 +187,6 @@ def sgd_momentum_step(
         raise ValueError(f"momentum must be in [0, 1), got {momentum}")
     if weight_decay < 0.0:
         raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
-    if not (np.isfinite(params).all() and np.isfinite(grad).all()):
-        raise NonFiniteError("non-finite parameters or gradient")
     if weight_decay != 0.0:
         grad += weight_decay * params
     velocity *= momentum

@@ -75,23 +75,11 @@ class TestRunCommand:
         assert run_cli("run", tiny_config, "--out", out_b, "--seed", 6) == 0
         assert (out_a / "rounds.csv").read_bytes() != (out_b / "rounds.csv").read_bytes()
 
-    def test_threads_env_fallback(self, tiny_config, tmp_path, monkeypatch):
-        monkeypatch.setenv("FEDNSIM_THREADS", "2")
-        out = tmp_path / "env"
-        assert run_cli("run", tiny_config, "--out", out) == 0
-
     def test_nonpositive_threads_flag_exit_1(self, tiny_config, tmp_path, capsys):
         assert run_cli("run", tiny_config, "--out", tmp_path / "o", "--threads", -5) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--threads" in err
         assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize("value", ["0", "-2"])
-    def test_nonpositive_threads_env_exit_1(self, tiny_config, tmp_path, monkeypatch, capsys, value):
-        monkeypatch.setenv("FEDNSIM_THREADS", value)
-        assert run_cli("run", tiny_config, "--out", tmp_path / "o") == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "FEDNSIM_THREADS" in err
 
     def test_indivisible_sharding_exit_1(self, tmp_path, capsys):
         # the default 1000 samples do not split into 3 * 2 equal shards

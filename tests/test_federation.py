@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from fednsim import federation
 from fednsim.data import ClientData, Dataset, make_partition, PartitionSpec, synth_dataset
 from fednsim.federation import (
     ClientUpdate,
@@ -206,6 +207,22 @@ class TestLocalTrain:
         with pytest.raises(DivergenceError) as err:
             local_train(w0, [client], dataset, fed, mlp, round_t=3)
         assert (err.value.round_t, err.value.client_id) == (3, 1)
+
+    def test_nonfinite_loss_with_finite_parameters_diverges(self, monkeypatch):
+        # only client 3's summed loss turns non-finite; every gradient and
+        # parameter stays finite, and client 1 trains alongside untouched
+        fed, mlp, dataset, partition, _ = tiny_setup()
+        real = federation.batch_loss_and_grad
+
+        def last_row_inf(cfg, z_l, y, z_g):
+            losses, dl_dz = real(cfg, z_l, y, z_g)
+            losses[-1] = np.inf  # rows run client by client, ascending id
+            return losses, dl_dz
+
+        monkeypatch.setattr(federation, "batch_loss_and_grad", last_row_inf)
+        with pytest.raises(DivergenceError) as err:
+            local_train(init_params(mlp, 0), [partition[3], partition[1]], dataset, fed, mlp, 5)
+        assert (err.value.round_t, err.value.client_id) == (5, 3)
 
 
 class TestAggregate:

@@ -265,7 +265,8 @@ def _loss_cases():
 @pytest.mark.parametrize("name", sorted(_loss_cases()))
 def test_logit_gradients_match_finite_differences(name):
     fn = _loss_cases()[name]
-    rng = np.random.default_rng(hash(name) % 2**31)
+    seed = {"ce": 1, "fedntd": 2, "interp": 3, "kd": 4, "ntd": 5, "ntd_mse": 6}[name]
+    rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(50):
         c = int(rng.integers(2, 9))

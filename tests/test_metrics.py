@@ -1,4 +1,4 @@
-"""Tests for accuracy, forgetting, drift and alignment metrics."""
+"""Tests for accuracy, forgetting and drift metrics."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,11 @@ import pytest
 from fednsim.data import Dataset, synth_dataset
 from fednsim.metrics import (
     accuracy_cosine_similarity,
-    alignment,
     class_wise_accuracy,
     distribution_distance,
     forgetting_measure,
     gradient_diversity,
     masked_accuracy,
-    neuron_class_preference,
     normalized_accuracy_vector,
     overall_accuracy,
     per_class_accuracy,
@@ -223,56 +221,6 @@ class TestMaskedAccuracy:
             masked(cfg, params, ds, np.array([0.0, 0.5, 0.5]))
         # zero weight on the absent class is fine
         assert masked(cfg, params, ds, np.array([0.5, 0.5, 0.0])) == 1.0
-
-
-class TestNeuronPreference:
-    def test_hand_built_neuron_prefers_its_class(self):
-        # neuron 0 fires only on inputs whose feature 3 is set (= class 3 codes)
-        cfg = MlpConfig(input_dim=4, hidden_dims=(2,), num_classes=4)
-        params = np.zeros(cfg.param_count())
-        (w1, _b1), _ = unpack_params(cfg, params)
-        w1[3, 0] = 5.0  # neuron 0 keyed to class-3 inputs
-        w1[0, 1] = 5.0  # neuron 1 keyed to class-0 inputs
-        ds = onehot_dataset(4, 3)
-        prefs = neuron_class_preference(cfg, params, ds, layer=0)
-        assert prefs[0] == 3
-        assert prefs[1] == 0
-
-    def test_identical_models_identical_preferences(self):
-        ds = synth_dataset(3, 20, 5, 2.0, seed=0)
-        cfg = MlpConfig(input_dim=5, hidden_dims=(8, 6), num_classes=3)
-        params = init_params(cfg, 5)
-        a = neuron_class_preference(cfg, params, ds, layer=1)
-        b = neuron_class_preference(cfg, params.copy(), ds, layer=1)
-        assert np.array_equal(a, b)
-
-    def test_preferences_in_range(self):
-        ds = synth_dataset(4, 10, 6, 1.0, seed=1)
-        cfg = MlpConfig(input_dim=6, hidden_dims=(7,), num_classes=4)
-        prefs = neuron_class_preference(cfg, init_params(cfg, 2), ds, layer=0)
-        assert prefs.shape == (7,)
-        assert np.all((prefs >= 0) & (prefs < 4))
-
-    def test_invalid_layer(self):
-        ds = onehot_dataset(2, 2)
-        cfg = MlpConfig(input_dim=2, hidden_dims=(3,), num_classes=2)
-        with pytest.raises(ValueError, match="layer"):
-            neuron_class_preference(cfg, init_params(cfg, 0), ds, layer=1)
-
-
-class TestAlignment:
-    def test_identical(self):
-        assert alignment(np.array([0, 1, 2]), np.array([0, 1, 2])) == 1.0
-
-    def test_disjoint(self):
-        assert alignment(np.array([0, 1]), np.array([1, 0])) == 0.0
-
-    def test_half(self):
-        assert alignment(np.array([0, 1, 2, 3]), np.array([0, 1, 0, 0])) == 0.5
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            alignment(np.array([0]), np.array([0, 1]))
 
 
 class TestOverallAccuracy:

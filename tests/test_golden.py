@@ -1,4 +1,4 @@
-"""Golden digests: four small runs must reproduce pinned output bytes.
+"""Golden digests: five small runs must reproduce pinned output bytes.
 
 Each case runs the `run` pipeline (config, synthetic data, partition,
 federation, CSV and summary writers) and pins the sha256 of rounds.csv,
@@ -125,6 +125,31 @@ seed = 2
             "rounds.csv": "9c08f2b80f82fb8a8f1ddcaf216e66f014c97f075f214290511b421d5f9ce01b",
             "summary.json": "f91f5e31d51593db12aaf39d34b1a71e25b384c1658882e3a5f15120568b5ead",
             "final_params": "d320e826aaa21918ace2523fc0c2ecf936b5489721091f71f8b65505ecc33155",
+        },
+    ),
+    # sharding, fedntd at beta = 1 and tau = 1 (the desk benchmark's objective), every round logged
+    "sharding_fedntd_unit": (
+        """\
+synth_classes = 4
+synth_per_class = 20
+synth_test_per_class = 8
+partition = sharding
+clients = 8
+shards_per_client = 2
+method = fedntd
+beta = 1.0
+tau = 1.0
+rounds = 4
+local_epochs = 2
+batch_size = 5
+sampling_ratio = 0.5
+lr0 = 0.05
+seed = 5
+""",
+        {
+            "rounds.csv": "8b0953bdbc9b6b1f363258f6760d52209444fe4a984ad0139c49f7630cceaf0c",
+            "summary.json": "19922ad725658cc9fb5ffdb39a5abb43f2596b7124408608690c0e4b39627187",
+            "final_params": "941a1c89322b0c4c641c949db4dbd996ecb9e93a637ea2c24ef5b9e108c58e20",
         },
     ),
 }

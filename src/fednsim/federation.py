@@ -33,6 +33,7 @@ from .model import (
     backward,
     forward,
     init_params,
+    layer_buffers,
     lr_at_round,
     sgd_momentum_step,
 )
@@ -155,8 +156,9 @@ def local_train(
     indices = np.stack([c.indices for c in clients])
     lr = lr_at_round(fed.lr0, round_t - 1, fed.lr_decay)
     w = np.repeat(w_global[None, :], len(clients), axis=0)
-    velocity = np.zeros_like(w)
-    grad = np.empty_like(w)
+    # momentum, gradient, and scratch for the proximal gradient and then the
+    # weight-decay product: (K, P) each, in one block that the session frees
+    velocity, grad, scratch = np.zeros((3, *w.shape))
     loss_total = np.zeros(len(clients))
     needs_teacher = fed.loss.needs_teacher
     steps = 0
@@ -177,11 +179,10 @@ def local_train(
             batch_loss = losses.reshape(len(ids), -1).mean(axis=1)
             backward(mlp, w, x, hidden, dl_dz.reshape(z_l.shape), out=grad)
             if fed.loss.proximal:
-                for k in range(len(ids)):
-                    prox_loss, prox_grad = fedprox_penalty(w[k], w_global, fed.loss.mu)
-                    batch_loss[k] += prox_loss
-                    grad[k] += prox_grad
-            sgd_momentum_step(w, grad, velocity, lr, fed.momentum, fed.weight_decay)
+                prox_loss, prox_grad = fedprox_penalty(w, w_global, fed.loss.mu, out=scratch)
+                batch_loss += prox_loss
+                grad += prox_grad
+            sgd_momentum_step(w, grad, velocity, lr, fed.momentum, fed.weight_decay, scratch)
             loss_total += batch_loss
             steps += 1
     ok = np.isfinite(loss_total) & np.isfinite(w).all(axis=1)
@@ -211,8 +212,9 @@ def aggregate(updates: list[ClientUpdate], mode: str = "size_weighted") -> np.nd
     else:
         weights = [1.0 / len(updates)] * len(updates)
     out = np.zeros_like(updates[0].params)
+    term = np.empty_like(out)
     for weight, update in zip(weights, updates):
-        out += weight * update.params
+        out += np.multiply(update.params, weight, out=term)
     return out
 
 
@@ -251,6 +253,7 @@ def run_federation(
 
     w = init_params(mlp, fed.master_seed)
     logs: list[RoundLog] = []
+    w_acc = None  # class-wise accuracy of w, when the round that made w logged it
     for t in range(1, fed.rounds + 1):
         ids = sample_clients(len(partition), fed.sampling_ratio, t, fed.master_seed, eligible)
         groups: dict[int, list[ClientData]] = {}
@@ -267,11 +270,11 @@ def run_federation(
             raise min(diverged, key=lambda err: err.client_id)
         updates.sort(key=lambda u: u.client_id)
 
-        w_in = w
-        w = aggregate(updates, fed.aggregation)
+        w_in, w = w, aggregate(updates, fed.aggregation)
 
         if t % fed.eval_stride == 0 or t == fed.rounds:
-            logs.append(_evaluate_round(t, mlp, testset, w_in, w, updates, dists))
+            logs.append(_evaluate_round(t, mlp, testset, w_in, w, updates, dists, w_acc))
+        w_acc = logs[-1].class_acc if logs and logs[-1].t == t else None
         if checkpoint_stride > 0 and checkpoint_fn is not None and t % checkpoint_stride == 0:
             checkpoint_fn(t, w)
     return FederationResult(w, logs)
@@ -285,25 +288,33 @@ def _evaluate_round(
     w_out: np.ndarray,
     updates: list[ClientUpdate],
     dists: dict[int, np.ndarray],
+    incoming_acc: np.ndarray | None = None,
 ) -> RoundLog:
     """Scores the round with one test-set forward per model: w_out, w_in and each update.
 
-    `updates` come in ascending client id.
+    `updates` come in ascending client id.  `incoming_acc`, the class-wise
+    accuracy of w_in when the previous round logged it, saves w_in's
+    forward.  All forwards of the round write into one set of layer
+    buffers, and every weight divergence into one parameter-sized buffer;
+    both are dropped when the round is scored.
     """
-    pred_out = predict(mlp, w_out, testset)
-    incoming_acc = class_wise_accuracy(predict(mlp, w_in, testset), testset)
+    buffers = layer_buffers(mlp, testset.features.shape[:-1])
+    pred_out = predict(mlp, w_out, testset, out=buffers)
+    if incoming_acc is None:
+        incoming_acc = class_wise_accuracy(predict(mlp, w_in, testset, out=buffers), testset)
     try:
         a_g = normalized_accuracy_vector(incoming_acc)
     except ValueError:  # incoming model got every test sample wrong
         a_g = None
 
+    diff = np.empty_like(w_in)
     in_accs, out_accs, wdivs, ddists = [], [], [], []
     for update in updates:
         p = dists[update.client_id]
-        acc = per_class_accuracy(predict(mlp, update.params, testset), testset)
+        acc = per_class_accuracy(predict(mlp, update.params, testset, out=buffers), testset)
         in_accs.append(masked_accuracy(acc, p))
         out_accs.append(masked_accuracy(acc, out_local_distribution(p)))
-        wdivs.append(weight_divergence(w_in, update.params))
+        wdivs.append(weight_divergence(w_in, update.params, out=diff))
         ddists.append(distribution_distance(a_g, p) if a_g is not None else float("nan"))
     return RoundLog(
         t=t,

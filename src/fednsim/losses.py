@@ -151,16 +151,28 @@ def ntd_mse_loss_and_grad(z_l, z_g, y: int) -> tuple[float, np.ndarray]:
     return float(loss[0]), grad[0]
 
 
-def fedprox_penalty(w, w_g, mu: float) -> tuple[float, np.ndarray]:
-    """(mu/2) * ||w - w_g||^2 and its gradient mu * (w - w_g)."""
+def fedprox_penalty(w, w_g, mu: float, out: np.ndarray | None = None):
+    """(mu/2) * ||w - w_g||^2 and its gradient mu * (w - w_g).
+
+    `w` is a vector shaped like `w_g`, giving one float, or a stack (K, P)
+    of vectors, giving one penalty per row.  With `out`, shaped like `w`,
+    the gradient is written into it and nothing parameter-sized is
+    allocated.  Each row's square norm is its own dot product, as for a
+    lone vector, so a row's penalty does not depend on the stack.
+    """
     if mu < 0.0:
         raise ValueError(f"mu must be >= 0, got {mu}")
     w = np.asarray(w, dtype=np.float64)
     w_g = np.asarray(w_g, dtype=np.float64)
-    if w.shape != w_g.shape:
+    if w_g.ndim != 1 or w.ndim not in (1, 2) or w.shape[-1:] != w_g.shape:
         raise ValueError(f"parameter shapes differ: {w.shape} vs {w_g.shape}")
-    diff = w - w_g
-    return 0.5 * mu * float(diff @ diff), mu * diff
+    diff = np.subtract(w, w_g, out=out)
+    if diff.ndim == 1:
+        penalty = 0.5 * mu * float(diff @ diff)
+    else:
+        penalty = 0.5 * mu * np.array([row @ row for row in diff])
+    diff *= mu
+    return penalty, diff
 
 
 # The local objectives as data: cfg -> (cross-entropy weight, ((weight, term), ...)),

@@ -95,8 +95,22 @@ def _check_features(config: MlpConfig, features: np.ndarray) -> np.ndarray:
     return features
 
 
+def layer_buffers(config: MlpConfig, rows: tuple[int, ...]) -> list[np.ndarray]:
+    """Uninitialised output buffers of every layer for features shaped (*rows, input_dim).
+
+    `forward(..., out=layer_buffers(config, features.shape[:-1]))` writes
+    into them, so that a caller scoring many models on one feature matrix
+    allocates the activations once.
+    """
+    return [np.empty((*rows, fan_out)) for _, fan_out in config.layer_shapes()]
+
+
 def forward(
-    config: MlpConfig, params: np.ndarray, features: np.ndarray, hidden: list | None = None
+    config: MlpConfig,
+    params: np.ndarray,
+    features: np.ndarray,
+    hidden: list | None = None,
+    out: list[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Logits (..., B, num_classes) of features (..., B, input_dim).
 
@@ -108,18 +122,23 @@ def forward(
     must not depend on how many clients train together.
 
     When `hidden` is a list, the post-ReLU output of every hidden layer is
-    appended to it; `backward` takes them and recomputes nothing.
+    appended to it; `backward` takes them and recomputes nothing.  When
+    `out` holds one buffer per layer (see `layer_buffers`), every layer
+    writes its output there, through the same BLAS call and with the same
+    bits, and the logits returned are a view of the last buffer.
     """
     h = _check_features(config, features)
     layers = unpack_params(config, params)
-    for w, b in layers[:-1]:
-        h = h @ w
+    if out is None:
+        out = [None] * len(layers)
+    for (w, b), buf in zip(layers[:-1], out):
+        h = np.matmul(h, w, out=buf)
         h += b[..., None, :]
         np.maximum(h, 0.0, out=h)
         if hidden is not None:
             hidden.append(h)
     w, b = layers[-1]
-    logits = h @ w
+    logits = np.matmul(h, w, out=out[-1])
     logits += b[..., None, :]
     return logits
 
@@ -157,7 +176,8 @@ def backward(
         np.sum(delta, axis=-2, out=gb)
         if li > 0:
             # ReLU derivative: post-activation output > 0 iff pre-activation > 0.
-            delta = (delta @ np.swapaxes(layers[li][0], -1, -2)) * (inputs[li] > 0.0)
+            delta = delta @ np.swapaxes(layers[li][0], -1, -2)
+            delta *= inputs[li] > 0.0
     return grad
 
 
@@ -168,6 +188,7 @@ def sgd_momentum_step(
     lr: float,
     momentum: float,
     weight_decay: float,
+    scratch: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One classical momentum-SGD step with coupled L2 weight decay, in place.
 
@@ -177,9 +198,11 @@ def sgd_momentum_step(
 
     `params` and `velocity` (float64, any shape, a stack of clients
     included) are updated in place and returned; `grad` is overwritten as
-    scratch.  lr = 0 leaves finite parameters unchanged; a NaN or inf in
-    `params` or `grad` leaves `params` non-finite, whatever lr, momentum
-    and weight_decay are (0 * inf is NaN).
+    scratch.  `scratch`, shaped like `params`, receives the weight-decay
+    product, which is otherwise allocated on every step.  lr = 0 leaves
+    finite parameters unchanged; a NaN or inf in `params` or `grad` leaves
+    `params` non-finite, whatever lr, momentum and weight_decay are
+    (0 * inf is NaN).
     """
     if not (lr >= 0.0):
         raise ValueError(f"lr must be >= 0, got {lr}")
@@ -188,7 +211,7 @@ def sgd_momentum_step(
     if weight_decay < 0.0:
         raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
     if weight_decay != 0.0:
-        grad += weight_decay * params
+        grad += np.multiply(params, weight_decay, out=scratch)
     velocity *= momentum
     velocity += grad
     np.multiply(velocity, lr, out=grad)

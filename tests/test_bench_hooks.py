@@ -53,7 +53,8 @@ def test_install_uninstall_round_trip(spans):
 
 
 def test_traced_run_counts_and_changes_nothing(spans):
-    # 3 of 4 clients a round, fedntd: every round logs 2 + 3 test-set forwards
+    # 3 of 4 clients a round, fedntd, 3 rounds all logged: round 1 scores w_out,
+    # w_in and 3 locals; rounds 2 and 3 take w_in's accuracy from the previous log
     fed, mlp, dataset, partition, testset = tiny_setup(method="fedntd", sampling_ratio=0.75)
     plain = federation.run_federation(fed, mlp, dataset, partition, testset)
     recorder = spans.Recorder()
@@ -64,7 +65,8 @@ def test_traced_run_counts_and_changes_nothing(spans):
         recorder.uninstall()
     assert traced.final_params.tobytes() == plain.final_params.tobytes()
     layers = recorder.layer_metrics(len(traced.logs), 1)
-    assert layers["metrics.forwards_per_eval_round"] == 5
+    assert fed.rounds == 3 and fed.eval_stride == 1
+    assert layers["metrics.forwards_per_eval_round"] == (2 + 3 + 2 * (1 + 3)) / 3
     assert layers["federation.local_train.calls"] >= fed.rounds
     # teacher forwards are told apart by local_train's argument 0
     assert layers["model.forward.teacher.calls"] == layers["model.forward.local.calls"] > 0

@@ -96,7 +96,10 @@ def _cmd_run(args) -> int:
     mlp = cfg.mlp_config(train.dim, train.num_classes)
 
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at that path or above it
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from None
 
     def checkpoint(t: int, params: np.ndarray) -> None:
         save_params(out_dir / f"checkpoint_round_{t:05d}.fntd", params)

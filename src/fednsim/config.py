@@ -177,7 +177,7 @@ def parse_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as f:
             text = f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return parse_config_text(text, source=str(path))
 

@@ -23,7 +23,7 @@ PARTITION_STRATEGIES = ("sharding", "dirichlet", "iid")
 
 
 class IdxFormatError(ValueError):
-    """Base error for malformed IDX files."""
+    """Base error for IDX files that are malformed or cannot be read."""
 
 
 class IdxBadMagicError(IdxFormatError):
@@ -150,21 +150,25 @@ def read_idx(images_path, labels_path) -> Dataset:
 
     Pixels are scaled to [0, 1] by dividing by 255.  Raises a distinct
     error for a wrong magic number, a truncated file, and an image/label
-    count mismatch.
+    count mismatch, and IdxFormatError naming the path for a file that
+    cannot be opened or read (missing, a directory).
     """
-    with open(images_path, "rb") as f:
-        n, rows, cols = _read_idx_header(f, images_path, IDX_IMAGES_MAGIC, 3)
-        raw = f.read(n * rows * cols)
-        if len(raw) != n * rows * cols:
-            raise IdxTruncatedError(f"{images_path}: expected {n * rows * cols} pixel bytes")
-        features = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows * cols) / 255.0
+    try:
+        with open(images_path, "rb") as f:
+            n, rows, cols = _read_idx_header(f, images_path, IDX_IMAGES_MAGIC, 3)
+            raw = f.read(n * rows * cols)
+            if len(raw) != n * rows * cols:
+                raise IdxTruncatedError(f"{images_path}: expected {n * rows * cols} pixel bytes")
+            features = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows * cols) / 255.0
 
-    with open(labels_path, "rb") as f:
-        (n_labels,) = _read_idx_header(f, labels_path, IDX_LABELS_MAGIC, 1)
-        raw = f.read(n_labels)
-        if len(raw) != n_labels:
-            raise IdxTruncatedError(f"{labels_path}: expected {n_labels} label bytes")
-        labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+        with open(labels_path, "rb") as f:
+            (n_labels,) = _read_idx_header(f, labels_path, IDX_LABELS_MAGIC, 1)
+            raw = f.read(n_labels)
+            if len(raw) != n_labels:
+                raise IdxTruncatedError(f"{labels_path}: expected {n_labels} label bytes")
+            labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+    except OSError as exc:
+        raise IdxFormatError(f"cannot read IDX file {exc.filename}: {exc.strerror}") from None
 
     if n != n_labels:
         raise IdxCountMismatchError(f"{n} images but {n_labels} labels")
@@ -205,6 +209,8 @@ def dirichlet_partition(dataset: Dataset, clients: int, alpha: float, seed: int)
     drawn and the class's samples are divided proportionally, using
     largest-remainder rounding so every sample is assigned exactly once.
     Clients may receive zero samples of a class, or zero samples overall.
+    An alpha so large that the draw overflows (near 1e308 / clients) gives
+    proportions that do not sum to 1 and raises PartitionError.
     """
     if not (0.0 < alpha < np.inf):
         raise ValueError(f"alpha must be finite and > 0, got {alpha}")
@@ -215,6 +221,11 @@ def dirichlet_partition(dataset: Dataset, clients: int, alpha: float, seed: int)
             continue
         rng = stream(seed, NS_PARTITION, c)
         props = rng.dirichlet(np.full(clients, alpha))
+        if not abs(props.sum() - 1.0) < 1e-9:  # the gamma draws overflowed to inf
+            raise PartitionError(
+                f"dirichlet_alpha = {alpha!r} is too large to draw class proportions "
+                f"for {clients} clients"
+            )
         idx_c = rng.permutation(idx_c)
         counts = _largest_remainder(props, len(idx_c))
         offsets = np.concatenate(([0], np.cumsum(counts)))

@@ -63,8 +63,11 @@ def write_round_csv(logs: list[RoundLog], path, num_classes: int) -> None:
 
 
 def read_round_csv(path) -> list[RoundLog]:
-    with open(path, "r", encoding="utf-8") as f:
-        lines = [line.rstrip("\n") for line in f if line.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = [line.rstrip("\n") for line in f if line.strip()]
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+        raise RoundCsvError(f"cannot read round CSV {path}: {exc}") from None
     if not lines:
         raise RoundCsvError(f"{path}: empty round CSV")
     header = lines[0].split(",")

@@ -288,6 +288,37 @@ class TestMetricsCommand:
         assert capsys.readouterr().err.startswith("error:")
 
 
+class TestFileBoundaries:
+    @pytest.mark.parametrize("case", [
+        "metrics_not_utf8", "metrics_directory", "config_not_utf8",
+        "idx_directory", "out_is_file", "out_under_file",
+    ])
+    def test_unreadable_or_uncreatable_path_exit_1(self, case, tiny_config, tmp_path, capsys):
+        bad = tmp_path / "bad"
+        if case in ("metrics_directory", "idx_directory"):
+            bad.mkdir()
+        elif case in ("metrics_not_utf8", "config_not_utf8"):
+            bad.write_bytes(b"rounds = 3\n\xff\xfe\n")
+        else:
+            bad.write_text("a file\n")
+        if case.startswith("metrics"):
+            argv = ("metrics", bad)
+        elif case == "config_not_utf8":
+            argv = ("run", bad)
+        elif case == "idx_directory":
+            config = tmp_path / "idx.cfg"
+            config.write_text("data = idx\n" + "".join(
+                f"idx_{k} = {bad}\n"
+                for k in ("train_images", "train_labels", "test_images", "test_labels")
+            ))
+            argv = ("run", config)
+        else:
+            argv = ("run", tiny_config, "--out", bad if case == "out_is_file" else bad / "sub")
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(bad) in err, err
+
+
 class TestUsage:
     def test_unknown_subcommand_exit_1(self, capsys):
         assert run_cli("frobnicate") == 1

@@ -5,18 +5,23 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fednsim.data import (
+    PARTITION_STRATEGIES,
     ClientData,
     Dataset,
     IdxBadMagicError,
     IdxCountMismatchError,
     IdxTruncatedError,
+    PartitionError,
     PartitionSpec,
     dirichlet_partition,
     export_partition_json,
     iid_partition,
     in_local_distribution,
+    make_partition,
     out_local_distribution,
     read_idx,
     shard_partition,
@@ -193,6 +198,13 @@ class TestDirichletPartition:
         with pytest.raises(ValueError):
             dirichlet_partition(ds, 2, alpha=np.inf, seed=0)
 
+    def test_overflowing_alpha_raises_partition_error(self):
+        # the gamma draws of alpha = 1.7e308 sum to inf: the proportions would
+        # deal only 2 of the 10 samples
+        ds = synth_dataset(2, 5, 2, 1.0, seed=0)
+        with pytest.raises(PartitionError, match="dirichlet_alpha"):
+            dirichlet_partition(ds, 2, alpha=1.7e308, seed=0)
+
     def test_deterministic(self):
         ds = synth_dataset(3, 30, 2, 1.0, seed=0)
         a = dirichlet_partition(ds, 4, 0.5, seed=3)
@@ -280,3 +292,51 @@ class TestPartitionExport:
             assert entry["indices"] == client.indices.tolist()
             assert abs(sum(entry["p"]) - 1.0) < 1e-12
             assert abs(sum(entry["p_tilde"]) - 1.0) < 1e-12
+
+
+def _labelled(labels, num_classes):
+    # partitioners read only the labels
+    return Dataset(np.zeros((len(labels), 1)), labels, num_classes)
+
+
+_DATASETS = st.integers(1, 6).flatmap(
+    lambda c: st.lists(st.integers(0, c - 1), min_size=1, max_size=150).map(
+        lambda labels: _labelled(labels, c)
+    )
+)
+_SPECS = st.builds(
+    PartitionSpec,
+    strategy=st.sampled_from(PARTITION_STRATEGIES),
+    clients=st.integers(1, 40),
+    shards_per_client=st.integers(1, 6),
+    alpha=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    seed=st.integers(0, 2**64 - 1),
+)
+
+
+class TestPartitionProperties:
+    @settings(max_examples=400, deadline=None)
+    @given(_DATASETS, _SPECS)
+    def test_partition_invariants(self, dataset, spec):
+        n = len(dataset)
+        try:
+            parts = make_partition(dataset, spec)
+        except PartitionError:
+            # what cannot be dealt: shards that do not divide the samples, and an
+            # alpha whose Dirichlet draw overflows
+            if spec.strategy == "sharding":
+                assert n % (spec.clients * spec.shards_per_client)
+            else:
+                assert spec.strategy == "dirichlet" and spec.alpha * spec.clients > 1e300
+            return
+        assert [c.client_id for c in parts] == list(range(spec.clients))
+        for client in parts:
+            idx = client.indices
+            assert idx.dtype == np.int64 and idx.ndim == 1
+            assert np.all(np.diff(idx) > 0)  # sorted, no repeats
+            assert idx.size == 0 or (idx[0] >= 0 and idx[-1] < n)
+        dealt = np.concatenate([c.indices for c in parts])
+        # pairwise disjoint, and together every sample: all three deal the whole set
+        assert np.array_equal(np.sort(dealt), np.arange(n))
+        again = make_partition(dataset, spec)
+        assert all(a.indices.tobytes() == b.indices.tobytes() for a, b in zip(parts, again))

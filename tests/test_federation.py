@@ -262,6 +262,21 @@ class TestAggregate:
         with pytest.raises(ValueError):
             aggregate([])
 
+    @pytest.mark.parametrize("mode", ["size_weighted", "uniform"])
+    @pytest.mark.parametrize("nonfinite", [False, True])
+    def test_matches_allocating_sum_bitwise(self, mode, nonfinite):
+        rng = np.random.default_rng(6)
+        block = rng.normal(size=(5, 400))  # updates are rows of one stacked block
+        if nonfinite:
+            block[0, 3], block[2, 3], block[4, 10] = np.inf, -np.inf, np.nan
+        updates = [ClientUpdate(i, block[i], int(rng.integers(1, 90)), 0.0) for i in range(5)]
+        total = sum(u.sample_count for u in updates)
+        with np.errstate(invalid="ignore"):
+            ref = np.zeros(400)  # the sum as written with a temporary per update
+            for u in updates:
+                ref += (u.sample_count / total if mode == "size_weighted" else 1 / 5) * u.params
+            assert aggregate(updates, mode).tobytes() == ref.tobytes()
+
 
 class TestRunFederation:
     def test_zero_lr_returns_initial_params(self):

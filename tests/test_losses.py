@@ -248,6 +248,28 @@ class TestFedproxPenalty:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             fedprox_penalty(np.zeros(2), np.zeros(3), 0.1)
+        with pytest.raises(ValueError):
+            fedprox_penalty(np.zeros((2, 3)), np.zeros((2, 3)), 0.1)
+
+    @pytest.mark.parametrize("nonfinite", [False, True])
+    def test_stack_with_out_gives_each_rows_allocating_bits(self, nonfinite):
+        rng = np.random.default_rng(4)
+        w = rng.normal(size=(5, 300))
+        w_g = rng.normal(size=300)
+        if nonfinite:
+            w[1, 7], w[3, 0], w_g[9] = np.nan, np.inf, -np.inf
+        out = np.full_like(w, np.nan)
+        with np.errstate(invalid="ignore"):
+            losses, grad = fedprox_penalty(w, w_g, 0.7, out=out)
+            for k in range(len(w)):
+                # the per-client formulas, with their allocated temporaries
+                diff = w[k] - w_g
+                ref_loss, ref_grad = 0.5 * 0.7 * float(diff @ diff), 0.7 * diff
+                solo_loss, solo_grad = fedprox_penalty(w[k], w_g, 0.7)
+                for loss in (losses[k], solo_loss):
+                    assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+                assert grad[k].tobytes() == solo_grad.tobytes() == ref_grad.tobytes()
+        assert grad is out
 
 
 def _loss_cases():

@@ -9,6 +9,7 @@ from fednsim.model import (
     backward,
     forward,
     init_params,
+    layer_buffers,
     load_params,
     lr_at_round,
     save_params,
@@ -285,6 +286,49 @@ class TestStacked:
         assert out.tobytes() == backward(cfg, params, x, hidden, g).tobytes()
 
 
+class TestForwardBuffers:
+    """forward(out=) writes every layer into the caller's buffers, with the same bits."""
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_buffers_receive_the_allocating_forward_bits(self, stacked):
+        cfg = MlpConfig(input_dim=7, hidden_dims=(9, 5), num_classes=4)
+        rng = np.random.default_rng(5)
+        # (P,) params with (N, d) features, or (K, P) params with (K, B, d) features
+        shape, rows = ((3, cfg.param_count()), (3, 6)) if stacked else ((cfg.param_count(),), (40,))
+        buffers = [np.full_like(b, np.nan) for b in layer_buffers(cfg, rows)]
+        assert [b.shape for b in buffers] == [(*rows, 9), (*rows, 5), (*rows, 4)]
+        for _ in range(3):  # one set of buffers serves model after model
+            params = rng.normal(size=shape)
+            x = rng.normal(size=(*rows, cfg.input_dim))
+            hidden, ref_hidden = [], []
+            logits = forward(cfg, params, x, hidden, out=buffers)
+            ref = forward(cfg, params, x, ref_hidden)
+            assert np.shares_memory(logits, buffers[-1]) and logits.shape == buffers[-1].shape
+            assert all(h is b for h, b in zip(hidden, buffers))
+            assert logits.tobytes() == ref.tobytes()
+            assert [h.tobytes() for h in hidden] == [h.tobytes() for h in ref_hidden]
+
+
+def _sgd_allocating(params, grad, velocity, lr, momentum, weight_decay):
+    # the step as written before it reused a scratch buffer
+    params, grad, velocity = params.copy(), grad.copy(), velocity.copy()
+    if weight_decay != 0.0:
+        grad += weight_decay * params
+    velocity *= momentum
+    velocity += grad
+    np.multiply(velocity, lr, out=grad)
+    params -= grad
+    return params, velocity
+
+
+def _with_nonfinite(rng, shape):
+    a = rng.normal(size=shape)
+    flat = a.reshape(-1)
+    picks = rng.choice(flat.size, size=6, replace=False)
+    flat[picks] = [np.nan, np.inf, -np.inf, -np.nan, np.inf, np.nan]
+    return a
+
+
 class TestSgdMomentum:
     def test_no_force_no_motion(self):
         p = np.array([1.0, -2.0])
@@ -328,6 +372,19 @@ class TestSgdMomentum:
         with np.errstate(invalid="ignore"):
             sgd_momentum_step(p, g, np.zeros(2), lr, momentum, weight_decay)
         assert np.isfinite(p).tolist() == [True, False]
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-5, 0.3])
+    @pytest.mark.parametrize("shape", [(50,), (4, 50)])
+    def test_scratch_gives_the_allocating_bits(self, weight_decay, shape):
+        rng = np.random.default_rng(8)
+        for trial in range(20):
+            p, g, v = (_with_nonfinite(rng, shape) if trial % 2 else rng.normal(size=shape)
+                       for _ in range(3))
+            scratch = np.full(shape, np.nan)
+            with np.errstate(invalid="ignore"):
+                ref_p, ref_v = _sgd_allocating(p, g, v, 0.05, 0.9, weight_decay)
+                sgd_momentum_step(p, g, v, 0.05, 0.9, weight_decay, scratch)
+            assert p.tobytes() == ref_p.tobytes() and v.tobytes() == ref_v.tobytes()
 
     def test_updates_in_place(self):
         p, v = np.array([1.0, 2.0]), np.zeros(2)

@@ -157,7 +157,7 @@ def local_train(
     lr = lr_at_round(fed.lr0, round_t - 1, fed.lr_decay)
     w = np.repeat(w_global[None, :], len(clients), axis=0)
     # momentum, gradient, and scratch for the proximal gradient and then the
-    # weight-decay product: (K, P) each, in one block that the session frees
+    # weight-decay product: (K, P) each, one allocation for the session
     velocity, grad, scratch = np.zeros((3, *w.shape))
     loss_total = np.zeros(len(clients))
     needs_teacher = fed.loss.needs_teacher

@@ -148,7 +148,10 @@ def _cmd_partition(args) -> int:
             f", mean L1 distance from uniform = {np.mean(l1_from_uniform):.4f}"
         )
     if args.out is not None:
-        export_partition_json(args.out, train, partition)
+        try:
+            export_partition_json(args.out, train, partition)
+        except OSError as exc:  # a directory at that path, or a file above it
+            raise ConfigError(f"cannot write partition {args.out}: {exc.strerror}") from None
         print(f"wrote partition to {args.out}")
     return 0
 

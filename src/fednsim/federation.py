@@ -288,7 +288,7 @@ def _evaluate_round(
     w_out: np.ndarray,
     updates: list[ClientUpdate],
     dists: dict[int, np.ndarray],
-    incoming_acc: np.ndarray | None = None,
+    incoming_acc: np.ndarray | None,
 ) -> RoundLog:
     """Scores the round with one test-set forward per model: w_out, w_in and each update.
 

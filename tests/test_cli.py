@@ -292,10 +292,11 @@ class TestFileBoundaries:
     @pytest.mark.parametrize("case", [
         "metrics_not_utf8", "metrics_directory", "config_not_utf8",
         "idx_directory", "out_is_file", "out_under_file",
+        "partition_out_directory", "partition_out_under_file",
     ])
     def test_unreadable_or_uncreatable_path_exit_1(self, case, tiny_config, tmp_path, capsys):
         bad = tmp_path / "bad"
-        if case in ("metrics_directory", "idx_directory"):
+        if case in ("metrics_directory", "idx_directory", "partition_out_directory"):
             bad.mkdir()
         elif case in ("metrics_not_utf8", "config_not_utf8"):
             bad.write_bytes(b"rounds = 3\n\xff\xfe\n")
@@ -312,6 +313,9 @@ class TestFileBoundaries:
                 for k in ("train_images", "train_labels", "test_images", "test_labels")
             ))
             argv = ("run", config)
+        elif case.startswith("partition"):
+            argv = ("partition", tiny_config, "--out",
+                    bad if case == "partition_out_directory" else bad / "p.json")
         else:
             argv = ("run", tiny_config, "--out", bad if case == "out_is_file" else bad / "sub")
         assert run_cli(*argv) == 1

@@ -76,7 +76,18 @@ def _load_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
         return train, test
     train = read_idx(cfg.idx_train_images, cfg.idx_train_labels)
     test = read_idx(cfg.idx_test_images, cfg.idx_test_labels)
+    # a run scores the model on every class of the test set, at the training width
+    if test.dim != train.dim:
+        raise ConfigError(
+            f"idx_test_images {cfg.idx_test_images}: images of {test.dim} pixels, "
+            f"the training images have {train.dim}"
+        )
     classes = max(train.num_classes, test.num_classes)
+    missing = np.flatnonzero(np.bincount(test.labels, minlength=classes) == 0)
+    if missing.size:
+        raise ConfigError(
+            f"idx_test_labels {cfg.idx_test_labels}: no test samples for classes {missing.tolist()}"
+        )
     train = Dataset(train.features, train.labels, classes)
     test = Dataset(test.features, test.labels, classes)
     return train, test

@@ -24,7 +24,6 @@ from .metrics import (
     masked_accuracy,
     normalized_accuracy_vector,
     overall_accuracy,
-    per_class_accuracy,
     predict,
     weight_divergence,
 )
@@ -311,7 +310,7 @@ def _evaluate_round(
     in_accs, out_accs, wdivs, ddists = [], [], [], []
     for update in updates:
         p = dists[update.client_id]
-        acc = per_class_accuracy(predict(mlp, update.params, testset, out=buffers), testset)
+        acc = class_wise_accuracy(predict(mlp, update.params, testset, out=buffers), testset)
         in_accs.append(masked_accuracy(acc, p))
         out_accs.append(masked_accuracy(acc, out_local_distribution(p)))
         wdivs.append(weight_divergence(w_in, update.params, out=diff))

@@ -45,39 +45,29 @@ def predict(
     return logits.argmax(axis=-1)  # argmax ties go to the lowest class index
 
 
-def per_class_accuracy(pred: np.ndarray, testset: Dataset) -> np.ndarray:
-    """Accuracy of each class, NaN for classes absent from the testset."""
-    counts = testset.class_counts()
-    correct = np.bincount(
-        testset.labels[pred == testset.labels], minlength=testset.num_classes
-    )
-    with np.errstate(invalid="ignore"):
-        return np.where(counts > 0, correct / np.maximum(counts, 1), np.nan)
-
-
 def class_wise_accuracy(pred: np.ndarray, testset: Dataset) -> np.ndarray:
     """Top-1 accuracy per class; every class must appear in the testset."""
-    acc = per_class_accuracy(pred, testset)
-    missing = np.flatnonzero(np.isnan(acc))
+    counts = testset.class_counts()
+    missing = np.flatnonzero(counts == 0)
     if missing.size:
         raise ValueError(f"testset has no samples for classes {missing.tolist()}")
-    return acc
+    correct = np.bincount(testset.labels[pred == testset.labels], minlength=testset.num_classes)
+    return correct / counts
 
 
 def overall_accuracy(pred: np.ndarray, testset: Dataset) -> float:
     return float(np.mean(pred == testset.labels))
 
 
-def forgetting_measure(history: list[np.ndarray], total_rounds: int | None = None) -> float:
+def forgetting_measure(history: list[np.ndarray]) -> float:
     """Mean over classes of the peak-minus-final accuracy gap.
 
     `history` holds class-wise accuracy vectors for rounds 1..T in order;
     the peak is taken over rounds 1..T-1.
     """
-    t = len(history) if total_rounds is None else total_rounds
-    if t < 2 or len(history) < t:
+    if len(history) < 2:
         raise ValueError(f"need accuracy history for at least 2 rounds, got {len(history)}")
-    hist = np.asarray(history[:t], dtype=np.float64)
+    hist = np.asarray(history, dtype=np.float64)
     gaps = hist[:-1].max(axis=0) - hist[-1]
     return float(gaps.mean())
 
@@ -145,14 +135,10 @@ def distribution_distance(a: np.ndarray, b: np.ndarray) -> float:
 def masked_accuracy(class_acc: np.ndarray, weights: np.ndarray) -> float:
     """Accuracy under a reweighted label distribution: sum_c w_c * acc_c.
 
-    `class_acc` comes from `per_class_accuracy`, NaN marking classes absent
-    from the testset.  Those may carry zero weight; a missing class with
-    nonzero weight is an error.
+    `class_acc` comes from `class_wise_accuracy`, so every entry is finite;
+    the sum runs in class order.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != class_acc.shape:
         raise ValueError(f"weights must have length {class_acc.shape[0]}")
-    bad = np.flatnonzero(np.isnan(class_acc) & (weights > 0))
-    if bad.size:
-        raise ValueError(f"nonzero weight on classes missing from the testset: {bad.tolist()}")
-    return float(np.sum(np.where(weights > 0, weights * np.nan_to_num(class_acc), 0.0)))
+    return float(np.sum(weights * class_acc))

@@ -7,6 +7,7 @@ the same binary value, so identical runs produce byte-identical files.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import numpy as np
 
@@ -19,24 +20,17 @@ class RoundCsvError(ValueError):
     """A round CSV that cannot be read back."""
 
 
+# RoundLog's fields in order: t (the "round" column), global_acc, class_acc
+# (one column per class), then the scalar columns.
+_FIELDS = [f.name for f in fields(RoundLog)]
+
+
 def _fmt(value: float) -> str:
     return repr(float(value))
 
 
 def csv_header(num_classes: int) -> list[str]:
-    return (
-        ["round", "global_acc"]
-        + [f"acc_class_{c}" for c in range(num_classes)]
-        + [
-            "local_in_acc_mean",
-            "local_in_acc_std",
-            "local_out_acc_mean",
-            "local_out_acc_std",
-            "weight_div_mean",
-            "dist_dist_mean",
-            "train_loss",
-        ]
-    )
+    return ["round", _FIELDS[1]] + [f"acc_class_{c}" for c in range(num_classes)] + _FIELDS[3:]
 
 
 def write_round_csv(logs: list[RoundLog], path, num_classes: int) -> None:
@@ -44,20 +38,8 @@ def write_round_csv(logs: list[RoundLog], path, num_classes: int) -> None:
     for log in logs:
         if log.class_acc.shape != (num_classes,):
             raise ValueError("round log class count does not match the header")
-        row = (
-            [str(log.t), _fmt(log.global_acc)]
-            + [_fmt(a) for a in log.class_acc]
-            + [
-                _fmt(log.local_in_acc_mean),
-                _fmt(log.local_in_acc_std),
-                _fmt(log.local_out_acc_mean),
-                _fmt(log.local_out_acc_std),
-                _fmt(log.weight_div_mean),
-                _fmt(log.dist_dist_mean),
-                _fmt(log.train_loss),
-            ]
-        )
-        lines.append(",".join(row))
+        t, global_acc, class_acc, *tail = (getattr(log, name) for name in _FIELDS)
+        lines.append(",".join([str(t)] + [_fmt(v) for v in (global_acc, *class_acc, *tail)]))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -85,20 +67,7 @@ def read_round_csv(path) -> list[RoundLog]:
         except ValueError:
             raise RoundCsvError(f"{path}: row {line!r} holds a non-number") from None
         n = len(class_cols)
-        logs.append(
-            RoundLog(
-                t=t,
-                global_acc=values[0],
-                class_acc=np.array(values[1 : 1 + n]),
-                local_in_acc_mean=values[1 + n],
-                local_in_acc_std=values[2 + n],
-                local_out_acc_mean=values[3 + n],
-                local_out_acc_std=values[4 + n],
-                weight_div_mean=values[5 + n],
-                dist_dist_mean=values[6 + n],
-                train_loss=values[7 + n],
-            )
-        )
+        logs.append(RoundLog(t, values[0], np.array(values[1 : 1 + n]), *values[1 + n :]))
     return logs
 
 

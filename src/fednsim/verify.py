@@ -31,6 +31,7 @@ from .metrics import gradient_diversity
 from .rng import NS_VERIFY, stream
 
 COLUMN_SUM_TOL = 1e-9
+SLOPE_TOL = 1e-6  # how far the diversity slope may rise above -M/(1+beta)^2
 
 
 # ---------------------------------------------------------------------------
@@ -130,12 +131,12 @@ class DiversityReport:
 
 
 def check_diversity_curve(
-    instance: DiversityInstance, betas: np.ndarray | None = None, slope_tol: float = 1e-6
+    instance: DiversityInstance, betas: np.ndarray | None = None
 ) -> DiversityReport:
     """Evaluate the diversity curve and test monotonicity plus the rate bound.
 
     The slope is measured by central differences at interior grid points
-    and must stay below -M/(1+beta)^2 up to `slope_tol`.
+    and must stay below -M/(1+beta)^2 up to `SLOPE_TOL`.
     """
     if betas is None:
         betas = beta_grid(instance.num_classes)
@@ -156,7 +157,7 @@ def check_diversity_curve(
         betas=betas,
         lambdas=lams,
         monotone=bool(max_increase <= 1e-12),
-        slope_ok=bool(max_excess <= slope_tol),
+        slope_ok=bool(max_excess <= SLOPE_TOL),
         max_increase=max_increase,
         max_slope_excess=float(max_excess),
         max_closed_form_gap=gap,
@@ -418,7 +419,7 @@ def run_all(trials: int = 100, seed: int = 0, diversity_instances: int = 50) -> 
         CheckResult("diversity_nonincreasing", inc_worst <= 1e-12, inc_worst, 1e-12)
     )
     results.append(
-        CheckResult("diversity_slope_bound", excess_worst <= 1e-6, excess_worst, 1e-6)
+        CheckResult("diversity_slope_bound", excess_worst <= SLOPE_TOL, excess_worst, SLOPE_TOL)
     )
 
     # partial check: per-family minimality for two concrete symmetric families,

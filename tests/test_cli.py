@@ -221,6 +221,32 @@ class TestIdxDataSource:
         )
         assert run_cli("run", config) == 1
 
+    @pytest.mark.parametrize("command", ["run", "partition"])
+    @pytest.mark.parametrize("case", ["narrower_test_images", "test_set_missing_a_class"])
+    def test_unpaired_test_set_exit_1(self, case, command, tmp_path, capsys):
+        import numpy as np
+
+        from test_data import write_idx_images, write_idx_labels
+
+        rng = np.random.default_rng(0)
+        train_labels = np.arange(30, dtype=np.uint8) % 3
+        test_labels = np.arange(12, dtype=np.uint8) % (3 if case == "narrower_test_images" else 2)
+        test_shape = (12, 2, 1) if case == "narrower_test_images" else (12, 2, 2)
+        write_idx_images(tmp_path / "train-images", rng.integers(0, 256, (30, 2, 2), np.uint8))
+        write_idx_labels(tmp_path / "train-labels", train_labels)
+        write_idx_images(tmp_path / "test-images", rng.integers(0, 256, test_shape, np.uint8))
+        write_idx_labels(tmp_path / "test-labels", test_labels)
+        config = tmp_path / "idx.cfg"
+        config.write_text("data = idx\n" + "".join(
+            f"idx_{k}_{part} = {tmp_path / f'{k}-{part}'}\n"
+            for k in ("train", "test") for part in ("images", "labels")
+        ) + "partition = iid\nclients = 2\nrounds = 1\n")
+        assert run_cli(command, config) == 1
+        err = capsys.readouterr().err
+        bad = tmp_path / ("test-images" if case == "narrower_test_images" else "test-labels")
+        assert err.startswith("error:") and str(bad) in err, err
+        assert "internal error" not in err
+
 
 class TestPartitionCommand:
     def test_stats_output(self, tiny_config, capsys):

@@ -222,29 +222,26 @@ class TestRoundCsv:
 
     def test_round_trip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(0)
+        scalars = [f.name for f in fields(RoundLog) if f.name not in ("t", "class_acc")]
         logs = [
-            make_log(
-                t,
-                rng.uniform(size=4),
-                global_acc=float(rng.uniform()),
-                train_loss=float(rng.uniform() * 3),
-                weight_div_mean=float(rng.uniform() * 100),
-            )
+            make_log(t, rng.uniform(size=4), **{k: float(rng.uniform() * 10.0**t) for k in scalars})
             for t in range(1, 6)
         ]
+        # a round whose incoming model got every test sample wrong logs a NaN
+        # distance; signed zeros and infinities must come back as they went
+        logs.append(make_log(
+            6, [0.0, -0.0, 1.0, 0.25], dist_dist_mean=float("nan"), local_in_acc_std=-0.0,
+            weight_div_mean=float("inf"), train_loss=-float("inf"),
+        ))
         path = tmp_path / "rounds.csv"
         write_round_csv(logs, path, num_classes=4)
         loaded = read_round_csv(path)
         assert len(loaded) == len(logs)
         for orig, back in zip(logs, loaded):
-            assert back.t == orig.t
-            assert back.global_acc == orig.global_acc
-            assert back.class_acc.tobytes() == orig.class_acc.tobytes()
-            assert back.train_loss == orig.train_loss
-            assert back.weight_div_mean == orig.weight_div_mean
-            assert back.local_in_acc_mean == orig.local_in_acc_mean
-            assert back.local_out_acc_std == orig.local_out_acc_std
-            assert back.dist_dist_mean == orig.dist_dist_mean
+            assert type(back.t) is int and back.t == orig.t
+            for f in fields(RoundLog)[1:]:
+                got, want = np.asarray(getattr(back, f.name)), np.asarray(getattr(orig, f.name))
+                assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), f.name
 
     def test_rejects_clashing_class_count(self, tmp_path):
         with pytest.raises(ValueError, match="class count"):

@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fednsim.data import (
@@ -315,8 +315,12 @@ _SPECS = st.builds(
 
 
 class TestPartitionProperties:
+    # the known cases that must raise, pinned: which examples hypothesis draws
+    # depends on the modules imported, so a `-k` run may not draw them
     @settings(max_examples=400, deadline=None)
     @given(_DATASETS, _SPECS)
+    @example(_labelled([0] * 5 + [1] * 5, 2), PartitionSpec("dirichlet", clients=2, alpha=1.7e308))
+    @example(_labelled([0] * 5 + [1] * 5, 2), PartitionSpec("sharding", clients=3, shards_per_client=1))
     def test_partition_invariants(self, dataset, spec):
         n = len(dataset)
         try:
@@ -329,6 +333,7 @@ class TestPartitionProperties:
             else:
                 assert spec.strategy == "dirichlet" and spec.alpha * spec.clients > 1e300
             return
+        assert spec.strategy != "sharding" or n % (spec.clients * spec.shards_per_client) == 0
         assert [c.client_id for c in parts] == list(range(spec.clients))
         for client in parts:
             idx = client.indices

@@ -13,7 +13,6 @@ from fednsim.metrics import (
     masked_accuracy,
     normalized_accuracy_vector,
     overall_accuracy,
-    per_class_accuracy,
     predict,
     weight_divergence,
 )
@@ -39,7 +38,7 @@ def identity_predictor(num_classes: int):
 
 
 def masked(cfg, params, ds, weights) -> float:
-    return masked_accuracy(per_class_accuracy(predict(cfg, params, ds), ds), weights)
+    return masked_accuracy(class_wise_accuracy(predict(cfg, params, ds), ds), weights)
 
 
 def onehot_dataset(num_classes: int, per_class: int) -> Dataset:
@@ -227,13 +226,20 @@ class TestMaskedAccuracy:
         got = masked(cfg, params, ds, np.array([0.75, 0.25]))
         assert abs(got - 0.5) < 1e-12
 
-    def test_missing_class_with_weight_errors(self):
-        ds = Dataset(np.eye(3)[[0, 1]], np.array([0, 1]), 3)
-        cfg, params = identity_predictor(3)
-        with pytest.raises(ValueError, match="missing"):
-            masked(cfg, params, ds, np.array([0.0, 0.5, 0.5]))
-        # zero weight on the absent class is fine
-        assert masked(cfg, params, ds, np.array([0.5, 0.5, 0.0])) == 1.0
+    def test_same_bits_as_masking_formula(self):
+        # the sum over finite accuracies equals, bit for bit, the old sum that
+        # masked classes of zero weight and zeroed NaN accuracies
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            c = int(rng.integers(1, 12))
+            acc = rng.integers(0, 40, size=c) / rng.integers(1, 40, size=c)
+            weights = rng.dirichlet(np.ones(c)) * (rng.uniform(size=c) < 0.6)
+            old = np.sum(np.where(weights > 0, weights * np.nan_to_num(acc), 0.0))
+            assert np.float64(masked_accuracy(acc, weights)).tobytes() == old.tobytes()
+
+    def test_length_mismatch_errors(self):
+        with pytest.raises(ValueError, match="length 3"):
+            masked_accuracy(np.zeros(3), np.ones(2) / 2)
 
 
 class TestOverallAccuracy:

@@ -46,7 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("config", help="path to a key = value config file")
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
     run_p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility (>= 1); no effect, clients train in lockstep")
+                       help="accepted for compatibility (>= 1); no effect: a round's lockstep "
+                            "groups train on min(groups, CPUs) threads, with the same bits")
     run_p.add_argument("--out", default=None, help="override the output directory")
 
     part_p = sub.add_parser("partition", help="build and inspect a client partition")

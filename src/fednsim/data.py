@@ -126,9 +126,10 @@ def synth_dataset(
     means = separation * dirs
 
     sample_rng = stream(seed, NS_SYNTH_SAMPLES, split)
-    feats = np.concatenate(
-        [means[c] + sample_rng.normal(size=(per_class_n, dim)) for c in range(num_classes)]
-    )
+    # one class at a time into the final array, so only one class's draw is extra
+    feats = np.empty((num_classes * per_class_n, dim))
+    for c, block in enumerate(feats.reshape(num_classes, per_class_n, dim)):
+        np.add(means[c], sample_rng.normal(size=(per_class_n, dim)), out=block)
     labels = np.repeat(np.arange(num_classes), per_class_n)
     return Dataset(feats, labels, num_classes)
 

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 
+from fednsim import federation
 from fednsim.cli import main as cli_main
 from fednsim.data import (
     dirichlet_partition,
@@ -240,7 +241,7 @@ def test_c08_forgetting_oracle_exact():
              "(-0.1 up to f64 representation); constant histories give exactly 0.0")
 
 
-def test_c09_cli_determinism_bytes(tmp_path):
+def test_c09_cli_determinism_bytes(tmp_path, monkeypatch):
     config = tmp_path / "exp.cfg"
     out = tmp_path / "out"
     config.write_text(
@@ -259,8 +260,31 @@ def test_c09_cli_determinism_bytes(tmp_path):
         )
     assert snapshots[0] == snapshots[1] == snapshots[2]
     json.loads(snapshots[0][1])  # summary stays valid JSON
-    _pass(9, "repeat runs and thread counts 1/8 produce byte-identical "
-             "rounds.csv and summary.json")
+
+    # unequal dirichlet clients: rounds of several lockstep groups, which
+    # train on a thread pool; the pool's size must not change a byte either
+    dirichlet = tmp_path / "dirichlet.cfg"
+    dirichlet.write_text(
+        config.read_text().replace("partition = sharding", "partition = dirichlet")
+        + "dirichlet_alpha = 0.5\n"
+    )
+    real_workers, group_counts = federation._workers, []
+    snapshots = []
+    for threads, cap in (("1", 1), ("8", 2), ("1", 3), ("8", None)):  # None: min(groups, CPUs)
+        def workers(groups, cap=cap):
+            group_counts.append(groups)
+            return real_workers(groups) if cap is None else min(groups, cap)
+
+        monkeypatch.setattr(federation, "_workers", workers)
+        assert cli_main(["run", str(dirichlet), "--threads", threads]) == 0
+        snapshots.append(
+            ((out / "rounds.csv").read_bytes(), (out / "summary.json").read_bytes())
+        )
+    assert max(group_counts) >= 3
+    assert snapshots[0] == snapshots[1] == snapshots[2] == snapshots[3]
+    _pass(9, "repeat runs, thread counts 1/8 and group pools of 1/2/3/min(groups, CPUs) "
+             "threads produce byte-identical rounds.csv and summary.json (dirichlet "
+             f"rounds of up to {max(group_counts)} groups)")
 
 
 def test_c10_smoothness_bound_quantitative():

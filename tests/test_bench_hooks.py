@@ -3,7 +3,8 @@
 perfbench/spans.py wraps fednsim functions at the module attributes their
 callers look up.  These tests load it read-only and check that every hooked
 attribute exists, that install() and uninstall() round-trip, and that a
-traced run still counts what the benchmark reports.
+traced run still counts what the benchmark reports, also when a round's
+lockstep groups train on worker threads.
 """
 
 import importlib.util
@@ -15,7 +16,7 @@ import pytest
 
 from fednsim import federation
 
-from test_federation import tiny_setup
+from test_federation import pool_setup, round_groups, set_workers, tiny_setup
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -71,3 +72,29 @@ def test_traced_run_counts_and_changes_nothing(spans):
     # teacher forwards are told apart by local_train's argument 0
     assert layers["model.forward.teacher.calls"] == layers["model.forward.local.calls"] > 0
     assert np.isfinite(layers["federation.straggler_ratio"])
+
+
+def test_traced_multi_group_run_on_worker_threads(spans, monkeypatch):
+    # fedntd on dirichlet clients: every round trains 2 or 3 groups on 2 threads
+    cfg, train, test, partition, mlp = pool_setup("fedntd")
+    fed = cfg.federation_config()
+    set_workers(monkeypatch, 2)
+    plain = federation.run_federation(fed, mlp, train, partition, test)
+    recorder = spans.Recorder()
+    recorder.install()
+    try:
+        traced = federation.run_federation(fed, mlp, train, partition, test)
+    finally:
+        recorder.uninstall()
+    assert traced.final_params.tobytes() == plain.final_params.tobytes()
+    layers = recorder.layer_metrics(len(traced.logs), 1)
+    groups = sum(map(len, round_groups(cfg, partition)))
+    assert groups > cfg.rounds
+    assert layers["federation.local_train.calls"] == groups
+    # the calling thread evaluates and the pool's threads train
+    trainers = [st for st in recorder._states if st.stats["federation.local_train"][0]]
+    assert trainers and all(st.stats["model.forward.eval"][0] == 0 for st in trainers)
+    # each worker thread tells its teacher forwards apart by its own local_train argument
+    assert layers["model.forward.teacher.calls"] == layers["model.forward.local.calls"] > 0
+    assert layers["model.forward.teacher.rows"] == layers["model.forward.local.rows"]
+    assert layers["model.backward.calls"] == layers["model.forward.local.calls"]

@@ -27,6 +27,7 @@ from fednsim.data import (
     shard_partition,
     synth_dataset,
 )
+from fednsim.rng import NS_SYNTH_MEANS, NS_SYNTH_SAMPLES, stream
 
 
 class TestSynthDataset:
@@ -61,6 +62,20 @@ class TestSynthDataset:
             m_train = train.features[train.labels == c].mean(axis=0)
             m_test = test.features[test.labels == c].mean(axis=0)
             assert np.linalg.norm(m_train - m_test) < 0.2
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 10, 5), (10, 7, 32), (4, 200, 6)])
+    @pytest.mark.parametrize("seed,split,separation", [(0, 0, 2.5), (5, 1, 0.0), (2**40, 3, 9.0)])
+    def test_same_bits_as_concatenated_blocks(self, shape, seed, split, separation):
+        # the features as once written: one block per class, then one concatenate
+        classes, per_class, dim = shape
+        dirs = stream(seed, NS_SYNTH_MEANS).normal(size=(classes, dim))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        means = separation * dirs
+        rng = stream(seed, NS_SYNTH_SAMPLES, split)
+        ref = np.concatenate([means[c] + rng.normal(size=(per_class, dim)) for c in range(classes)])
+        ds = synth_dataset(classes, per_class, dim, separation, seed, split=split)
+        assert ds.features.shape == ref.shape
+        assert ds.features.tobytes() == ref.tobytes()
 
 
 def write_idx_images(path, images: np.ndarray) -> None:

@@ -1,11 +1,15 @@
 """Tests for client sampling, local training, aggregation, and the round loop."""
 
 import dataclasses
+import mmap
+import os
+import threading
 
 import numpy as np
 import pytest
 
 from fednsim import federation
+from fednsim.config import parse_config_text
 from fednsim.data import ClientData, Dataset, make_partition, PartitionSpec, synth_dataset
 from fednsim.federation import (
     ClientUpdate,
@@ -18,6 +22,7 @@ from fednsim.federation import (
 )
 from fednsim.losses import LossConfig, ce_loss_and_grad
 from fednsim.model import MlpConfig, init_params, unpack_params
+from fednsim.runio import write_round_csv, write_summary_json
 
 
 def logs_bit_identical(a, b) -> bool:
@@ -45,6 +50,71 @@ def tiny_setup(method="fedavg", classes=3, clients=4, **fed_kwargs):
     return fed, mlp, dataset, partition, testset
 
 
+POOL_CONFIG = """\
+data = synth
+synth_classes = 4
+synth_per_class = 15
+synth_test_per_class = 6
+synth_dim = 6
+synth_separation = 2.0
+partition = dirichlet
+clients = 8
+dirichlet_alpha = 20.0
+hidden_dims = 8,8
+mu = 0.5
+rounds = 4
+local_epochs = 2
+batch_size = 3
+sampling_ratio = 0.5
+lr0 = 0.05
+seed = 0
+"""
+
+
+def pool_setup(method):
+    """A dirichlet run whose every round trains 2 or 3 lockstep groups, some of K = 2 or 3.
+
+    Returns (cfg, train, test, partition, mlp)."""
+    cfg = parse_config_text(POOL_CONFIG + f"method = {method}\n", "pool")
+    train = synth_dataset(cfg.synth_classes, cfg.synth_per_class, cfg.synth_dim,
+                          cfg.synth_separation, cfg.seed, split=0)
+    test = synth_dataset(cfg.synth_classes, cfg.synth_test_per_class, cfg.synth_dim,
+                         cfg.synth_separation, cfg.seed, split=1)
+    partition = make_partition(train, cfg.partition_spec())
+    return cfg, train, test, partition, cfg.mlp_config(train.dim, train.num_classes)
+
+
+def round_groups(cfg, partition) -> list[list[list[int]]]:
+    """Each round's lockstep groups, as lists of client ids."""
+    sizes = {c.client_id: len(c) for c in partition}
+    eligible = [cid for cid, n in sizes.items() if n > 0]
+    rounds = []
+    for t in range(1, cfg.rounds + 1):
+        groups: dict[int, list[int]] = {}
+        for cid in sample_clients(cfg.clients, cfg.sampling_ratio, t, cfg.seed, eligible):
+            groups.setdefault(sizes[cid], []).append(cid)
+        rounds.append(list(groups.values()))
+    return rounds
+
+
+def set_workers(monkeypatch, n):
+    """Caps the threads a round's groups train on at n (1: on the calling thread)."""
+    monkeypatch.setattr(federation, "_workers", lambda groups: min(groups, n))
+
+
+def record_threads(monkeypatch) -> list[tuple[threading.Thread, bool]]:
+    """Wraps federation.local_train; the list gets (thread, mapped) of every call."""
+    threads = []
+    real = federation.local_train
+
+    def recorded(*args, **kwargs):
+        threads.append((threading.current_thread(), kwargs.get("mapped", False)))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(federation, "local_train", recorded)
+    return threads
+
+
 class TestSampleClients:
     def test_full_participation(self):
         assert sample_clients(8, 1.0, 1, 0) == list(range(8))
@@ -69,6 +139,21 @@ class TestSampleClients:
 
 
 class TestLocalTrain:
+    def test_mapped_session_same_bits(self):
+        fed, mlp, dataset, partition, _ = tiny_setup(method="fedprox")
+        w0 = init_params(mlp, 1)
+        plain = local_train(w0, partition[:3], dataset, fed, mlp, 2)
+        mapped = local_train(w0, partition[:3], dataset, fed, mlp, 2, mapped=True)
+        assert [u.params.tobytes() for u in plain] == [u.params.tobytes() for u in mapped]
+        assert [u.mean_loss for u in plain] == [u.mean_loss for u in mapped]
+        owners = []
+        for update in (plain[0], mapped[0]):
+            base = update.params
+            while isinstance(base, np.ndarray):
+                base = base.base
+            owners.append(type(base.obj if isinstance(base, memoryview) else base))
+        assert owners == [type(None), mmap.mmap]
+
     def test_zero_lr_keeps_params(self):
         fed, mlp, dataset, partition, _ = tiny_setup(lr0=0.0)
         w0 = init_params(mlp, 1)
@@ -352,6 +437,16 @@ class TestRunFederation:
         result = run_federation(fed, mlp, dataset, partition, testset)
         assert len(result.logs) == 3  # full-participation rounds train only ids 0 and 2
 
+    def test_testset_missing_a_class_rejected_before_training(self, monkeypatch):
+        fed, mlp, dataset, partition, testset = tiny_setup(rounds=5, eval_stride=5)
+        keep = testset.labels != 2
+        lacking = Dataset(testset.features[keep], testset.labels[keep], 3)
+        calls = []
+        monkeypatch.setattr(federation, "local_train", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match=r"testset has no samples for classes \[2\]"):
+            run_federation(fed, mlp, dataset, partition, lacking)
+        assert calls == []
+
     def test_checkpoint_callback_cadence(self):
         fed, mlp, dataset, partition, testset = tiny_setup(rounds=4)
         seen = []
@@ -437,3 +532,102 @@ class TestFederationConfigValidation:
     def test_nan_weight_decay(self):
         with pytest.raises(ValueError, match="weight_decay"):
             FederationConfig(weight_decay=float("nan"))
+
+
+class TestGroupPool:
+    """Rounds of two or more lockstep groups train them on a thread pool."""
+
+    def test_worker_count(self):
+        cpus = len(os.sched_getaffinity(0))
+        assert federation._workers(1) == 1
+        assert federation._workers(10**6) == cpus
+
+    @pytest.mark.parametrize("method", ["fedprox", "fedntd"])
+    def test_outputs_identical_at_1_2_3_workers(self, method, monkeypatch, tmp_path):
+        cfg, train, test, partition, mlp = pool_setup(method)
+        rounds = round_groups(cfg, partition)
+        assert min(map(len, rounds)) >= 2 and max(map(len, rounds)) == 3
+        assert all(max(map(len, groups)) >= 2 for groups in rounds)
+        threads = record_threads(monkeypatch)
+        before = set(threading.enumerate())
+        outputs = []
+        for n in (1, 2, 3):
+            set_workers(monkeypatch, n)
+            threads.clear()
+            result = run_federation(cfg.federation_config(), mlp, train, partition, test)
+            assert set(threading.enumerate()) == before  # the pool is joined
+            assert len(threads) == sum(map(len, rounds))  # one call per group
+            # the pool's sessions, and only those, run in mapped memory
+            assert all((t is threading.main_thread()) == (n == 1) != mapped
+                       for t, mapped in threads)
+            out = tmp_path / str(n)
+            out.mkdir()
+            write_round_csv(result.logs, out / "rounds.csv", mlp.num_classes)
+            write_summary_json(result.logs, cfg, out / "summary.json", "rounds.csv")
+            outputs.append(((out / "rounds.csv").read_bytes(),
+                            (out / "summary.json").read_bytes(),
+                            result.final_params.tobytes()))
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_divergence_in_concurrent_groups_names_lowest_id(self, monkeypatch):
+        # the round of test_round_names_lowest_id_across_size_groups, with both
+        # groups in flight at once: each waits for the other before it trains
+        dataset, mlp, fed = diverging_setup()
+        partition = [
+            ClientData(0, np.arange(12)),
+            ClientData(1, np.arange(12, 23)),
+            ClientData(2, np.arange(24, 36)),
+        ]
+        testset = synth_dataset(3, 4, 4, 3.0, seed=0, split=1)
+        set_workers(monkeypatch, 2)
+        barrier = threading.Barrier(2, timeout=60)
+        real = federation.local_train
+
+        def together(*args, **kwargs):
+            barrier.wait()
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(federation, "local_train", together)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
+            run_federation(fed(1), mlp, dataset, partition, testset)
+        assert (err.value.round_t, err.value.client_id) == (1, 1)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_worker_exception_reaches_caller(self, workers, monkeypatch):
+        # round 1 has three groups: the first diverges, the second and third
+        # fail; the second's failure is raised, as a loop over the groups in
+        # order meets it, and no pool thread is left running
+        cfg, train, test, partition, mlp = pool_setup("fedprox")
+        first, second, third = (group[0] for group in round_groups(cfg, partition)[0])
+        set_workers(monkeypatch, workers)
+        real = federation.local_train
+        failed_on = []
+
+        def failing(w, clients, *rest, **kwargs):
+            cid = clients[0].client_id
+            if cid == first:
+                raise DivergenceError(1, cid)
+            if cid in (second, third):
+                failed_on.append(threading.current_thread())
+                raise (OSError if cid == second else KeyError)(f"injected at {cid}")
+            return real(w, clients, *rest, **kwargs)
+
+        monkeypatch.setattr(federation, "local_train", failing)
+        before = set(threading.enumerate())
+        with pytest.raises(OSError, match=f"injected at {second}"):
+            run_federation(cfg.federation_config(), mlp, train, partition, test)
+        assert set(threading.enumerate()) == before
+        assert failed_on and all((t is threading.main_thread()) == (workers == 1) for t in failed_on)
+
+    def test_single_group_round_starts_no_thread(self, monkeypatch):
+        fed, mlp, dataset, partition, testset = tiny_setup(method="fedntd", sampling_ratio=0.75)
+        assert len({len(c) for c in partition}) == 1  # equal shards: one group a round
+
+        def no_start(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_start)
+        threads = record_threads(monkeypatch)
+        run_federation(fed, mlp, dataset, partition, testset)
+        assert len(threads) == fed.rounds
+        assert all(t is threading.main_thread() and not mapped for t, mapped in threads)

@@ -38,6 +38,10 @@ from .runio import RoundCsvError, read_round_csv, write_round_csv, write_summary
 from .verify import run_all
 
 
+# Above this magnitude a product of two parameters overflows float64.
+_BLOWN_UP = float(np.sqrt(np.finfo(np.float64).max))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fednsim", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -129,6 +133,13 @@ def _cmd_run(args) -> int:
     final = result.logs[-1]
     print(f"finished {cfg.rounds} rounds: accuracy {final.global_acc:.4f}, "
           f"outputs in {out_dir}")
+    # divergence is judged by finiteness only, so a model blown up to huge but
+    # finite parameters finishes; say so, without changing any output
+    largest = float(np.abs(result.final_params).max())
+    if largest > _BLOWN_UP:
+        print(f"warning: largest final parameter magnitude {largest:.3g} exceeds "
+              f"{_BLOWN_UP:.3g}, past which a product of two parameters overflows",
+              file=sys.stderr)
     return 0
 
 

@@ -4,10 +4,12 @@ Each round: sample clients, train every sampled client locally from the
 incoming global parameters, aggregate by parameter averaging, evaluate.
 Sampled clients of equal size train in lockstep, as one stack of
 parameter vectors, and a round whose clients form two or more such groups
-trains the groups concurrently on a thread pool.  Clients draw their batch
-order from private per-(round, client) RNG streams, every matrix product
-stays one BLAS call per client, groups share no state, and aggregation sums
-in ascending client id, so each client's update is bit-identical to
+trains the groups concurrently, the calling thread being one of the
+workers.  In a logged round each worker also scores the updates it
+trained on the test set.  Clients draw their batch order from private
+per-(round, client) RNG streams, every matrix product stays one BLAS call
+per client, groups share no state, and aggregation sums in ascending
+client id, so each client's update and its score are bit-identical to
 training it alone, whatever the number of threads.
 """
 
@@ -15,6 +17,8 @@ from __future__ import annotations
 
 import mmap
 import os
+import threading
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,14 +50,16 @@ AGGREGATION_MODES = ("size_weighted", "uniform")
 
 
 class DivergenceError(RuntimeError):
-    """Local training produced a non-finite loss, gradient or parameter."""
+    """A local session ended with a non-finite summed loss or parameters.
 
-    def __init__(self, round_t: int, client_id: int):
-        super().__init__(
-            f"non-finite loss, gradient or parameters at round {round_t}, client {client_id}"
-        )
+    `nonfinite` says which: "loss", "parameters" or "loss and parameters".
+    """
+
+    def __init__(self, round_t: int, client_id: int, nonfinite: str):
+        super().__init__(f"non-finite {nonfinite} at round {round_t}, client {client_id}")
         self.round_t = round_t
         self.client_id = client_id
+        self.nonfinite = nonfinite
 
 
 @dataclass(frozen=True)
@@ -96,6 +102,7 @@ class ClientUpdate:
     params: np.ndarray
     sample_count: int
     mean_loss: float
+    class_acc: np.ndarray | None = None  # test-set accuracy per class, in a logged round
 
 
 @dataclass
@@ -127,10 +134,10 @@ def _session_array(shape: tuple[int, ...], mapped: bool) -> np.ndarray:
     A mapping is unmapped, and its memory given back to the OS, when the
     array and every view of it are dropped.  Memory from the allocator
     stays in the malloc arena of the thread that freed it, so sessions
-    trained on pool threads would leave a session's worth of arrays
-    resident in each thread's arena.  On the calling thread the allocator
-    is cheaper: it reuses the previous session's pages, where a new mapping
-    needs every page faulted in.  A session writes every page, so the
+    trained on helper threads would leave a session's worth of arrays
+    resident in each thread's arena.  In a round of one worker, the calling
+    thread alone, the allocator is cheaper: it reuses the previous
+    session's pages, where a new mapping needs every page faulted in.  A session writes every page, so the
     mapping is populated at once (MAP_POPULATE, where the OS has it), which
     costs less system time than a fault per page.
     """
@@ -159,17 +166,18 @@ def local_train(
     Momentum starts at zero and is discarded afterwards.  For distillation
     methods the teacher logits come from the frozen incoming global weights.
     Updates come back in ascending client id; their parameters are rows of
-    one stacked block.  With `mapped`, as on the round's thread pool, that
-    block and the session's work arrays live in private mappings that go
-    back to the OS when they are dropped (`_session_array`).
+    one stacked block.  With `mapped`, as in a round of two or more
+    workers, that block and the session's work arrays live in private
+    mappings that go back to the OS when they are dropped (`_session_array`).
 
     Raises DivergenceError when a client ends the session with a non-finite
-    summed loss or parameters, naming the lowest such client id.  That is
-    the lowest id whose loss, gradient or parameters turned non-finite at
-    any step, the client a one-client-at-a-time loop in ascending id would
-    stop at: a non-finite gradient makes the velocity and then the
-    parameters non-finite (even at lr = 0, as 0 * inf is NaN), non-finite
-    values never turn finite again, and no step mixes rows of the stack.
+    summed loss or parameters, naming the lowest such client id and which
+    of the two went non-finite.  That is the lowest id whose loss, gradient
+    or parameters turned non-finite at any step, the client a
+    one-client-at-a-time loop in ascending id would stop at: a non-finite
+    gradient makes the velocity and then the parameters non-finite (even at
+    lr = 0, as 0 * inf is NaN), non-finite values never turn finite again,
+    and no step mixes rows of the stack.
     """
     clients = sorted(clients, key=lambda c: c.client_id)
     n = len(clients[0])
@@ -212,9 +220,12 @@ def local_train(
             sgd_momentum_step(w, grad, velocity, lr, fed.momentum, fed.weight_decay, scratch)
             loss_total += batch_loss
             steps += 1
-    ok = np.isfinite(loss_total) & np.isfinite(w).all(axis=1)
+    finite = {"loss": np.isfinite(loss_total), "parameters": np.isfinite(w).all(axis=1)}
+    ok = finite["loss"] & finite["parameters"]
     if not ok.all():
-        raise DivergenceError(round_t, ids[int(np.argmin(ok))])
+        k = int(np.argmin(ok))
+        nonfinite = " and ".join(name for name, row_ok in finite.items() if not row_ok[k])
+        raise DivergenceError(round_t, ids[k], nonfinite)
     return [ClientUpdate(cid, w[k], n, float(loss_total[k] / steps)) for k, cid in enumerate(ids)]
 
 
@@ -262,42 +273,80 @@ def _train_groups(
     fed: FederationConfig,
     mlp: MlpConfig,
     round_t: int,
+    testset: Dataset | None = None,
 ) -> list[ClientUpdate]:
     """Trains every lockstep group from `w`; updates come back in ascending client id.
 
-    With one worker (`_workers`) the groups train one after another on the
-    calling thread; with more, on a thread pool that is joined before this
-    returns, each session in mapped memory (see `_session_array`).
-    Outcomes are read in group order either way: the first exception other
-    than DivergenceError is raised as a loop over the groups would meet it,
-    and otherwise the DivergenceError of the lowest client id.
+    The groups run on `_workers(len(groups))` workers: the calling thread
+    and one helper thread for each further worker, started here and joined
+    before this returns.  The workers take sessions from one queue, largest
+    group (clients x samples) first, so that the round does not end on one
+    long group and the largest sessions run while few updates are held.
+    With one worker no thread is started.  With two or more, every session
+    runs in mapped memory (see `_session_array`).  With `testset`, as in a
+    logged round, the worker that trained a group then scores each of its
+    updates on the test set (`ClientUpdate.class_acc`): an update's score
+    depends on that update alone, so it is the same wherever it is made.
+
+    Outcomes are read in group order: the first exception other than
+    DivergenceError is raised as a loop over the groups would meet it, and
+    otherwise the DivergenceError of the lowest client id.  A
+    KeyboardInterrupt or other BaseException on the calling thread stops
+    the handing-out of sessions; the helpers finish the sessions they hold
+    and are joined before it propagates.
     """
+    workers = _workers(len(groups))
+    mapped = workers > 1
+
+    @np.errstate(over="ignore", invalid="ignore")  # a new thread starts with numpy's defaults
+    def session(group: list[ClientData]) -> list[ClientUpdate]:
+        trained = local_train(w, group, dataset, fed, mlp, round_t, mapped=mapped)
+        if testset is not None:
+            rows = testset.features.shape[:-1]
+            buffers = ([_session_array((*rows, fan_out), True) for _, fan_out in mlp.layer_shapes()]
+                       if mapped else layer_buffers(mlp, rows))
+            for update in trained:
+                pred = predict(mlp, update.params, testset, out=buffers)
+                update.class_acc = class_wise_accuracy(pred, testset)
+        return trained
+
+    queue = deque(sorted(range(len(groups)), key=lambda i: -len(groups[i]) * len(groups[i][0])))
+    outcomes: dict[int, list[ClientUpdate] | BaseException] = {}
+
+    def work(caught: type[BaseException]) -> None:
+        while True:
+            try:
+                i = queue.popleft()  # atomic: each group goes to one worker
+            except IndexError:
+                return
+            try:
+                outcomes[i] = session(groups[i])
+            except caught as err:
+                outcomes[i] = err
+
+    helpers: list[threading.Thread] = []
+    try:
+        for _ in range(workers - 1):
+            # a helper hands every failure to the caller, which raises it in group order
+            helper = threading.Thread(target=work, args=(BaseException,))
+            helper.start()
+            helpers.append(helper)
+        work(Exception)
+    finally:
+        queue.clear()
+        for helper in helpers:
+            helper.join()
+
     updates: list[ClientUpdate] = []
     diverged: list[DivergenceError] = []
-
-    def collect(train) -> None:  # train() returns one group's updates
-        try:
-            updates.extend(train())
-        except DivergenceError as err:
-            diverged.append(err)
-
-    workers = _workers(len(groups))
-    if workers < 2:
-        for group in groups:
-            collect(lambda: local_train(w, group, dataset, fed, mlp, round_t))
-    else:
-        # imported here: the import adds ~0.4 MB to runs whose rounds all have one group
-        from concurrent.futures import ThreadPoolExecutor
-
-        # the largest groups (clients x samples) first: the round does not end on
-        # one long group, and the largest sessions run while few updates are held
-        order = sorted(range(len(groups)), key=lambda i: -len(groups[i]) * len(groups[i][0]))
-        with ThreadPoolExecutor(workers) as pool:
-            futures = {i: pool.submit(local_train, w, groups[i], dataset, fed, mlp, round_t,
-                                      mapped=True)
-                       for i in order}
-        for i in range(len(groups)):
-            collect(futures[i].result)
+    for i in range(len(groups)):
+        outcome = outcomes[i]
+        if isinstance(outcome, DivergenceError):
+            diverged.append(outcome)
+        elif isinstance(outcome, BaseException):
+            raise outcome
+        else:
+            updates.extend(outcome)
     if diverged:
         raise min(diverged, key=lambda err: err.client_id)
     updates.sort(key=lambda u: u.client_id)
@@ -320,9 +369,11 @@ def run_federation(
     The final round is always logged.  `checkpoint_fn(t, params)` fires
     every `checkpoint_stride` rounds when given.  Each round trains its
     sampled clients in lockstep groups of equal size.  A round with one
-    group trains it on the calling thread; a round with several trains them
-    on a pool of min(groups, CPUs) threads (`_train_groups`), with the same
-    bits.  `threads` must be >= 1 and changes nothing.
+    group trains it on the calling thread and starts no thread; a round
+    with several trains them on min(groups, CPUs) workers, the calling
+    thread one of them (`_train_groups`), with the same bits.  In a logged
+    round each worker scores the updates it trained, right after training
+    them.  `threads` must be >= 1 and changes nothing.
 
     The testset must hold every class, since each logged round scores the
     models class by class; one that lacks a class is rejected before any
@@ -354,11 +405,13 @@ def run_federation(
         groups: dict[int, list[ClientData]] = {}
         for cid in ids:
             groups.setdefault(len(clients[cid]), []).append(clients[cid])
-        updates = _train_groups(w, list(groups.values()), dataset, fed, mlp, t)
+        logged = t % fed.eval_stride == 0 or t == fed.rounds
+        updates = _train_groups(w, list(groups.values()), dataset, fed, mlp, t,
+                                testset if logged else None)
 
         w_out = aggregate(updates, fed.aggregation)
 
-        if t % fed.eval_stride == 0 or t == fed.rounds:
+        if logged:
             logs.append(_evaluate_round(t, mlp, testset, w, w_out, updates, dists, w_acc))
         # drop the clients' parameters and the incoming model before the next round trains
         del updates
@@ -379,13 +432,15 @@ def _evaluate_round(
     dists: dict[int, np.ndarray],
     incoming_acc: np.ndarray | None,
 ) -> RoundLog:
-    """Scores the round with one test-set forward per model: w_out, w_in and each update.
+    """Scores the round from one test-set forward per model.
 
-    `updates` come in ascending client id.  `incoming_acc`, the class-wise
-    accuracy of w_in when the previous round logged it, saves w_in's
-    forward.  All forwards of the round write into one set of layer
-    buffers, and every weight divergence into one parameter-sized buffer;
-    both are dropped when the round is scored.
+    `updates` come in ascending client id, each with its class-wise
+    accuracy, which the worker that trained it measured (`_train_groups`).
+    The forwards left here are w_out's, and w_in's unless `incoming_acc`,
+    the class-wise accuracy of w_in when the previous round logged it,
+    saves it.  They write into one set of layer buffers, and every weight
+    divergence into one parameter-sized buffer; both are dropped when the
+    round is scored.
     """
     buffers = layer_buffers(mlp, testset.features.shape[:-1])
     pred_out = predict(mlp, w_out, testset, out=buffers)
@@ -400,9 +455,8 @@ def _evaluate_round(
     in_accs, out_accs, wdivs, ddists = [], [], [], []
     for update in updates:
         p = dists[update.client_id]
-        acc = class_wise_accuracy(predict(mlp, update.params, testset, out=buffers), testset)
-        in_accs.append(masked_accuracy(acc, p))
-        out_accs.append(masked_accuracy(acc, out_local_distribution(p)))
+        in_accs.append(masked_accuracy(update.class_acc, p))
+        out_accs.append(masked_accuracy(update.class_acc, out_local_distribution(p)))
         wdivs.append(weight_divergence(w_in, update.params, out=diff))
         ddists.append(distribution_distance(a_g, p) if a_g is not None else float("nan"))
     return RoundLog(

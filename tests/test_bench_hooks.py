@@ -4,7 +4,7 @@ perfbench/spans.py wraps fednsim functions at the module attributes their
 callers look up.  These tests load it read-only and check that every hooked
 attribute exists, that install() and uninstall() round-trip, and that a
 traced run still counts what the benchmark reports, also when a round's
-lockstep groups train on worker threads.
+lockstep groups train, and are scored, on worker threads.
 """
 
 import importlib.util
@@ -16,7 +16,7 @@ import pytest
 
 from fednsim import federation
 
-from test_federation import pool_setup, round_groups, set_workers, tiny_setup
+from test_federation import pool_setup, round_groups, set_workers, spread_sessions, tiny_setup
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -80,6 +80,7 @@ def test_traced_multi_group_run_on_worker_threads(spans, monkeypatch):
     fed = cfg.federation_config()
     set_workers(monkeypatch, 2)
     plain = federation.run_federation(fed, mlp, train, partition, test)
+    spread_sessions(monkeypatch, cfg, partition, 2)  # both workers train in every round
     recorder = spans.Recorder()
     recorder.install()
     try:
@@ -88,12 +89,18 @@ def test_traced_multi_group_run_on_worker_threads(spans, monkeypatch):
         recorder.uninstall()
     assert traced.final_params.tobytes() == plain.final_params.tobytes()
     layers = recorder.layer_metrics(len(traced.logs), 1)
-    groups = sum(map(len, round_groups(cfg, partition)))
-    assert groups > cfg.rounds
+    rounds = round_groups(cfg, partition)
+    groups = sum(map(len, rounds))
+    clients = sum(len(group) for groups_t in rounds for group in groups_t)
+    assert groups > cfg.rounds and fed.eval_stride == 1
     assert layers["federation.local_train.calls"] == groups
-    # the calling thread evaluates and the pool's threads train
+    # every round is logged: each worker scores the updates it trained, and the
+    # calling thread (the one that aggregates) also scores w_out, and w_in once
     trainers = [st for st in recorder._states if st.stats["federation.local_train"][0]]
-    assert trainers and all(st.stats["model.forward.eval"][0] == 0 for st in trainers)
+    assert len(trainers) == 1 + cfg.rounds  # the calling thread and each round's helper
+    assert all(st.stats["model.forward.eval"][0] >= st.stats["federation.local_train"][0]
+               for st in trainers)
+    assert layers["model.forward.eval.calls"] == clients + cfg.rounds + 1
     # each worker thread tells its teacher forwards apart by its own local_train argument
     assert layers["model.forward.teacher.calls"] == layers["model.forward.local.calls"] > 0
     assert layers["model.forward.teacher.rows"] == layers["model.forward.local.rows"]

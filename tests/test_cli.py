@@ -5,10 +5,12 @@ import re
 import warnings
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from fednsim.cli import main
 from fednsim.config import ExperimentConfig
+from fednsim.model import load_params
 
 TINY_CONFIG = """\
 data = synth
@@ -124,6 +126,26 @@ class TestRunCommand:
             assert run_cli("run", path, "--out", tmp_path / "x") == 2
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: non-finite .* client \d+\n", err)
+
+    def test_blown_up_finite_model_warns(self, tmp_path, capsys):
+        # one round at lr0 = 1e150 ends with huge but finite parameters: the run
+        # finishes (exit 0) and warns on stderr with the largest magnitude
+        path = tmp_path / "huge.cfg"
+        path.write_text(TINY_CONFIG.replace("lr0 = 0.05", "lr0 = 1e150")
+                        .replace("rounds = 3", "rounds = 1") + "checkpoint_stride = 1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("run", path, "--out", tmp_path / "h") == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("finished 1 rounds")
+        largest = np.abs(load_params(tmp_path / "h" / "checkpoint_round_00001.fntd")).max()
+        assert largest > np.sqrt(np.finfo(np.float64).max)
+        assert err == (f"warning: largest final parameter magnitude {largest:.3g} exceeds "
+                       "1.34e+154, past which a product of two parameters overflows\n")
+
+    def test_ordinary_run_prints_no_warning(self, tiny_config, tmp_path, capsys):
+        assert run_cli("run", tiny_config, "--out", tmp_path / "o") == 0
+        assert capsys.readouterr().err == ""
 
 
 # Every config key fed each boundary value through `fednsim run`.  A value is

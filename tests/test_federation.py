@@ -3,7 +3,9 @@
 import dataclasses
 import mmap
 import os
+import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -113,6 +115,56 @@ def record_threads(monkeypatch) -> list[tuple[threading.Thread, bool]]:
 
     monkeypatch.setattr(federation, "local_train", recorded)
     return threads
+
+
+def spread_sessions(monkeypatch, cfg, partition, workers):
+    """Wraps federation.local_train so that every worker of a round trains one of its sessions.
+
+    The first min(groups, workers) sessions of each round wait for each other
+    before they train; a worker held in one cannot take another, so they run
+    on as many workers."""
+    barriers = {t: threading.Barrier(min(len(groups), workers), timeout=60)
+                for t, groups in enumerate(round_groups(cfg, partition), 1)}
+    started = Counter()
+    lock = threading.Lock()
+    real = federation.local_train
+
+    def spread(w, clients, dataset, fed, mlp, round_t, **kwargs):
+        with lock:
+            started[round_t] += 1
+            waits = started[round_t] <= barriers[round_t].parties
+        if waits:
+            barriers[round_t].wait()
+        return real(w, clients, dataset, fed, mlp, round_t, **kwargs)
+
+    monkeypatch.setattr(federation, "local_train", spread)
+
+
+def record_scoring(monkeypatch):
+    """Wraps federation.local_train and federation.predict.
+
+    Returns (trained, forwards): `trained` maps id(params) of every update to
+    (params, thread that trained it, client id), holding params so that no
+    id is reused; `forwards` gets (round of the latest session, thread,
+    params) of every test-set forward."""
+    trained, forwards = {}, []
+    latest_round = [0]
+    real_train, real_predict = federation.local_train, federation.predict
+
+    def train(w, clients, dataset, fed, mlp, round_t, **kwargs):
+        latest_round[0] = round_t
+        updates = real_train(w, clients, dataset, fed, mlp, round_t, **kwargs)
+        for u in updates:
+            trained[id(u.params)] = (u.params, threading.current_thread(), u.client_id)
+        return updates
+
+    def predict(mlp, params, testset, out=None):
+        forwards.append((latest_round[0], threading.current_thread(), params))
+        return real_predict(mlp, params, testset, out=out)
+
+    monkeypatch.setattr(federation, "local_train", train)
+    monkeypatch.setattr(federation, "predict", predict)
+    return trained, forwards
 
 
 class TestSampleClients:
@@ -247,6 +299,8 @@ class TestLocalTrain:
             local_train(init_params(mlp, 0), [partition[2]], dataset, fed, mlp, round_t=4)
         assert err.value.round_t == 4
         assert err.value.client_id == 2
+        assert err.value.nonfinite == "loss and parameters"
+        assert str(err.value) == "non-finite loss and parameters at round 4, client 2"
 
     def test_nonfinite_last_step_diverges(self):
         # one step per session: only the returned parameters show the blow-up
@@ -273,10 +327,17 @@ class TestLocalTrain:
         with pytest.raises(ValueError, match="equally many"):
             local_train(init_params(mlp, 0), clients, dataset, fed, mlp, 1)
 
-    def test_nonfinite_parameters_with_finite_loss_diverge(self):
+    @pytest.mark.parametrize("weight_decay,nonfinite", [
+        (1e-5, "loss and parameters"),
+        (0.0, "parameters"),
+    ])
+    def test_nonfinite_parameters_with_finite_loss_diverge(self, weight_decay, nonfinite):
         # a dead hidden unit with bias -inf keeps the loss finite; the
-        # non-finite parameter must still be reported as divergence
-        fed, mlp, dataset, partition, _ = tiny_setup(method="fedntd")
+        # non-finite parameter must still be reported as divergence.  Its
+        # gradient is 0, so without weight decay the bias stays -inf and the
+        # loss finite all session; weight decay turns it into -inf + inf = NaN,
+        # which then reaches the loss.
+        fed, mlp, dataset, partition, _ = tiny_setup(method="fedntd", weight_decay=weight_decay)
         w0 = init_params(mlp, 0)
         _w1, b1 = unpack_params(mlp, w0)[0]
         b1[0] = -np.inf
@@ -292,6 +353,8 @@ class TestLocalTrain:
         with pytest.raises(DivergenceError) as err:
             local_train(w0, [client], dataset, fed, mlp, round_t=3)
         assert (err.value.round_t, err.value.client_id) == (3, 1)
+        assert err.value.nonfinite == nonfinite
+        assert str(err.value) == f"non-finite {nonfinite} at round 3, client 1"
 
     def test_nonfinite_loss_with_finite_parameters_diverges(self, monkeypatch):
         # only client 3's summed loss turns non-finite; every gradient and
@@ -308,6 +371,8 @@ class TestLocalTrain:
         with pytest.raises(DivergenceError) as err:
             local_train(init_params(mlp, 0), [partition[3], partition[1]], dataset, fed, mlp, 5)
         assert (err.value.round_t, err.value.client_id) == (5, 3)
+        assert err.value.nonfinite == "loss"
+        assert str(err.value) == "non-finite loss at round 5, client 3"
 
 
 class TestAggregate:
@@ -557,9 +622,9 @@ class TestGroupPool:
             result = run_federation(cfg.federation_config(), mlp, train, partition, test)
             assert set(threading.enumerate()) == before  # the pool is joined
             assert len(threads) == sum(map(len, rounds))  # one call per group
-            # the pool's sessions, and only those, run in mapped memory
-            assert all((t is threading.main_thread()) == (n == 1) != mapped
-                       for t, mapped in threads)
+            # sessions run in mapped memory iff the round has two or more workers
+            assert all(mapped == (n >= 2) for _, mapped in threads)
+            assert n >= 2 or all(t is threading.main_thread() for t, _ in threads)
             out = tmp_path / str(n)
             out.mkdir()
             write_round_csv(result.logs, out / "rounds.csv", mlp.num_classes)
@@ -596,7 +661,8 @@ class TestGroupPool:
     def test_worker_exception_reaches_caller(self, workers, monkeypatch):
         # round 1 has three groups: the first diverges, the second and third
         # fail; the second's failure is raised, as a loop over the groups in
-        # order meets it, and no pool thread is left running
+        # order meets it, and no helper thread is left running.  The failures
+        # may happen on the calling thread, which is one of the workers.
         cfg, train, test, partition, mlp = pool_setup("fedprox")
         first, second, third = (group[0] for group in round_groups(cfg, partition)[0])
         set_workers(monkeypatch, workers)
@@ -606,7 +672,7 @@ class TestGroupPool:
         def failing(w, clients, *rest, **kwargs):
             cid = clients[0].client_id
             if cid == first:
-                raise DivergenceError(1, cid)
+                raise DivergenceError(1, cid, "loss")
             if cid in (second, third):
                 failed_on.append(threading.current_thread())
                 raise (OSError if cid == second else KeyError)(f"injected at {cid}")
@@ -617,7 +683,133 @@ class TestGroupPool:
         with pytest.raises(OSError, match=f"injected at {second}"):
             run_federation(cfg.federation_config(), mlp, train, partition, test)
         assert set(threading.enumerate()) == before
-        assert failed_on and all((t is threading.main_thread()) == (workers == 1) for t in failed_on)
+        assert failed_on and (workers > 1 or all(t is threading.main_thread() for t in failed_on))
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_updates_scored_on_the_thread_that_trained_them(self, workers, monkeypatch):
+        cfg, train, test, partition, mlp = pool_setup("fedntd")
+        set_workers(monkeypatch, workers)
+        spread_sessions(monkeypatch, cfg, partition, workers)
+        trained, forwards = record_scoring(monkeypatch)
+        run_federation(cfg.federation_config(), mlp, train, partition, test)
+        # every round is logged: each update gets one forward, on its trainer's thread
+        scored = [(thread, trained[id(params)][1]) for _, thread, params in forwards
+                  if id(params) in trained]
+        clients = sum(len(group) for groups in round_groups(cfg, partition) for group in groups)
+        assert len(scored) == len(trained) == clients
+        assert all(thread is trainer for thread, trainer in scored)
+        trainers = {trainer for _, trainer, _ in trained.values()}
+        assert threading.main_thread() in trainers and len(trainers) >= 2
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_eval_forwards_per_logged_round(self, stride, monkeypatch):
+        # 2 + K forwards when the previous round was not logged, else 1 + K
+        cfg, train, test, partition, mlp = pool_setup("fedprox")
+        set_workers(monkeypatch, 2)
+        _, forwards = record_scoring(monkeypatch)
+        fed = dataclasses.replace(cfg.federation_config(), eval_stride=stride)
+        run_federation(fed, mlp, train, partition, test)
+        sampled = [sum(map(len, groups)) for groups in round_groups(cfg, partition)]
+        logged = [t for t in range(1, fed.rounds + 1) if t % stride == 0]
+        expected = {t: (1 if t - 1 in logged else 2) + sampled[t - 1] for t in logged}
+        assert Counter(t for t, _, _ in forwards) == expected
+
+    def test_keyboard_interrupt_on_calling_thread(self, monkeypatch):
+        # round 1 has three groups on two workers; the calling thread's session is
+        # interrupted while the helper holds the other, so the third never starts
+        cfg, train, test, partition, mlp = pool_setup("fedprox")
+        assert len(round_groups(cfg, partition)[0]) == 3
+        set_workers(monkeypatch, 2)
+        joining = threading.Event()
+        real_join = threading.Thread.join
+
+        def join(thread, *args, **kwargs):
+            joining.set()
+            return real_join(thread, *args, **kwargs)
+
+        monkeypatch.setattr(threading.Thread, "join", join)
+        real = federation.local_train
+        sessions = []
+
+        def interrupted(*args, **kwargs):
+            sessions.append(threading.current_thread())
+            if threading.current_thread() is threading.main_thread():
+                raise KeyboardInterrupt
+            joining.wait(60)  # the helper holds its session until the caller joins it
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(federation, "local_train", interrupted)
+        before = set(threading.enumerate())
+        with pytest.raises(KeyboardInterrupt):
+            run_federation(cfg.federation_config(), mlp, train, partition, test)
+        assert joining.is_set() and set(threading.enumerate()) == before
+        assert len(sessions) == 2 and threading.main_thread() in sessions
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_helper_scoring_failure_reaches_caller_in_group_order(self, workers, monkeypatch):
+        # every update a helper scores in round 1 fails, naming its group; the
+        # failure of the first such group in group order is raised
+        cfg, train, test, partition, mlp = pool_setup("fedntd")
+        group_of = {cid: g for g, group in enumerate(round_groups(cfg, partition)[0])
+                    for cid in group}
+        set_workers(monkeypatch, workers)
+        spread_sessions(monkeypatch, cfg, partition, workers)
+        trained, _ = record_scoring(monkeypatch)
+        recorded_predict = federation.predict
+        failed = []
+
+        def failing(mlp, params, testset, out=None):
+            owner = trained.get(id(params))
+            if owner and owner[1] is not threading.main_thread():
+                failed.append(group_of[owner[2]])
+                raise OSError(f"injected in group {group_of[owner[2]]}")
+            return recorded_predict(mlp, params, testset, out=out)
+
+        monkeypatch.setattr(federation, "predict", failing)
+        before = set(threading.enumerate())
+        with pytest.raises(OSError) as err:
+            run_federation(cfg.federation_config(), mlp, train, partition, test)
+        assert failed and str(err.value) == f"injected in group {min(failed)}"
+        assert set(threading.enumerate()) == before
+
+    def test_many_groups_on_more_workers_than_cores(self, monkeypatch):
+        # every client in its own group, six workers on fewer cores, and a
+        # switch interval that interleaves the workers at nearly every bytecode:
+        # each group is still handed out once, and the bits stay the same
+        text = (POOL_CONFIG.replace("dirichlet_alpha = 20.0", "dirichlet_alpha = 0.5")
+                .replace("sampling_ratio = 0.5", "sampling_ratio = 1.0") + "method = fedprox\n")
+        cfg = parse_config_text(text, "stress")
+        train = synth_dataset(cfg.synth_classes, cfg.synth_per_class, cfg.synth_dim,
+                              cfg.synth_separation, cfg.seed, split=0)
+        test = synth_dataset(cfg.synth_classes, cfg.synth_test_per_class, cfg.synth_dim,
+                             cfg.synth_separation, cfg.seed, split=1)
+        partition = make_partition(train, cfg.partition_spec())
+        mlp = cfg.mlp_config(train.dim, train.num_classes)
+        rounds = round_groups(cfg, partition)
+        assert min(map(len, rounds)) >= 6
+        set_workers(monkeypatch, 1)
+        alone = run_federation(cfg.federation_config(), mlp, train, partition, test)
+        set_workers(monkeypatch, 6)
+        trained = Counter()
+        real = federation.local_train
+
+        def counted(w, clients, dataset, fed, mlp, round_t, **kwargs):
+            trained.update((round_t, c.client_id) for c in clients)
+            return real(w, clients, dataset, fed, mlp, round_t, **kwargs)
+
+        monkeypatch.setattr(federation, "local_train", counted)
+        before = set(threading.enumerate())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            stressed = run_federation(cfg.federation_config(), mlp, train, partition, test)
+        finally:
+            sys.setswitchinterval(interval)
+        assert set(threading.enumerate()) == before
+        assert trained == Counter((t, cid) for t, groups in enumerate(rounds, 1)
+                                  for group in groups for cid in group)
+        assert stressed.final_params.tobytes() == alone.final_params.tobytes()
+        assert all(logs_bit_identical(a, b) for a, b in zip(stressed.logs, alone.logs))
 
     def test_single_group_round_starts_no_thread(self, monkeypatch):
         fed, mlp, dataset, partition, testset = tiny_setup(method="fedntd", sampling_ratio=0.75)

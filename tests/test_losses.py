@@ -4,8 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from fednsim import losses
 from fednsim.losses import (
+    METHODS,
     LossConfig,
     batch_loss_and_grad,
     ce_loss_and_grad,
@@ -370,3 +375,95 @@ class TestBatchApi:
             kl, _ = kd_loss_and_grad(z_l[i], z_g[i], 1.5)
             ntd, _ = ntd_loss_and_grad(z_l[i], z_g[i], int(y[i]), 1.5)
             assert abs(losses[i] - (ce + (1 - lam) * kl + lam * ntd)) < 1e-12
+
+
+@st.composite
+def _batches(draw):
+    """(z_l, z_g, y, perm): a batch of 1-8 rows over 2-8 classes and a row permutation."""
+    n, c = draw(st.integers(1, 8)), draw(st.integers(2, 8))
+    logits = hnp.arrays(np.float64, (n, c), elements=st.floats(-30.0, 30.0))
+    y = draw(hnp.arrays(np.int64, n, elements=st.integers(0, c - 1)))
+    return draw(logits), draw(logits), y, np.array(draw(st.permutations(range(n))), dtype=np.int64)
+
+
+_STRUCTURE = dict(
+    batch=_batches(), beta=st.floats(0.0, 5.0), tau=st.floats(0.1, 5.0), lam=st.floats(0.0, 1.0)
+)
+_NTD_TERMS = (losses._ntd_rows, losses._NTD_MSE)
+
+
+def _bits(*arrays) -> list[bytes]:
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+def test_structure_tests_cover_every_objective():
+    assert set(METHODS) == set(losses._OBJECTIVES)
+
+
+# 30 examples for each of the 6 objectives and 3 properties, about 0.2 s apiece
+@pytest.mark.parametrize("method", METHODS)
+class TestObjectiveStructure:
+    """Structure of every row of `losses._OBJECTIVES`, over random logits,
+    labels, beta, tau and lambda."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(**_STRUCTURE)
+    def test_ntd_terms_leave_true_class_gradient_alone(self, method, batch, beta, tau, lam):
+        z_l, z_g, y, _ = batch
+        cfg = LossConfig(method, beta=beta, tau=tau, interp_lambda=lam)
+        rows = np.arange(len(y))
+        _, terms = losses._OBJECTIVES[method](cfg)
+        for _, term in terms:
+            if term in _NTD_TERMS:
+                _, grad = term(z_l, z_g, y, tau)
+                assert _bits(grad[rows, y]) == _bits(np.zeros(len(y)))
+        if all(term in _NTD_TERMS for _, term in terms):
+            # adding beta * 0.0 leaves cross-entropy's true-class gradient bit for bit
+            _, grad = batch_loss_and_grad(cfg, z_l, y, z_g)
+            _, ce_grad = losses._ce_rows(z_l, y)
+            assert _bits(grad[rows, y]) == _bits(ce_grad[rows, y])
+
+    @settings(max_examples=30, deadline=None)
+    @given(**_STRUCTURE)
+    def test_row_permutation_permutes_bits(self, method, batch, beta, tau, lam):
+        z_l, z_g, y, perm = batch
+        cfg = LossConfig(method, beta=beta, tau=tau, interp_lambda=lam)
+        loss, grad = batch_loss_and_grad(cfg, z_l, y, z_g)
+        p_loss, p_grad = batch_loss_and_grad(cfg, z_l[perm], y[perm], z_g[perm])
+        assert _bits(p_loss, p_grad) == _bits(loss[perm], grad[perm])
+
+    @settings(max_examples=30, deadline=None)
+    @given(**_STRUCTURE)
+    def test_ce_and_kl_gradient_rows_sum_to_zero(self, method, batch, beta, tau, lam):
+        z_l, z_g, y, _ = batch
+        cfg = LossConfig(method, beta=beta, tau=tau, interp_lambda=lam)
+        c = z_l.shape[1]
+        eps = np.finfo(np.float64).eps
+        # softmax minus one-hot, and softmax minus softmax over tau: each row sums to 0
+        _, ce_grad = losses._ce_rows(z_l, y)
+        assert np.all(np.abs(ce_grad.sum(axis=1)) <= 4 * c * eps)
+        _, kl_grad = losses._kl_rows(z_l, z_g, tau)
+        assert np.all(np.abs(kl_grad.sum(axis=1)) <= 4 * c * eps / tau)
+        ce_weight, terms = losses._OBJECTIVES[method](cfg)
+        if not any(term is losses._NTD_MSE for _, term in terms):
+            # the whole objective is CE, KL and not-true KL, each summing to 0
+            _, grad = batch_loss_and_grad(cfg, z_l, y, z_g)
+            scale = ce_weight + sum(weight / tau for weight, _ in terms)
+            assert np.all(np.abs(grad.sum(axis=1)) <= 8 * c * eps * (1 + scale))
+
+
+@settings(deadline=None)
+@given(batch=_STRUCTURE["batch"], tau=_STRUCTURE["tau"])
+def test_interp_endpoints_compose_terms(batch, tau):
+    z_l, z_g, y, _ = batch
+    ce_loss, ce_grad = losses._ce_rows(z_l, y)
+    for lam, term_loss, term_grad in (
+        (0.0, *losses._kl_rows(z_l, z_g, tau)),
+        (1.0, *losses._ntd_rows(z_l, z_g, y, tau)),
+    ):
+        cfg = LossConfig("kd_ntd_interp", tau=tau, interp_lambda=lam)
+        loss, grad = batch_loss_and_grad(cfg, z_l, y, z_g)
+        assert _bits(loss, grad) == _bits(ce_loss + 1.0 * term_loss, ce_grad + 1.0 * term_grad)
+    # lambda = 1 is fedntd at beta = 1
+    fedntd = batch_loss_and_grad(LossConfig("fedntd", beta=1.0, tau=tau), z_l, y, z_g)
+    assert _bits(*fedntd) == _bits(loss, grad)

@@ -31,7 +31,7 @@ from .data import (
     read_idx,
     synth_dataset,
 )
-from .federation import DivergenceError, run_federation
+from .federation import DivergenceError, WorkerError, run_federation
 from .metrics import accuracy_cosine_similarity, forgetting_measure
 from .model import save_params
 from .runio import RoundCsvError, read_round_csv, write_round_csv, write_summary_json
@@ -50,8 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("config", help="path to a key = value config file")
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
     run_p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility (>= 1); no effect: a round's lockstep "
-                            "groups train on min(groups, CPUs) threads, with the same bits")
+                       help="accepted for compatibility (>= 1); no effect: a run trains on "
+                            "one process per CPU, with the same bits")
     run_p.add_argument("--out", default=None, help="override the output directory")
 
     part_p = sub.add_parser("partition", help="build and inspect a client partition")
@@ -222,7 +222,8 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, IdxFormatError, PartitionError, RoundCsvError, FileNotFoundError) as exc:
+    except (ConfigError, IdxFormatError, PartitionError, RoundCsvError, FileNotFoundError,
+            WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DivergenceError as exc:

@@ -3,23 +3,32 @@
 Each round: sample clients, train every sampled client locally from the
 incoming global parameters, aggregate by parameter averaging, evaluate.
 Sampled clients of equal size train in lockstep, as one stack of
-parameter vectors, and a round whose clients form two or more such groups
-trains the groups concurrently, the calling thread being one of the
-workers.  In a logged round each worker also scores the updates it
-trained on the test set.  Clients draw their batch order from private
-per-(round, client) RNG streams, every matrix product stays one BLAS call
-per client, groups share no state, and aggregation sums in ascending
-client id, so each client's update and its score are bit-identical to
-training it alone, whatever the number of threads.
+parameter vectors.  A run trains its rounds on a pool of processes, at
+most one per CPU: the calling process and helpers forked from it when the
+run starts, which share one block of parameter rows (`_Pool`).  A round's
+sessions, its lockstep groups, the largest split in half when there are
+fewer groups than workers, go to whichever worker is free, and in a
+logged round each worker also scores the updates it trained on the test
+set.  Clients draw their batch order from private per-(round, client) RNG
+streams, every matrix product stays one BLAS call per client, sessions
+share no state, and aggregation sums in ascending client id, so each
+client's update and its score are bit-identical to training it alone,
+whatever the number of workers.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import mmap
+import multiprocessing
 import os
+import pickle
+import signal
 import threading
-from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,6 +69,13 @@ class DivergenceError(RuntimeError):
         self.round_t = round_t
         self.client_id = client_id
         self.nonfinite = nonfinite
+
+    def __reduce__(self):  # a helper process sends it back pickled
+        return type(self), (self.round_t, self.client_id, self.nonfinite)
+
+
+class WorkerError(RuntimeError):
+    """A helper process of the training pool ended before it replied."""
 
 
 @dataclass(frozen=True)
@@ -111,6 +127,12 @@ class FederationResult:
     logs: list[RoundLog]
 
 
+def sample_count(clients: int, ratio: float, eligible: int) -> int:
+    """How many clients every round samples: max(1, round(ratio * clients)),
+    at most the `eligible` count."""
+    return min(max(1, round(ratio * clients)), eligible)
+
+
 def sample_clients(
     clients: int, ratio: float, round_t: int, master_seed: int, eligible=None
 ) -> list[int]:
@@ -122,30 +144,10 @@ def sample_clients(
     is still based on the full client count.
     """
     pool = np.arange(clients) if eligible is None else np.asarray(sorted(eligible))
-    count = min(max(1, round(ratio * clients)), len(pool))
+    count = sample_count(clients, ratio, len(pool))
     rng = stream(master_seed, NS_ROUND_SAMPLE, round_t)
     picked = rng.choice(pool, size=count, replace=False)
     return sorted(int(i) for i in picked)
-
-
-def _session_array(shape: tuple[int, ...], mapped: bool) -> np.ndarray:
-    """A zeroed float64 array; with `mapped`, in its own private anonymous mapping.
-
-    A mapping is unmapped, and its memory given back to the OS, when the
-    array and every view of it are dropped.  Memory from the allocator
-    stays in the malloc arena of the thread that freed it, so sessions
-    trained on helper threads would leave a session's worth of arrays
-    resident in each thread's arena.  In a round of one worker, the calling
-    thread alone, the allocator is cheaper: it reuses the previous
-    session's pages, where a new mapping needs every page faulted in.  A session writes every page, so the
-    mapping is populated at once (MAP_POPULATE, where the OS has it), which
-    costs less system time than a fault per page.
-    """
-    if not mapped:
-        return np.zeros(shape)
-    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
-    buf = mmap.mmap(-1, 8 * int(np.prod(shape)), flags=flags)
-    return np.frombuffer(buf, dtype=np.float64).reshape(shape)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a diverging session computes through NaN
@@ -156,7 +158,7 @@ def local_train(
     fed: FederationConfig,
     mlp: MlpConfig,
     round_t: int,
-    mapped: bool = False,
+    out: np.ndarray | None = None,
 ) -> list[ClientUpdate]:
     """Run E local epochs of mini-batch momentum SGD from the global weights.
 
@@ -165,10 +167,9 @@ def local_train(
     one (K, B, d) batch, and each client keeps its own shuffle stream.
     Momentum starts at zero and is discarded afterwards.  For distillation
     methods the teacher logits come from the frozen incoming global weights.
-    Updates come back in ascending client id; their parameters are rows of
-    one stacked block.  With `mapped`, as in a round of two or more
-    workers, that block and the session's work arrays live in private
-    mappings that go back to the OS when they are dropped (`_session_array`).
+    Updates come back in ascending client id; their parameters are the rows
+    of one (K, P) block: `out` when given, as rows of the pool's shared
+    block (`_Pool`), which the session then trains in place.
 
     Raises DivergenceError when a client ends the session with a non-finite
     summed loss or parameters, naming the lowest such client id and which
@@ -189,11 +190,13 @@ def local_train(
     rngs = [stream(fed.master_seed, NS_CLIENT_SHUFFLE, round_t, cid) for cid in ids]
     indices = np.stack([c.indices for c in clients])
     lr = lr_at_round(fed.lr0, round_t - 1, fed.lr_decay)
-    w = _session_array((len(clients), w_global.size), mapped)
+    if out is not None and out.shape != (len(clients), w_global.size):
+        raise ValueError(f"out has shape {out.shape}, expected {(len(clients), w_global.size)}")
+    w = np.empty((len(clients), w_global.size)) if out is None else out
     w[...] = w_global
     # momentum, gradient, and scratch for the proximal gradient and then the
     # weight-decay product: (K, P) each, one allocation for the session
-    velocity, grad, scratch = _session_array((3, *w.shape), mapped)
+    velocity, grad, scratch = np.zeros((3, *w.shape))
     loss_total = np.zeros(len(clients))
     needs_teacher = fed.loss.needs_teacher
     steps = 0
@@ -256,101 +259,298 @@ def aggregate(updates: list[ClientUpdate], mode: str = "size_weighted") -> np.nd
     return out
 
 
-def _workers(groups: int) -> int:
-    """Threads to train a round's `groups` lockstep groups: one per group, at
-    most one per CPU this process may run on."""
+@functools.cache
+def _blas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy calls, or None.
+
+    The library is looked up among the files this process has mapped, and
+    its two functions by the names OpenBLAS builds give them.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            lines = [line.split(maxsplit=5) for line in maps]
+    except OSError:  # no /proc on this platform
+        return None
+    for path in sorted({p[5].strip() for p in lines if len(p) == 6 and "openblas" in p[5].lower()}):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    return get, put
+    return None
+
+
+def _workers(clients: int) -> int:
+    """Processes to train a run on whose rounds each sample `clients`
+    clients: one per client, at most one per CPU this process may run on.
+
+    1, the calling process alone, where the OS cannot fork; where this
+    process runs other threads, since a fork copies none of them and a lock
+    one of them holds would stay held in the helper; or where numpy's BLAS
+    thread count cannot be set, since each process would run BLAS on as
+    many threads as there are CPUs and they would contend for them.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1 or _blas_threads() is None:
+        return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
         cpus = os.cpu_count() or 1
-    return min(groups, cpus)
+    return min(clients, cpus)
+
+
+class _LocalCounter:
+    """The part of multiprocessing.Value that `_Pool` uses, for one process."""
+
+    value = 0
+
+    def get_lock(self):
+        return contextlib.nullcontext()
+
+
+class _Pool:
+    """The calling process and `workers - 1` helper processes forked from it.
+
+    Every worker reads and writes `block`, a float64 array in one anonymous
+    mapping, which is shared with processes forked after it is made.  `run`
+    hands out a round's tasks from one counter all workers share, and
+    `do_task(task)` runs one.  Only tasks and their outcomes, results or
+    exceptions, cross the pipes, so both must be small and picklable.
+
+    While the helpers live, numpy's BLAS runs on one thread in every
+    process, so that the processes do not contend for the CPUs; the
+    calling process gets its count back when the pool closes.  Helpers
+    ignore SIGINT, so a KeyboardInterrupt reaches the calling process
+    alone.  Leaving the context closes the pool: a helper waiting for work
+    reads end-of-file and exits, and when an exception is leaving too every
+    helper is terminated at once, whatever it is doing.  With one worker
+    no process is started and the calling process runs every task in order.
+    """
+
+    def __init__(self, workers: int, block: np.ndarray, do_task):
+        self.workers = workers
+        self.block = block
+        self._do_task = do_task
+        self._next = _LocalCounter()
+        self._helpers: list[multiprocessing.process.BaseProcess] = []
+        self._conns = []
+        self._blas_count = None
+
+    def __enter__(self) -> "_Pool":
+        if self.workers == 1:
+            return self
+        blas = _blas_threads()
+        if blas is not None:
+            self._blas_count = blas[0]()
+            blas[1](1)
+        ctx = multiprocessing.get_context("fork")
+        self._next = ctx.Value("q", 0)
+        # a helper starts with SIGINT blocked, and unblocks it once it ignores it
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            for _ in range(self.workers - 1):
+                conn, helper_end = ctx.Pipe()
+                self._conns.append(conn)
+                helper = ctx.Process(target=self._serve, args=(helper_end, self._conns[:]),
+                                     daemon=True)
+                helper.start()
+                self._helpers.append(helper)
+                helper_end.close()
+        except BaseException:
+            self._close(abort=True)
+            raise
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._close(abort=exc_type is not None)
+
+    def _close(self, abort: bool) -> None:
+        if abort:  # a helper may be in the middle of a task
+            for helper in self._helpers:
+                helper.terminate()
+        for conn in self._conns:
+            conn.close()
+        for helper in self._helpers:
+            helper.join()
+            helper.close()
+        if self._blas_count is not None:
+            _blas_threads()[1](self._blas_count)
+
+    def _serve(self, conn, inherited) -> None:
+        """A helper's loop: runs its share of each round's tasks and sends back their outcomes."""
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+        for other in inherited:  # the calling process's ends of the pipes, this one's too
+            other.close()
+        try:
+            while True:
+                done = self._take(conn.recv(), BaseException)
+                conn.send({i: _portable(outcome) for i, outcome in done.items()})
+        except (EOFError, ConnectionError):  # the calling process closed the pool
+            return
+
+    def _take(self, tasks: list, caught: type[BaseException]) -> dict:
+        """Runs tasks taken from the shared counter until none is left; returns
+        each one's result, or the `caught` exception it raised, by index."""
+        done = {}
+        while True:
+            with self._next.get_lock():
+                i = self._next.value
+                self._next.value = i + 1
+            if i >= len(tasks):
+                return done
+            try:
+                done[i] = self._do_task(tasks[i])
+            except caught as err:
+                done[i] = err
+
+    def run(self, round_t: int, tasks: list) -> list:
+        """Every task's outcome, in task order: its result or the Exception it raised.
+
+        Tasks are handed out in order, each to the first worker free to
+        take it.  Any other BaseException on the calling process, such as
+        a KeyboardInterrupt, propagates, and closing the pool then
+        terminates the helpers.  Raises WorkerError, naming the round, when
+        a helper has died.
+        """
+        self._next.value = 0
+        for helper, conn in zip(self._helpers, self._conns):
+            try:
+                conn.send(tasks)
+            except ConnectionError:
+                raise self._lost(helper, round_t) from None
+        done = self._take(tasks, Exception)
+        for helper, conn in zip(self._helpers, self._conns):
+            try:
+                done.update(conn.recv())
+            except (EOFError, ConnectionError):
+                raise self._lost(helper, round_t) from None
+        return [done[i] for i in range(len(tasks))]
+
+    @staticmethod
+    def _lost(helper, round_t: int) -> WorkerError:
+        helper.join()
+        return WorkerError(f"training process {helper.pid} exited with code {helper.exitcode} "
+                           f"in round {round_t}")
+
+
+def _portable(outcome):
+    """The outcome, or for an exception that does not come back whole
+    through pickle, a RuntimeError that names it."""
+    if isinstance(outcome, BaseException):
+        try:
+            pickle.loads(pickle.dumps(outcome))
+        except Exception:
+            return RuntimeError(f"{type(outcome).__name__}: {outcome}")
+    return outcome
+
+
+class _Task(NamedTuple):
+    """One unit of a round's work: train the clients `ids` in lockstep into
+    block rows `row`, `row + 1`, ..., and score the updates when `scored`;
+    with no ids, score the incoming model in row 0."""
+
+    round_t: int
+    row: int
+    ids: tuple[int, ...]
+    scored: bool
+
+
+def _run_task(task: _Task, block: np.ndarray, clients: dict[int, ClientData], dataset: Dataset,
+              fed: FederationConfig, mlp: MlpConfig, testset: Dataset):
+    """Runs one task on whichever worker took it, from the incoming model in row 0.
+
+    Returns the incoming model's class-wise accuracy for a task with no ids;
+    otherwise the clients' mean losses, and, when scored, each update's
+    class-wise accuracy, or None.  An update's score depends on that update
+    alone, so it is the same wherever it is made.
+    """
+    w_in = block[0]
+    if not task.ids:
+        return class_wise_accuracy(predict(mlp, w_in, testset), testset)
+    trained = local_train(w_in, [clients[cid] for cid in task.ids], dataset, fed, mlp,
+                          task.round_t, out=block[task.row : task.row + len(task.ids)])
+    losses = [u.mean_loss for u in trained]
+    if not task.scored:
+        return losses, None
+    buffers = layer_buffers(mlp, testset.features.shape[:-1])
+    return losses, [class_wise_accuracy(predict(mlp, u.params, testset, out=buffers), testset)
+                    for u in trained]
+
+
+def _cost(session: list[ClientData]) -> int:
+    return len(session) * len(session[0])
 
 
 def _train_groups(
-    w: np.ndarray,
+    pool: _Pool,
     groups: list[list[ClientData]],
-    dataset: Dataset,
-    fed: FederationConfig,
-    mlp: MlpConfig,
     round_t: int,
-    testset: Dataset | None = None,
-) -> list[ClientUpdate]:
-    """Trains every lockstep group from `w`; updates come back in ascending client id.
+    scored: bool,
+    score_w_in: bool,
+) -> tuple[list[ClientUpdate], np.ndarray | None]:
+    """Trains every lockstep group from the incoming model in row 0 of `pool.block`.
 
-    The groups run on `_workers(len(groups))` workers: the calling thread
-    and one helper thread for each further worker, started here and joined
-    before this returns.  The workers take sessions from one queue, largest
-    group (clients x samples) first, so that the round does not end on one
-    long group and the largest sessions run while few updates are held.
-    With one worker no thread is started.  With two or more, every session
-    runs in mapped memory (see `_session_array`).  With `testset`, as in a
-    logged round, the worker that trained a group then scores each of its
-    updates on the test set (`ClientUpdate.class_acc`): an update's score
-    depends on that update alone, so it is the same wherever it is made.
+    Returns the updates in ascending client id, their parameters rows of
+    the block, and with `score_w_in` the incoming model's class-wise
+    accuracy.  The groups are the round's sessions; while there are fewer
+    sessions than workers, the largest one of two or more clients is split
+    in half by client id (a client's bits do not depend on who trains
+    beside it).  Sessions are handed out largest (clients x samples) first,
+    so that the round does not end on one long session, and each trains
+    into its own rows.  With `scored`, as in a logged round, the worker
+    that trained a session then scores each of its updates on the test set
+    (`ClientUpdate.class_acc`), and w_in's scoring is one more task, last.
 
-    Outcomes are read in group order: the first exception other than
-    DivergenceError is raised as a loop over the groups would meet it, and
-    otherwise the DivergenceError of the lowest client id.  A
-    KeyboardInterrupt or other BaseException on the calling thread stops
-    the handing-out of sessions; the helpers finish the sessions they hold
-    and are joined before it propagates.
+    Outcomes are read in session order, ascending lowest client id, w_in's
+    last: the first exception other than DivergenceError is raised as a
+    loop over the sessions would meet it, and otherwise the DivergenceError
+    of the lowest client id.
     """
-    workers = _workers(len(groups))
-    mapped = workers > 1
+    sessions = list(groups)
+    while len(sessions) < pool.workers:
+        big = max(range(len(sessions)), key=lambda k: (len(sessions[k]) > 1, _cost(sessions[k])))
+        if len(sessions[big]) == 1:
+            break
+        half = (len(sessions[big]) + 1) // 2
+        sessions[big : big + 1] = [sessions[big][:half], sessions[big][half:]]
+    tasks, row = [], 1
+    for session in sorted(sessions, key=_cost, reverse=True):
+        tasks.append(_Task(round_t, row, tuple(c.client_id for c in session), scored))
+        row += len(session)
+    if score_w_in:
+        tasks.append(_Task(round_t, 0, (), True))
+    outcomes = pool.run(round_t, tasks)
 
-    @np.errstate(over="ignore", invalid="ignore")  # a new thread starts with numpy's defaults
-    def session(group: list[ClientData]) -> list[ClientUpdate]:
-        trained = local_train(w, group, dataset, fed, mlp, round_t, mapped=mapped)
-        if testset is not None:
-            rows = testset.features.shape[:-1]
-            buffers = ([_session_array((*rows, fan_out), True) for _, fan_out in mlp.layer_shapes()]
-                       if mapped else layer_buffers(mlp, rows))
-            for update in trained:
-                pred = predict(mlp, update.params, testset, out=buffers)
-                update.class_acc = class_wise_accuracy(pred, testset)
-        return trained
-
-    queue = deque(sorted(range(len(groups)), key=lambda i: -len(groups[i]) * len(groups[i][0])))
-    outcomes: dict[int, list[ClientUpdate] | BaseException] = {}
-
-    def work(caught: type[BaseException]) -> None:
-        while True:
-            try:
-                i = queue.popleft()  # atomic: each group goes to one worker
-            except IndexError:
-                return
-            try:
-                outcomes[i] = session(groups[i])
-            except caught as err:
-                outcomes[i] = err
-
-    helpers: list[threading.Thread] = []
-    try:
-        for _ in range(workers - 1):
-            # a helper hands every failure to the caller, which raises it in group order
-            helper = threading.Thread(target=work, args=(BaseException,))
-            helper.start()
-            helpers.append(helper)
-        work(Exception)
-    finally:
-        queue.clear()
-        for helper in helpers:
-            helper.join()
-
+    sizes = {c.client_id: len(c) for group in groups for c in group}
     updates: list[ClientUpdate] = []
     diverged: list[DivergenceError] = []
-    for i in range(len(groups)):
-        outcome = outcomes[i]
+    w_in_acc = None
+    for task, outcome in sorted(zip(tasks, outcomes), key=lambda p: (not p[0].ids, p[0].ids[:1])):
         if isinstance(outcome, DivergenceError):
             diverged.append(outcome)
         elif isinstance(outcome, BaseException):
             raise outcome
+        elif not task.ids:
+            w_in_acc = outcome
         else:
-            updates.extend(outcome)
+            losses, accs = outcome
+            updates.extend(ClientUpdate(cid, pool.block[task.row + k], sizes[cid], losses[k],
+                                        None if accs is None else accs[k])
+                           for k, cid in enumerate(task.ids))
     if diverged:
         raise min(diverged, key=lambda err: err.client_id)
     updates.sort(key=lambda u: u.client_id)
-    return updates
+    return updates, w_in_acc
 
 
 @np.errstate(over="ignore", invalid="ignore")  # divergence raises DivergenceError instead
@@ -368,16 +568,18 @@ def run_federation(
 
     The final round is always logged.  `checkpoint_fn(t, params)` fires
     every `checkpoint_stride` rounds when given.  Each round trains its
-    sampled clients in lockstep groups of equal size.  A round with one
-    group trains it on the calling thread and starts no thread; a round
-    with several trains them on min(groups, CPUs) workers, the calling
-    thread one of them (`_train_groups`), with the same bits.  In a logged
-    round each worker scores the updates it trained, right after training
-    them.  `threads` must be >= 1 and changes nothing.
+    sampled clients in lockstep groups of equal size, as sessions on a pool
+    of `_workers(clients a round)` processes: the calling process and
+    helpers forked from it once, here, and ended before this returns
+    (`_Pool`, `_train_groups`), with the same bits at every worker count.
+    In a logged round each worker scores the updates it trained, right
+    after training them, and the incoming model is scored during the round
+    too unless the previous round logged it.  `threads` must be >= 1 and
+    changes nothing.
 
     The testset must hold every class, since each logged round scores the
     models class by class; one that lacks a class is rejected before any
-    training.
+    training.  Raises WorkerError when a helper process dies.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -398,27 +600,32 @@ def run_federation(
     }
 
     w = init_params(mlp, fed.master_seed)
+    sampled = sample_count(len(partition), fed.sampling_ratio, len(eligible))
+    # row 0 holds the round's incoming model, the rows after it the sampled clients' updates
+    block = np.frombuffer(mmap.mmap(-1, 8 * (sampled + 1) * w.size), dtype=np.float64)
+    block = block.reshape(sampled + 1, w.size)
+    w_in = block[0]
+    run_task = functools.partial(_run_task, block=block, clients=clients, dataset=dataset,
+                                 fed=fed, mlp=mlp, testset=testset)
     logs: list[RoundLog] = []
     w_acc = None  # class-wise accuracy of w, when the round that made w logged it
-    for t in range(1, fed.rounds + 1):
-        ids = sample_clients(len(partition), fed.sampling_ratio, t, fed.master_seed, eligible)
-        groups: dict[int, list[ClientData]] = {}
-        for cid in ids:
-            groups.setdefault(len(clients[cid]), []).append(clients[cid])
-        logged = t % fed.eval_stride == 0 or t == fed.rounds
-        updates = _train_groups(w, list(groups.values()), dataset, fed, mlp, t,
-                                testset if logged else None)
-
-        w_out = aggregate(updates, fed.aggregation)
-
-        if logged:
-            logs.append(_evaluate_round(t, mlp, testset, w, w_out, updates, dists, w_acc))
-        # drop the clients' parameters and the incoming model before the next round trains
-        del updates
-        w = w_out
-        w_acc = logs[-1].class_acc if logs and logs[-1].t == t else None
-        if checkpoint_stride > 0 and checkpoint_fn is not None and t % checkpoint_stride == 0:
-            checkpoint_fn(t, w)
+    with _Pool(_workers(sampled), block, run_task) as pool:
+        for t in range(1, fed.rounds + 1):
+            w_in[...] = w
+            ids = sample_clients(len(partition), fed.sampling_ratio, t, fed.master_seed, eligible)
+            groups: dict[int, list[ClientData]] = {}
+            for cid in ids:
+                groups.setdefault(len(clients[cid]), []).append(clients[cid])
+            logged = t % fed.eval_stride == 0 or t == fed.rounds
+            updates, w_in_acc = _train_groups(pool, list(groups.values()), t, logged,
+                                              logged and w_acc is None)
+            w = aggregate(updates, fed.aggregation)
+            if logged:
+                logs.append(_evaluate_round(t, mlp, testset, w_in, w, updates, dists,
+                                            w_acc if w_in_acc is None else w_in_acc))
+            w_acc = logs[-1].class_acc if logged else None
+            if checkpoint_stride > 0 and checkpoint_fn is not None and t % checkpoint_stride == 0:
+                checkpoint_fn(t, w)
     return FederationResult(w, logs)
 
 
@@ -430,22 +637,18 @@ def _evaluate_round(
     w_out: np.ndarray,
     updates: list[ClientUpdate],
     dists: dict[int, np.ndarray],
-    incoming_acc: np.ndarray | None,
+    incoming_acc: np.ndarray,
 ) -> RoundLog:
-    """Scores the round from one test-set forward per model.
+    """Scores the round from w_out's test-set forward.
 
     `updates` come in ascending client id, each with its class-wise
     accuracy, which the worker that trained it measured (`_train_groups`).
-    The forwards left here are w_out's, and w_in's unless `incoming_acc`,
-    the class-wise accuracy of w_in when the previous round logged it,
-    saves it.  They write into one set of layer buffers, and every weight
-    divergence into one parameter-sized buffer; both are dropped when the
-    round is scored.
+    `incoming_acc` is w_in's class-wise accuracy: the previous round's when
+    it logged, else measured during this round by one of the workers.
+    Every weight divergence writes into one parameter-sized buffer, dropped
+    when the round is scored.
     """
-    buffers = layer_buffers(mlp, testset.features.shape[:-1])
-    pred_out = predict(mlp, w_out, testset, out=buffers)
-    if incoming_acc is None:
-        incoming_acc = class_wise_accuracy(predict(mlp, w_in, testset, out=buffers), testset)
+    pred_out = predict(mlp, w_out, testset)
     try:
         a_g = normalized_accuracy_vector(incoming_acc)
     except ValueError:  # incoming model got every test sample wrong

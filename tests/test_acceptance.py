@@ -262,29 +262,29 @@ def test_c09_cli_determinism_bytes(tmp_path, monkeypatch):
     json.loads(snapshots[0][1])  # summary stays valid JSON
 
     # unequal dirichlet clients: rounds of several lockstep groups, which
-    # train on a thread pool; the pool's size must not change a byte either
+    # train as several sessions; the size of the training pool must not change a byte either
     dirichlet = tmp_path / "dirichlet.cfg"
     dirichlet.write_text(
         config.read_text().replace("partition = sharding", "partition = dirichlet")
         + "dirichlet_alpha = 0.5\n"
     )
-    real_workers, group_counts = federation._workers, []
+    real_workers, client_counts = federation._workers, []
     snapshots = []
-    for threads, cap in (("1", 1), ("8", 2), ("1", 3), ("8", None)):  # None: min(groups, CPUs)
-        def workers(groups, cap=cap):
-            group_counts.append(groups)
-            return real_workers(groups) if cap is None else min(groups, cap)
+    for threads, cap in (("1", 1), ("8", 2), ("1", 3), ("8", None)):  # None: min(clients, CPUs)
+        def workers(clients, cap=cap):
+            client_counts.append(clients)
+            return real_workers(clients) if cap is None else min(clients, cap)
 
         monkeypatch.setattr(federation, "_workers", workers)
         assert cli_main(["run", str(dirichlet), "--threads", threads]) == 0
         snapshots.append(
             ((out / "rounds.csv").read_bytes(), (out / "summary.json").read_bytes())
         )
-    assert max(group_counts) >= 3
+    assert max(client_counts) >= 3
     assert snapshots[0] == snapshots[1] == snapshots[2] == snapshots[3]
-    _pass(9, "repeat runs, thread counts 1/8 and group pools of 1/2/3/min(groups, CPUs) "
-             "threads produce byte-identical rounds.csv and summary.json (dirichlet "
-             f"rounds of up to {max(group_counts)} groups)")
+    _pass(9, "repeat runs, thread counts 1/8 and training pools of 1/2/3/min(clients, CPUs) "
+             "processes produce byte-identical rounds.csv and summary.json (dirichlet "
+             f"rounds of {max(client_counts)} clients)")
 
 
 def test_c10_smoothness_bound_quantitative():

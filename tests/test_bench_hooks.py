@@ -3,8 +3,10 @@
 perfbench/spans.py wraps fednsim functions at the module attributes their
 callers look up.  These tests load it read-only and check that every hooked
 attribute exists, that install() and uninstall() round-trip, and that a
-traced run still counts what the benchmark reports, also when a round's
-lockstep groups train, and are scored, on worker threads.
+traced run still counts what the benchmark reports.  The tracer records in
+the calling process alone, so its exact counts are pinned on a run of one
+worker; on a run whose sessions also train on a helper process, tracing
+must still change no output byte.
 """
 
 import importlib.util
@@ -53,10 +55,12 @@ def test_install_uninstall_round_trip(spans):
     assert all(getattr(m, a) is o for (m, a), o in zip(_hooks(spans), originals))
 
 
-def test_traced_run_counts_and_changes_nothing(spans):
-    # 3 of 4 clients a round, fedntd, 3 rounds all logged: round 1 scores w_out,
-    # w_in and 3 locals; rounds 2 and 3 take w_in's accuracy from the previous log
+def test_traced_run_counts_and_changes_nothing(spans, monkeypatch):
+    # 3 of 4 clients a round, fedntd, 3 rounds all logged, on the calling
+    # process alone: round 1 scores w_out, w_in and 3 locals; rounds 2 and 3
+    # take w_in's accuracy from the previous log
     fed, mlp, dataset, partition, testset = tiny_setup(method="fedntd", sampling_ratio=0.75)
+    set_workers(monkeypatch, 1)
     plain = federation.run_federation(fed, mlp, dataset, partition, testset)
     recorder = spans.Recorder()
     recorder.install()
@@ -68,14 +72,15 @@ def test_traced_run_counts_and_changes_nothing(spans):
     layers = recorder.layer_metrics(len(traced.logs), 1)
     assert fed.rounds == 3 and fed.eval_stride == 1
     assert layers["metrics.forwards_per_eval_round"] == (2 + 3 + 2 * (1 + 3)) / 3
-    assert layers["federation.local_train.calls"] >= fed.rounds
+    assert layers["federation.local_train.calls"] == fed.rounds  # one group a round
     # teacher forwards are told apart by local_train's argument 0
     assert layers["model.forward.teacher.calls"] == layers["model.forward.local.calls"] > 0
     assert np.isfinite(layers["federation.straggler_ratio"])
 
 
-def test_traced_multi_group_run_on_worker_threads(spans, monkeypatch):
-    # fedntd on dirichlet clients: every round trains 2 or 3 groups on 2 threads
+def test_traced_run_on_worker_processes_changes_nothing(spans, monkeypatch):
+    # fedntd on dirichlet clients: every round trains 2 or 3 groups on 2
+    # processes, and the helper's spans stay in the helper
     cfg, train, test, partition, mlp = pool_setup("fedntd")
     fed = cfg.federation_config()
     set_workers(monkeypatch, 2)
@@ -88,20 +93,11 @@ def test_traced_multi_group_run_on_worker_threads(spans, monkeypatch):
     finally:
         recorder.uninstall()
     assert traced.final_params.tobytes() == plain.final_params.tobytes()
+    assert all(a.class_acc.tobytes() == b.class_acc.tobytes()
+               for a, b in zip(traced.logs, plain.logs))
     layers = recorder.layer_metrics(len(traced.logs), 1)
-    rounds = round_groups(cfg, partition)
-    groups = sum(map(len, rounds))
-    clients = sum(len(group) for groups_t in rounds for group in groups_t)
-    assert groups > cfg.rounds and fed.eval_stride == 1
-    assert layers["federation.local_train.calls"] == groups
-    # every round is logged: each worker scores the updates it trained, and the
-    # calling thread (the one that aggregates) also scores w_out, and w_in once
-    trainers = [st for st in recorder._states if st.stats["federation.local_train"][0]]
-    assert len(trainers) == 1 + cfg.rounds  # the calling thread and each round's helper
-    assert all(st.stats["model.forward.eval"][0] >= st.stats["federation.local_train"][0]
-               for st in trainers)
-    assert layers["model.forward.eval.calls"] == clients + cfg.rounds + 1
-    # each worker thread tells its teacher forwards apart by its own local_train argument
+    # the calling process trained at least one session a round, the helper the others
+    sessions = sum(map(len, round_groups(cfg, partition)))
+    assert cfg.rounds <= layers["federation.local_train.calls"] <= sessions - cfg.rounds
     assert layers["model.forward.teacher.calls"] == layers["model.forward.local.calls"] > 0
-    assert layers["model.forward.teacher.rows"] == layers["model.forward.local.rows"]
     assert layers["model.backward.calls"] == layers["model.forward.local.calls"]

@@ -1,6 +1,8 @@
 """Tests for the command-line interface: subcommands, exit codes, determinism."""
 
 import json
+import multiprocessing
+import os
 import re
 import warnings
 from dataclasses import fields
@@ -8,6 +10,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from fednsim import federation
 from fednsim.cli import main
 from fednsim.config import ExperimentConfig
 from fednsim.model import load_params
@@ -109,6 +112,23 @@ class TestRunCommand:
 
     def test_missing_config_exit_1(self, tmp_path):
         assert run_cli("run", tmp_path / "missing.cfg") == 1
+
+    def test_dead_helper_process_exit_1(self, tiny_config, tmp_path, monkeypatch, capsys):
+        # a helper process that dies mid-round is an error naming the round, not
+        # an internal error, and leaves no process behind
+        monkeypatch.setattr(federation, "_workers", lambda sessions: min(sessions, 2))
+        real, parent = federation.local_train, os.getpid()
+
+        def dying(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(federation, "local_train", dying)
+        assert run_cli("run", tiny_config, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: training process \d+ exited with code 1 in round 1\n", err)
+        assert multiprocessing.active_children() == []
 
     def test_divergence_exit_2(self, tmp_path, capsys):
         import numpy as np

@@ -1,10 +1,15 @@
 """Tests for client sampling, local training, aggregation, and the round loop."""
 
 import dataclasses
+import hashlib
+import json
 import mmap
+import multiprocessing
 import os
-import sys
+import pickle
+import signal
 import threading
+import time
 from collections import Counter
 
 import numpy as np
@@ -100,39 +105,87 @@ def round_groups(cfg, partition) -> list[list[list[int]]]:
 
 
 def set_workers(monkeypatch, n):
-    """Caps the threads a round's groups train on at n (1: on the calling thread)."""
-    monkeypatch.setattr(federation, "_workers", lambda groups: min(groups, n))
+    """Caps the processes a run trains on at n (1: the calling process alone)."""
+    monkeypatch.setattr(federation, "_workers", lambda sessions: min(sessions, n))
 
 
-def record_threads(monkeypatch) -> list[tuple[threading.Thread, bool]]:
-    """Wraps federation.local_train; the list gets (thread, mapped) of every call."""
-    threads = []
+def blas_count() -> int:
+    return federation._blas_threads()[0]()
+
+
+@pytest.fixture
+def blas_two():
+    """Sets numpy's BLAS to two threads for the test, so that a pool's pin to
+    one shows; the test may check that the count is 2 again after a run."""
+    get, put = federation._blas_threads()
+    saved = get()
+    put(2)
+    yield
+    put(saved)
+
+
+class CallLog:
+    """Records appended by any process of a run, one JSON line each.
+
+    A line goes to an O_APPEND file in one write, so the lines of processes
+    writing at once do not mix."""
+
+    def __init__(self, path):
+        self.path = path
+        path.write_text("")
+
+    def add(self, **record):
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
+        try:
+            os.write(fd, (json.dumps(record) + "\n").encode())
+        finally:
+            os.close(fd)
+
+    def read(self) -> list[dict]:
+        return [json.loads(line) for line in self.path.read_text().splitlines()]
+
+    def clear(self):
+        self.path.write_text("")
+
+
+def record_sessions(monkeypatch, log: CallLog):
+    """Wraps federation.local_train; `log` gets the process, round, client ids,
+    whether rows of the shared block were given (`out`) and the BLAS thread
+    count of every call."""
     real = federation.local_train
 
-    def recorded(*args, **kwargs):
-        threads.append((threading.current_thread(), kwargs.get("mapped", False)))
-        return real(*args, **kwargs)
+    def recorded(w, clients, dataset, fed, mlp, round_t, **kwargs):
+        log.add(pid=os.getpid(), round=round_t, ids=[c.client_id for c in clients],
+                out=kwargs.get("out") is not None, blas=blas_count())
+        return real(w, clients, dataset, fed, mlp, round_t, **kwargs)
 
     monkeypatch.setattr(federation, "local_train", recorded)
-    return threads
+
+
+def session_count(groups: list[list[int]], workers: int) -> int:
+    """Sessions a round of these groups trains as: while there are fewer than
+    workers, the largest group of two or more clients is split in half."""
+    return max(len(groups), min(workers, sum(map(len, groups))))
 
 
 def spread_sessions(monkeypatch, cfg, partition, workers):
     """Wraps federation.local_train so that every worker of a round trains one of its sessions.
 
-    The first min(groups, workers) sessions of each round wait for each other
-    before they train; a worker held in one cannot take another, so they run
-    on as many workers."""
-    barriers = {t: threading.Barrier(min(len(groups), workers), timeout=60)
-                for t, groups in enumerate(round_groups(cfg, partition), 1)}
-    started = Counter()
-    lock = threading.Lock()
+    The first min(clients, workers) sessions of each round wait for each
+    other before they train; a worker held in one cannot take another, so
+    they run on as many workers.  The barriers and counters are made here,
+    before the run forks its helpers, so that every process shares them."""
+    ctx = multiprocessing.get_context("fork")
+    parties = {t: min(sum(map(len, groups)), workers)
+               for t, groups in enumerate(round_groups(cfg, partition), 1)}
+    barriers = {t: ctx.Barrier(n, timeout=60) for t, n in parties.items()}
+    started = {t: ctx.Value("i", 0) for t in parties}
     real = federation.local_train
 
     def spread(w, clients, dataset, fed, mlp, round_t, **kwargs):
-        with lock:
-            started[round_t] += 1
-            waits = started[round_t] <= barriers[round_t].parties
+        with started[round_t].get_lock():
+            started[round_t].value += 1
+            waits = started[round_t].value <= parties[round_t]
         if waits:
             barriers[round_t].wait()
         return real(w, clients, dataset, fed, mlp, round_t, **kwargs)
@@ -140,31 +193,47 @@ def spread_sessions(monkeypatch, cfg, partition, workers):
     monkeypatch.setattr(federation, "local_train", spread)
 
 
-def record_scoring(monkeypatch):
-    """Wraps federation.local_train and federation.predict.
+def digest(params) -> str:
+    return hashlib.sha256(params.tobytes()).hexdigest()
 
-    Returns (trained, forwards): `trained` maps id(params) of every update to
-    (params, thread that trained it, client id), holding params so that no
-    id is reused; `forwards` gets (round of the latest session, thread,
-    params) of every test-set forward."""
-    trained, forwards = {}, []
-    latest_round = [0]
+
+def record_scoring(monkeypatch, log: CallLog):
+    """Wraps federation.local_train, federation.predict, federation._run_task
+    and federation._evaluate_round.
+
+    `log` gets a record of every trained update, {"pid", "round", "cid",
+    "params": digest}, and of every test-set forward, {"pid", "round",
+    "params", "evaluate": whether `_evaluate_round` made it}."""
+    current = {"round": 0, "evaluate": False}  # of this process
     real_train, real_predict = federation.local_train, federation.predict
+    real_task, real_evaluate = federation._run_task, federation._evaluate_round
 
     def train(w, clients, dataset, fed, mlp, round_t, **kwargs):
-        latest_round[0] = round_t
         updates = real_train(w, clients, dataset, fed, mlp, round_t, **kwargs)
         for u in updates:
-            trained[id(u.params)] = (u.params, threading.current_thread(), u.client_id)
+            log.add(pid=os.getpid(), round=round_t, cid=u.client_id, params=digest(u.params))
         return updates
 
     def predict(mlp, params, testset, out=None):
-        forwards.append((latest_round[0], threading.current_thread(), params))
+        log.add(pid=os.getpid(), round=current["round"], params=digest(params),
+                evaluate=current["evaluate"])
         return real_predict(mlp, params, testset, out=out)
+
+    def task(task, **kwargs):
+        current["round"] = task.round_t
+        return real_task(task, **kwargs)
+
+    def evaluate(t, *args):
+        current.update(round=t, evaluate=True)
+        try:
+            return real_evaluate(t, *args)
+        finally:
+            current["evaluate"] = False
 
     monkeypatch.setattr(federation, "local_train", train)
     monkeypatch.setattr(federation, "predict", predict)
-    return trained, forwards
+    monkeypatch.setattr(federation, "_run_task", task)
+    monkeypatch.setattr(federation, "_evaluate_round", evaluate)
 
 
 class TestSampleClients:
@@ -191,20 +260,23 @@ class TestSampleClients:
 
 
 class TestLocalTrain:
-    def test_mapped_session_same_bits(self):
+    def test_out_rows_same_bits(self):
+        # a session given rows of a larger shared block trains in them, with
+        # the bits of a session that allocates its own
         fed, mlp, dataset, partition, _ = tiny_setup(method="fedprox")
         w0 = init_params(mlp, 1)
         plain = local_train(w0, partition[:3], dataset, fed, mlp, 2)
-        mapped = local_train(w0, partition[:3], dataset, fed, mlp, 2, mapped=True)
-        assert [u.params.tobytes() for u in plain] == [u.params.tobytes() for u in mapped]
-        assert [u.mean_loss for u in plain] == [u.mean_loss for u in mapped]
-        owners = []
-        for update in (plain[0], mapped[0]):
-            base = update.params
-            while isinstance(base, np.ndarray):
-                base = base.base
-            owners.append(type(base.obj if isinstance(base, memoryview) else base))
-        assert owners == [type(None), mmap.mmap]
+        block = np.frombuffer(mmap.mmap(-1, 8 * 5 * w0.size), dtype=np.float64).reshape(5, -1)
+        block[0] = w0
+        rows = block[2:5]
+        placed = local_train(block[0], partition[:3], dataset, fed, mlp, 2, out=rows)
+        assert [u.params.tobytes() for u in plain] == [u.params.tobytes() for u in placed]
+        assert [u.mean_loss for u in plain] == [u.mean_loss for u in placed]
+        assert all(np.shares_memory(u.params, rows[k]) for k, u in enumerate(placed))
+        assert rows.tobytes() == b"".join(u.params.tobytes() for u in plain)
+        assert block[0].tobytes() == w0.tobytes() and not block[1].any()
+        with pytest.raises(ValueError, match="out has shape"):
+            local_train(w0, partition[:3], dataset, fed, mlp, 2, out=block[1:3])
 
     def test_zero_lr_keeps_params(self):
         fed, mlp, dataset, partition, _ = tiny_setup(lr0=0.0)
@@ -550,6 +622,13 @@ def diverges(w0, client, dataset, fed, mlp) -> bool:
     return False
 
 
+def test_divergence_error_survives_pickle():
+    err = pickle.loads(pickle.dumps(DivergenceError(5, 3, "loss and parameters")))
+    assert type(err) is DivergenceError
+    assert (err.round_t, err.client_id, err.nonfinite) == (5, 3, "loss and parameters")
+    assert str(err) == "non-finite loss and parameters at round 5, client 3"
+
+
 class TestDivergenceNamesLowestClient:
     def test_lockstep_names_lowest_id_not_first_in_step_order(self):
         dataset, mlp, fed = diverging_setup()
@@ -600,31 +679,53 @@ class TestFederationConfigValidation:
 
 
 class TestGroupPool:
-    """Rounds of two or more lockstep groups train them on a thread pool."""
+    """A run trains its rounds on the calling process and forked helper processes."""
 
     def test_worker_count(self):
         cpus = len(os.sched_getaffinity(0))
         assert federation._workers(1) == 1
         assert federation._workers(10**6) == cpus
 
+    def test_one_worker_without_fork_blas_control_or_a_single_thread(self, monkeypatch):
+        monkeypatch.setattr(federation, "_blas_threads", lambda: None)
+        assert federation._workers(10**6) == 1
+        monkeypatch.undo()
+        monkeypatch.delattr(os, "fork")
+        assert federation._workers(10**6) == 1
+        monkeypatch.undo()
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60,))
+        other.start()
+        try:
+            assert federation._workers(10**6) == 1
+        finally:
+            release.set()
+            other.join(60)
+        assert not other.is_alive()
+        assert federation._workers(10**6) == len(os.sched_getaffinity(0))
+
     @pytest.mark.parametrize("method", ["fedprox", "fedntd"])
-    def test_outputs_identical_at_1_2_3_workers(self, method, monkeypatch, tmp_path):
+    def test_outputs_identical_at_1_2_3_workers(self, method, monkeypatch, tmp_path, blas_two):
         cfg, train, test, partition, mlp = pool_setup(method)
         rounds = round_groups(cfg, partition)
         assert min(map(len, rounds)) >= 2 and max(map(len, rounds)) == 3
         assert all(max(map(len, groups)) >= 2 for groups in rounds)
-        threads = record_threads(monkeypatch)
-        before = set(threading.enumerate())
+        log = CallLog(tmp_path / "sessions")
+        record_sessions(monkeypatch, log)
         outputs = []
         for n in (1, 2, 3):
             set_workers(monkeypatch, n)
-            threads.clear()
+            log.clear()
             result = run_federation(cfg.federation_config(), mlp, train, partition, test)
-            assert set(threading.enumerate()) == before  # the pool is joined
-            assert len(threads) == sum(map(len, rounds))  # one call per group
-            # sessions run in mapped memory iff the round has two or more workers
-            assert all(mapped == (n >= 2) for _, mapped in threads)
-            assert n >= 2 or all(t is threading.main_thread() for t, _ in threads)
+            assert multiprocessing.active_children() == []  # the pool is ended
+            assert blas_count() == 2  # and the calling process's BLAS count restored
+            calls = log.read()
+            # one call per session, every one training into rows of the shared block
+            # with BLAS on one thread; at 3 workers two-group rounds split a group
+            assert len(calls) == sum(session_count(groups, n) for groups in rounds)
+            assert all(call["out"] for call in calls)
+            assert all(call["blas"] == (2 if n == 1 else 1) for call in calls)
+            assert n >= 2 or {call["pid"] for call in calls} == {os.getpid()}
             out = tmp_path / str(n)
             out.mkdir()
             write_round_csv(result.logs, out / "rounds.csv", mlp.num_classes)
@@ -634,9 +735,53 @@ class TestGroupPool:
                             result.final_params.tobytes()))
         assert outputs[0] == outputs[1] == outputs[2]
 
-    def test_divergence_in_concurrent_groups_names_lowest_id(self, monkeypatch):
+    def test_single_group_splits_over_the_workers(self, monkeypatch, tmp_path):
+        # 3 equal clients a round form one lockstep group, which two workers
+        # train as 2 + 1 clients, one session each, with the bits of one worker
+        fed, mlp, dataset, partition, testset = tiny_setup(method="fedntd", sampling_ratio=0.75)
+        assert len({len(c) for c in partition}) == 1
+        set_workers(monkeypatch, 1)
+        alone = run_federation(fed, mlp, dataset, partition, testset)
+        set_workers(monkeypatch, 2)
+        barriers = [multiprocessing.get_context("fork").Barrier(2, timeout=60)
+                    for _ in range(fed.rounds)]
+        real = federation.local_train
+
+        def together(w, clients, dataset, fed, mlp, round_t, **kwargs):
+            barriers[round_t - 1].wait()
+            return real(w, clients, dataset, fed, mlp, round_t, **kwargs)
+
+        monkeypatch.setattr(federation, "local_train", together)
+        log = CallLog(tmp_path / "sessions")
+        record_sessions(monkeypatch, log)
+        split = run_federation(fed, mlp, dataset, partition, testset)
+        calls = log.read()
+        assert [sorted(map(len, (c["ids"] for c in calls if c["round"] == t)))
+                for t in range(1, fed.rounds + 1)] == [[1, 2]] * fed.rounds
+        assert all({c["pid"] for c in calls if c["round"] == t} != {os.getpid()}
+                   for t in range(1, fed.rounds + 1))
+        assert split.final_params.tobytes() == alone.final_params.tobytes()
+        assert all(logs_bit_identical(a, b) for a, b in zip(split.logs, alone.logs))
+
+    def test_one_worker_starts_no_process(self, monkeypatch, tmp_path):
+        fed, mlp, dataset, partition, testset = tiny_setup(method="fedntd", sampling_ratio=0.75)
+
+        def no_start(process):
+            raise AssertionError(f"process {process.name} started")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_start)
+        set_workers(monkeypatch, 1)
+        log = CallLog(tmp_path / "sessions")
+        record_sessions(monkeypatch, log)
+        run_federation(fed, mlp, dataset, partition, testset)
+        calls = log.read()
+        assert [c["round"] for c in calls] == list(range(1, fed.rounds + 1))  # one group a round
+        assert all(c["pid"] == os.getpid() and c["out"] for c in calls)
+
+    def test_divergence_in_concurrent_groups_names_lowest_id(self, monkeypatch, blas_two):
         # the round of test_round_names_lowest_id_across_size_groups, with both
-        # groups in flight at once: each waits for the other before it trains
+        # groups in flight at once, one on each process: each waits for the
+        # other before it trains, and the helper's DivergenceError comes back pickled
         dataset, mlp, fed = diverging_setup()
         partition = [
             ClientData(0, np.arange(12)),
@@ -645,7 +790,7 @@ class TestGroupPool:
         ]
         testset = synth_dataset(3, 4, 4, 3.0, seed=0, split=1)
         set_workers(monkeypatch, 2)
-        barrier = threading.Barrier(2, timeout=60)
+        barrier = multiprocessing.get_context("fork").Barrier(2, timeout=60)
         real = federation.local_train
 
         def together(*args, **kwargs):
@@ -656,97 +801,128 @@ class TestGroupPool:
         with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
             run_federation(fed(1), mlp, dataset, partition, testset)
         assert (err.value.round_t, err.value.client_id) == (1, 1)
+        assert multiprocessing.active_children() == [] and blas_count() == 2
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_worker_exception_reaches_caller(self, workers, monkeypatch):
+    def test_worker_exception_reaches_caller(self, workers, monkeypatch, tmp_path, blas_two):
         # round 1 has three groups: the first diverges, the second and third
         # fail; the second's failure is raised, as a loop over the groups in
-        # order meets it, and no helper thread is left running.  The failures
-        # may happen on the calling thread, which is one of the workers.
+        # order meets it, and no helper process is left running.  The failures
+        # may happen on the calling process, which is one of the workers.
         cfg, train, test, partition, mlp = pool_setup("fedprox")
         first, second, third = (group[0] for group in round_groups(cfg, partition)[0])
         set_workers(monkeypatch, workers)
         real = federation.local_train
-        failed_on = []
+        failed_on = CallLog(tmp_path / "failed")
 
         def failing(w, clients, *rest, **kwargs):
             cid = clients[0].client_id
             if cid == first:
                 raise DivergenceError(1, cid, "loss")
             if cid in (second, third):
-                failed_on.append(threading.current_thread())
+                failed_on.add(pid=os.getpid())
                 raise (OSError if cid == second else KeyError)(f"injected at {cid}")
             return real(w, clients, *rest, **kwargs)
 
         monkeypatch.setattr(federation, "local_train", failing)
-        before = set(threading.enumerate())
         with pytest.raises(OSError, match=f"injected at {second}"):
             run_federation(cfg.federation_config(), mlp, train, partition, test)
-        assert set(threading.enumerate()) == before
-        assert failed_on and (workers > 1 or all(t is threading.main_thread() for t in failed_on))
+        assert multiprocessing.active_children() == [] and blas_count() == 2
+        pids = {record["pid"] for record in failed_on.read()}
+        assert pids and (workers > 1 or pids == {os.getpid()})
 
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_updates_scored_on_the_thread_that_trained_them(self, workers, monkeypatch):
+    def test_updates_scored_on_the_process_that_trained_them(self, workers, monkeypatch,
+                                                             tmp_path):
         cfg, train, test, partition, mlp = pool_setup("fedntd")
         set_workers(monkeypatch, workers)
         spread_sessions(monkeypatch, cfg, partition, workers)
-        trained, forwards = record_scoring(monkeypatch)
+        log = CallLog(tmp_path / "calls")
+        record_scoring(monkeypatch, log)
         run_federation(cfg.federation_config(), mlp, train, partition, test)
-        # every round is logged: each update gets one forward, on its trainer's thread
-        scored = [(thread, trained[id(params)][1]) for _, thread, params in forwards
-                  if id(params) in trained]
+        records = log.read()
+        trained = {(r["round"], r["params"]): r["pid"] for r in records if "cid" in r}
+        # every round is logged: each update gets one forward, on its trainer's process
+        scored = [(r["pid"], trained[r["round"], r["params"]]) for r in records
+                  if "evaluate" in r and (r["round"], r["params"]) in trained]
         clients = sum(len(group) for groups in round_groups(cfg, partition) for group in groups)
         assert len(scored) == len(trained) == clients
-        assert all(thread is trainer for thread, trainer in scored)
-        trainers = {trainer for _, trainer, _ in trained.values()}
-        assert threading.main_thread() in trainers and len(trainers) >= 2
+        assert all(pid == trainer for pid, trainer in scored)
+        trainers = set(trained.values())
+        assert os.getpid() in trainers and len(trainers) >= 2
 
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("stride", [1, 2])
-    def test_eval_forwards_per_logged_round(self, stride, monkeypatch):
-        # 2 + K forwards when the previous round was not logged, else 1 + K
+    def test_eval_forwards_per_logged_round(self, stride, workers, monkeypatch, tmp_path):
+        # 2 + K forwards when the previous round was not logged, else 1 + K;
+        # w_in's is made during the round, so _evaluate_round, on the calling
+        # process, makes one: w_out's
         cfg, train, test, partition, mlp = pool_setup("fedprox")
-        set_workers(monkeypatch, 2)
-        _, forwards = record_scoring(monkeypatch)
+        set_workers(monkeypatch, workers)
+        log = CallLog(tmp_path / "calls")
+        record_scoring(monkeypatch, log)
         fed = dataclasses.replace(cfg.federation_config(), eval_stride=stride)
         run_federation(fed, mlp, train, partition, test)
         sampled = [sum(map(len, groups)) for groups in round_groups(cfg, partition)]
         logged = [t for t in range(1, fed.rounds + 1) if t % stride == 0]
         expected = {t: (1 if t - 1 in logged else 2) + sampled[t - 1] for t in logged}
-        assert Counter(t for t, _, _ in forwards) == expected
+        forwards = [r for r in log.read() if "evaluate" in r]
+        assert Counter(r["round"] for r in forwards) == expected
+        assert Counter(r["round"] for r in forwards if r["evaluate"]) == dict.fromkeys(logged, 1)
+        assert all(r["pid"] == os.getpid() for r in forwards if r["evaluate"])
 
-    def test_keyboard_interrupt_on_calling_thread(self, monkeypatch):
-        # round 1 has three groups on two workers; the calling thread's session is
-        # interrupted while the helper holds the other, so the third never starts
+    def test_keyboard_interrupt_in_calling_process(self, monkeypatch, tmp_path, blas_two):
+        # round 1 has three groups on two workers; the calling process's session
+        # is interrupted while the helper holds the other, so the third never
+        # starts, and the helper is terminated rather than waited for
         cfg, train, test, partition, mlp = pool_setup("fedprox")
         assert len(round_groups(cfg, partition)[0]) == 3
         set_workers(monkeypatch, 2)
-        joining = threading.Event()
-        real_join = threading.Thread.join
-
-        def join(thread, *args, **kwargs):
-            joining.set()
-            return real_join(thread, *args, **kwargs)
-
-        monkeypatch.setattr(threading.Thread, "join", join)
-        real = federation.local_train
-        sessions = []
+        ctx = multiprocessing.get_context("fork")
+        both, never = ctx.Barrier(2, timeout=60), ctx.Event()
+        sessions = CallLog(tmp_path / "sessions")
 
         def interrupted(*args, **kwargs):
-            sessions.append(threading.current_thread())
-            if threading.current_thread() is threading.main_thread():
+            sessions.add(pid=os.getpid())
+            both.wait()
+            if os.getpid() == parent:
                 raise KeyboardInterrupt
-            joining.wait(60)  # the helper holds its session until the caller joins it
-            return real(*args, **kwargs)
+            never.wait(60)
 
+        parent = os.getpid()
         monkeypatch.setattr(federation, "local_train", interrupted)
-        before = set(threading.enumerate())
+        start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             run_federation(cfg.federation_config(), mlp, train, partition, test)
-        assert joining.is_set() and set(threading.enumerate()) == before
-        assert len(sessions) == 2 and threading.main_thread() in sessions
+        assert time.monotonic() - start < 30
+        assert multiprocessing.active_children() == [] and blas_count() == 2
+        pids = [record["pid"] for record in sessions.read()]
+        assert len(pids) == 2 and parent in pids
+
+    def test_helpers_ignore_sigint(self, monkeypatch, tmp_path):
+        # a SIGINT sent to a helper mid-session changes nothing
+        fed, mlp, dataset, partition, testset = tiny_setup(method="fedavg", sampling_ratio=0.75)
+        set_workers(monkeypatch, 1)
+        alone = run_federation(fed, mlp, dataset, partition, testset)
+        set_workers(monkeypatch, 2)
+        real = federation.local_train
+        parent = os.getpid()
+
+        def poked(*args, **kwargs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGINT)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(federation, "local_train", poked)
+        try:
+            poked_run = run_federation(fed, mlp, dataset, partition, testset)
+        except KeyboardInterrupt:
+            pytest.fail("a helper's SIGINT interrupted the run")
+        assert poked_run.final_params.tobytes() == alone.final_params.tobytes()
 
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_helper_scoring_failure_reaches_caller_in_group_order(self, workers, monkeypatch):
+    def test_helper_scoring_failure_reaches_caller_in_group_order(self, workers, monkeypatch,
+                                                                  tmp_path):
         # every update a helper scores in round 1 fails, naming its group; the
         # failure of the first such group in group order is raised
         cfg, train, test, partition, mlp = pool_setup("fedntd")
@@ -754,28 +930,35 @@ class TestGroupPool:
                     for cid in group}
         set_workers(monkeypatch, workers)
         spread_sessions(monkeypatch, cfg, partition, workers)
-        trained, _ = record_scoring(monkeypatch)
-        recorded_predict = federation.predict
-        failed = []
+        trained = {}  # id(params) -> client id, of the updates this process trained
+        real_train, real_predict = federation.local_train, federation.predict
+        parent = os.getpid()
+        failed = CallLog(tmp_path / "failed")
+
+        def remembered(*args, **kwargs):
+            updates = real_train(*args, **kwargs)
+            trained.update((id(u.params), u.client_id) for u in updates)
+            return updates
 
         def failing(mlp, params, testset, out=None):
-            owner = trained.get(id(params))
-            if owner and owner[1] is not threading.main_thread():
-                failed.append(group_of[owner[2]])
-                raise OSError(f"injected in group {group_of[owner[2]]}")
-            return recorded_predict(mlp, params, testset, out=out)
+            if os.getpid() != parent and id(params) in trained:
+                group = group_of[trained[id(params)]]
+                failed.add(group=group)
+                raise OSError(f"injected in group {group}")
+            return real_predict(mlp, params, testset, out=out)
 
+        monkeypatch.setattr(federation, "local_train", remembered)
         monkeypatch.setattr(federation, "predict", failing)
-        before = set(threading.enumerate())
         with pytest.raises(OSError) as err:
             run_federation(cfg.federation_config(), mlp, train, partition, test)
-        assert failed and str(err.value) == f"injected in group {min(failed)}"
-        assert set(threading.enumerate()) == before
+        groups = [record["group"] for record in failed.read()]
+        assert groups and str(err.value) == f"injected in group {min(groups)}"
+        assert multiprocessing.active_children() == []
 
-    def test_many_groups_on_more_workers_than_cores(self, monkeypatch):
-        # every client in its own group, six workers on fewer cores, and a
-        # switch interval that interleaves the workers at nearly every bytecode:
-        # each group is still handed out once, and the bits stay the same
+    def test_many_groups_on_more_workers_than_cores(self, monkeypatch, tmp_path):
+        # every client in its own group and six workers on fewer cores, all
+        # taking sessions from one shared counter: each group is still handed
+        # out once, and the bits stay the same
         text = (POOL_CONFIG.replace("dirichlet_alpha = 20.0", "dirichlet_alpha = 0.5")
                 .replace("sampling_ratio = 0.5", "sampling_ratio = 1.0") + "method = fedprox\n")
         cfg = parse_config_text(text, "stress")
@@ -790,36 +973,97 @@ class TestGroupPool:
         set_workers(monkeypatch, 1)
         alone = run_federation(cfg.federation_config(), mlp, train, partition, test)
         set_workers(monkeypatch, 6)
-        trained = Counter()
-        real = federation.local_train
-
-        def counted(w, clients, dataset, fed, mlp, round_t, **kwargs):
-            trained.update((round_t, c.client_id) for c in clients)
-            return real(w, clients, dataset, fed, mlp, round_t, **kwargs)
-
-        monkeypatch.setattr(federation, "local_train", counted)
-        before = set(threading.enumerate())
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            stressed = run_federation(cfg.federation_config(), mlp, train, partition, test)
-        finally:
-            sys.setswitchinterval(interval)
-        assert set(threading.enumerate()) == before
-        assert trained == Counter((t, cid) for t, groups in enumerate(rounds, 1)
-                                  for group in groups for cid in group)
+        log = CallLog(tmp_path / "sessions")
+        record_sessions(monkeypatch, log)
+        stressed = run_federation(cfg.federation_config(), mlp, train, partition, test)
+        assert multiprocessing.active_children() == []
+        calls = log.read()
+        assert Counter((c["round"], cid) for c in calls for cid in c["ids"]) == Counter(
+            (t, cid) for t, groups in enumerate(rounds, 1) for group in groups for cid in group)
+        assert len({c["pid"] for c in calls}) >= 2
         assert stressed.final_params.tobytes() == alone.final_params.tobytes()
         assert all(logs_bit_identical(a, b) for a, b in zip(stressed.logs, alone.logs))
 
-    def test_single_group_round_starts_no_thread(self, monkeypatch):
-        fed, mlp, dataset, partition, testset = tiny_setup(method="fedntd", sampling_ratio=0.75)
-        assert len({len(c) for c in partition}) == 1  # equal shards: one group a round
 
-        def no_start(thread):
-            raise AssertionError(f"thread {thread.name} started")
+class TestPoolCleanup:
+    """However a pooled run ends, it leaves no process behind and gives the
+    calling process its BLAS thread count back."""
 
-        monkeypatch.setattr(threading.Thread, "start", no_start)
-        threads = record_threads(monkeypatch)
-        run_federation(fed, mlp, dataset, partition, testset)
-        assert len(threads) == fed.rounds
-        assert all(t is threading.main_thread() and not mapped for t, mapped in threads)
+    @pytest.mark.parametrize("ending", ["normal", "divergence", "oserror"])
+    def test_run_ends_clean(self, ending, monkeypatch, tmp_path, blas_two):
+        # with both processes training in round 1, every session fails: a
+        # DivergenceError names its session's lowest id, an OSError names it
+        # too, and the lowest id wins either way, from whichever process
+        cfg, train, test, partition, mlp = pool_setup("fedprox")
+        lowest = min(min(group) for group in round_groups(cfg, partition)[0])
+        set_workers(monkeypatch, 2)
+        raised = CallLog(tmp_path / "raised")
+        real = federation.local_train
+        before = set(threading.enumerate())
+
+        def failing(w, clients, *rest, **kwargs):
+            cid = clients[0].client_id
+            if ending != "normal":
+                raised.add(pid=os.getpid(), cid=cid)
+                if ending == "divergence":
+                    raise DivergenceError(rest[-1], cid, "parameters")
+                raise OSError(f"injected at {cid}")
+            return real(w, clients, *rest, **kwargs)
+
+        monkeypatch.setattr(federation, "local_train", failing)
+        spread_sessions(monkeypatch, cfg, partition, 2)  # sessions wait before they fail
+        if ending == "normal":
+            run_federation(cfg.federation_config(), mlp, train, partition, test)
+        elif ending == "divergence":
+            with pytest.raises(DivergenceError) as err:
+                run_federation(cfg.federation_config(), mlp, train, partition, test)
+            assert (err.value.round_t, err.value.client_id, err.value.nonfinite) == (
+                1, lowest, "parameters")
+        else:
+            with pytest.raises(OSError, match=f"injected at {lowest}$"):
+                run_federation(cfg.federation_config(), mlp, train, partition, test)
+        assert multiprocessing.active_children() == [] and blas_count() == 2
+        assert set(threading.enumerate()) == before
+        if ending != "normal":
+            assert len({record["pid"] for record in raised.read()}) == 2
+
+    def test_helper_death_is_a_clean_error(self, monkeypatch, blas_two):
+        cfg, train, test, partition, mlp = pool_setup("fedprox")
+        set_workers(monkeypatch, 2)
+        real = federation.local_train
+        parent = os.getpid()
+
+        def dying(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(federation, "local_train", dying)
+        with pytest.raises(federation.WorkerError, match=r"exited with code 1 in round 1$"):
+            run_federation(cfg.federation_config(), mlp, train, partition, test)
+        assert multiprocessing.active_children() == [] and blas_count() == 2
+
+    def test_helper_exception_pickle_cannot_rebuild(self, monkeypatch):
+        # it comes back as a RuntimeError that names it, not as an unpickling error
+        cfg, train, test, partition, mlp = pool_setup("fedprox")
+        set_workers(monkeypatch, 2)
+        parent = os.getpid()
+        real = federation.local_train
+
+        def failing(*args, **kwargs):
+            if os.getpid() != parent:
+                raise TwoArgumentError("first", "second")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(federation, "local_train", failing)
+        spread_sessions(monkeypatch, cfg, partition, 2)
+        with pytest.raises(RuntimeError, match="^TwoArgumentError: first and second$"):
+            run_federation(cfg.federation_config(), mlp, train, partition, test)
+        assert multiprocessing.active_children() == []
+
+
+class TwoArgumentError(Exception):
+    """pickle writes it, but cannot read it back: __init__ takes two arguments."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")

@@ -18,7 +18,6 @@ whatever the number of workers.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import mmap
@@ -306,15 +305,6 @@ def _workers(clients: int) -> int:
     return min(clients, cpus)
 
 
-class _LocalCounter:
-    """The part of multiprocessing.Value that `_Pool` uses, for one process."""
-
-    value = 0
-
-    def get_lock(self):
-        return contextlib.nullcontext()
-
-
 class _Pool:
     """The calling process and `workers - 1` helper processes forked from it.
 
@@ -338,7 +328,7 @@ class _Pool:
         self.workers = workers
         self.block = block
         self._do_task = do_task
-        self._next = _LocalCounter()
+        self._next = None  # the task counter all workers share, made with the helpers
         self._helpers: list[multiprocessing.process.BaseProcess] = []
         self._conns = []
         self._blas_count = None
@@ -408,10 +398,14 @@ class _Pool:
                 self._next.value = i + 1
             if i >= len(tasks):
                 return done
-            try:
-                done[i] = self._do_task(tasks[i])
-            except caught as err:
-                done[i] = err
+            done[i] = self._attempt(tasks[i], caught)
+
+    def _attempt(self, task, caught: type[BaseException]):
+        """The task's result, or the `caught` exception it raised."""
+        try:
+            return self._do_task(task)
+        except caught as err:
+            return err
 
     def run(self, round_t: int, tasks: list) -> list:
         """Every task's outcome, in task order: its result or the Exception it raised.
@@ -422,6 +416,8 @@ class _Pool:
         terminates the helpers.  Raises WorkerError, naming the round, when
         a helper has died.
         """
+        if not self._helpers:
+            return [self._attempt(task, Exception) for task in tasks]
         self._next.value = 0
         for helper, conn in zip(self._helpers, self._conns):
             try:

@@ -75,6 +75,7 @@ def test_traced_run_counts_and_changes_nothing(spans, monkeypatch):
     assert layers["federation.local_train.calls"] == fed.rounds  # one group a round
     # teacher forwards are told apart by local_train's argument 0
     assert layers["model.forward.teacher.calls"] == layers["model.forward.local.calls"] > 0
+    assert layers["model.forward.teacher.rows"] == layers["model.forward.local.rows"]
     assert np.isfinite(layers["federation.straggler_ratio"])
 
 
@@ -99,5 +100,7 @@ def test_traced_run_on_worker_processes_changes_nothing(spans, monkeypatch):
     # the calling process trained at least one session a round, the helper the others
     sessions = sum(map(len, round_groups(cfg, partition)))
     assert cfg.rounds <= layers["federation.local_train.calls"] <= sessions - cfg.rounds
+    # the calling process tells its teacher forwards apart by its own local_train argument
     assert layers["model.forward.teacher.calls"] == layers["model.forward.local.calls"] > 0
+    assert layers["model.forward.teacher.rows"] == layers["model.forward.local.rows"]
     assert layers["model.backward.calls"] == layers["model.forward.local.calls"]

@@ -88,13 +88,12 @@ def _load_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
             f"the training images have {train.dim}"
         )
     classes = max(train.num_classes, test.num_classes)
-    missing = np.flatnonzero(np.bincount(test.labels, minlength=classes) == 0)
-    if missing.size:
-        raise ConfigError(
-            f"idx_test_labels {cfg.idx_test_labels}: no test samples for classes {missing.tolist()}"
-        )
     train = Dataset(train.features, train.labels, classes)
     test = Dataset(test.features, test.labels, classes)
+    if missing := test.missing_classes():
+        raise ConfigError(
+            f"idx_test_labels {cfg.idx_test_labels}: no test samples for classes {missing}"
+        )
     return train, test
 
 

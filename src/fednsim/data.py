@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .losses import _check_labels
 from .rng import NS_PARTITION, NS_SYNTH_MEANS, NS_SYNTH_SAMPLES, stream
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -57,8 +58,7 @@ class Dataset:
             raise ValueError("need equally many features and labels, at least one sample")
         if self.num_classes < 1:
             raise ValueError("num_classes must be >= 1")
-        if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
-            raise ValueError(f"labels out of range [0, {self.num_classes})")
+        _check_labels(self.labels, self.num_classes)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -69,6 +69,10 @@ class Dataset:
 
     def class_counts(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.num_classes)
+
+    def missing_classes(self) -> list[int]:
+        """The classes without a sample, ascending; a test set must have none."""
+        return np.flatnonzero(self.class_counts() == 0).tolist()
 
 
 @dataclass(frozen=True)
@@ -94,7 +98,7 @@ class PartitionSpec:
                 f"unknown strategy {self.strategy!r}, expected one of {PARTITION_STRATEGIES}"
             )
         if self.clients < 1:
-            raise ValueError("need at least one client")
+            raise ValueError(f"clients must be >= 1, got {self.clients}")
         if self.shards_per_client < 1:
             raise ValueError(f"shards_per_client must be >= 1, got {self.shards_per_client}")
         if not (0.0 < self.alpha < np.inf):
@@ -184,6 +188,7 @@ def shard_partition(dataset: Dataset, clients: int, shards_per_client: int, seed
     deals `shards_per_client` shards to each client.  A client can end up
     with two shards of the same class.
     """
+    PartitionSpec("sharding", clients, shards_per_client)  # checks the ranges
     n = len(dataset)
     total_shards = clients * shards_per_client
     if n % total_shards != 0:
@@ -213,8 +218,7 @@ def dirichlet_partition(dataset: Dataset, clients: int, alpha: float, seed: int)
     An alpha so large that the draw overflows (near 1e308 / clients) gives
     proportions that do not sum to 1 and raises PartitionError.
     """
-    if not (0.0 < alpha < np.inf):
-        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+    PartitionSpec("dirichlet", clients, alpha=alpha)  # checks the ranges
     assigned = [[] for _ in range(clients)]
     for c in range(dataset.num_classes):
         idx_c = np.flatnonzero(dataset.labels == c)
@@ -255,6 +259,7 @@ def _largest_remainder(proportions: np.ndarray, total: int) -> np.ndarray:
 
 def iid_partition(dataset: Dataset, clients: int, seed: int) -> list[ClientData]:
     """Random near-equal split (sizes differ by at most one)."""
+    PartitionSpec("iid", clients)  # checks the ranges
     perm = stream(seed, NS_PARTITION).permutation(len(dataset))
     chunks = np.array_split(perm, clients)
     return [ClientData(k, np.sort(chunk)) for k, chunk in enumerate(chunks)]

@@ -45,6 +45,7 @@ from .metrics import (
 )
 from .model import (
     MlpConfig,
+    _check_sgd,
     backward,
     forward,
     init_params,
@@ -101,14 +102,7 @@ class FederationConfig:
             raise ValueError(
                 f"unknown aggregation {self.aggregation!r}, expected one of {AGGREGATION_MODES}"
             )
-        if not (self.lr0 >= 0.0):
-            raise ValueError(f"lr0 must be >= 0, got {self.lr0}")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not (self.weight_decay >= 0.0):
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if not (0.0 < self.lr_decay <= 1.0):
-            raise ValueError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
+        _check_sgd(self.lr0, self.momentum, self.weight_decay, self.lr_decay, lr_name="lr0")
 
 
 @dataclass
@@ -583,9 +577,8 @@ def run_federation(
         raise ValueError("dataset feature width does not match the model input_dim")
     if dataset.num_classes != mlp.num_classes or testset.num_classes != mlp.num_classes:
         raise ValueError("dataset class count does not match the model num_classes")
-    missing = np.flatnonzero(testset.class_counts() == 0)
-    if missing.size:
-        raise ValueError(f"testset has no samples for classes {missing.tolist()}")
+    if missing := testset.missing_classes():
+        raise ValueError(f"testset has no samples for classes {missing}")
 
     clients = {c.client_id: c for c in partition}
     eligible = [c.client_id for c in partition if len(c) > 0]

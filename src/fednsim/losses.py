@@ -1,9 +1,9 @@
 """Loss functions and their logit gradients.
 
 All public single-sample functions take 1-D logit vectors and return
-(loss, grad_wrt_local_logits).  Teacher logits are always treated as
-constants: no gradient flows to them.  `batch_loss_and_grad` is the
-vectorized entry point used during local training.
+(loss, grad_wrt_local_logits) from the row terms that local training's
+`batch_loss_and_grad` runs; every entry point checks tau, mu and labels
+once.  Teacher logits are constants: no gradient flows to them.
 
 Distillation terms use KL(teacher || student).  Softmaxes subtract the
 row max before exponentiation; teacher probabilities below 1e-15
@@ -30,30 +30,36 @@ def _log_softmax(z: np.ndarray, tau: float) -> np.ndarray:
     return s - np.log(np.exp(s).sum(axis=1, keepdims=True))
 
 
+def _check_loss(tau: float = 1.0, mu: float = 0.0) -> None:
+    """The one valid range of the temperature and of the proximal weight."""
+    if not (0.0 < tau < np.inf):
+        raise ValueError(f"tau must be finite and > 0, got {tau}")
+    if not (0.0 <= mu < np.inf):
+        raise ValueError(f"mu must be finite and >= 0, got {mu}")
+
+
+def _check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """The one label range, for the loss kernels and for datasets; returns `labels`."""
+    if np.any(labels < 0) or np.any(labels >= num_classes):
+        raise ValueError(f"labels out of range [0, {num_classes})")
+    return labels
+
+
 def softmax_temp(z, tau: float):
     """Temperature softmax q(c) = exp(z_c/tau) / sum_i exp(z_i/tau)."""
-    if not (tau > 0.0):
-        raise ValueError(f"tau must be > 0, got {tau}")
+    _check_loss(tau)
     z = np.asarray(z, dtype=np.float64)
     q = np.exp(_log_softmax(_rows(z), tau))
     return q[0] if z.ndim == 1 else q
 
 
 def _ce_rows(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n, c = z.shape
-    if np.any(y < 0) or np.any(y >= c):
-        raise ValueError(f"labels out of range [0, {c})")
+    n = len(z)
     logp = _log_softmax(z, 1.0)
     loss = -logp[np.arange(n), y]
     grad = np.exp(logp)
     grad[np.arange(n), y] -= 1.0
     return loss, grad
-
-
-def ce_loss_and_grad(z, y: int) -> tuple[float, np.ndarray]:
-    """Cross-entropy against a one-hot label; grad = softmax(z) - onehot(y)."""
-    loss, grad = _ce_rows(_rows(z), np.asarray([y]))
-    return float(loss[0]), grad[0]
 
 
 def _kl_rows(z_l: np.ndarray, z_g: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
@@ -67,28 +73,10 @@ def _kl_rows(z_l: np.ndarray, z_g: np.ndarray, tau: float) -> tuple[np.ndarray, 
     return loss, grad
 
 
-def kd_loss_and_grad(z_l, z_g, tau: float) -> tuple[float, np.ndarray]:
-    """Softened-softmax KL distillation over all classes (teacher held fixed).
-
-    Returns the raw KL; any tau**2 rescaling is the caller's business.
-    """
-    if not (tau > 0.0):
-        raise ValueError(f"tau must be > 0, got {tau}")
-    z_l, z_g = _rows(z_l), _rows(z_g)
-    if z_l.shape != z_g.shape:
-        raise ValueError(f"logit shapes differ: {z_l.shape} vs {z_g.shape}")
-    loss, grad = _kl_rows(z_l, z_g, tau)
-    return float(loss[0]), grad[0]
-
-
-def _not_true_mask(n: int, c: int, y: np.ndarray) -> np.ndarray:
+def _not_true_mask(c: int, y: np.ndarray) -> np.ndarray:
     if c < 2:
         raise ValueError("need at least 2 classes to exclude the true one")
-    if np.any(y < 0) or np.any(y >= c):
-        raise ValueError(f"labels out of range [0, {c})")
-    mask = np.ones((n, c), dtype=bool)
-    mask[np.arange(n), y] = False
-    return mask
+    return np.arange(c) != y[:, None]
 
 
 def not_true_softmax(z, y: int, tau: float) -> np.ndarray:
@@ -97,11 +85,11 @@ def not_true_softmax(z, y: int, tau: float) -> np.ndarray:
     Returned vector has length C with the true-class slot set to exactly
     0.0; the remaining entries sum to 1.
     """
-    if not (tau > 0.0):
-        raise ValueError(f"tau must be > 0, got {tau}")
+    _check_loss(tau)
     z = _rows(z)
     n, c = z.shape
-    mask = _not_true_mask(n, c, np.asarray([y]))
+    y = _check_labels(np.asarray([y]), c)
+    mask = _not_true_mask(c, y)
     out = np.zeros((n, c))
     out[mask] = np.exp(_log_softmax(z[mask].reshape(n, c - 1), tau)).ravel()
     return out[0]
@@ -116,39 +104,20 @@ def _ntd_rows(
     logit never enters the expression.
     """
     n, c = z_l.shape
-    mask = _not_true_mask(n, c, y)
+    mask = _not_true_mask(c, y)
     loss, grad_nt = _kl_rows(z_l[mask].reshape(n, c - 1), z_g[mask].reshape(n, c - 1), tau)
     grad = np.zeros((n, c))
     grad[mask] = grad_nt.ravel()
     return loss, grad
 
 
-def ntd_loss_and_grad(z_l, z_g, y: int, tau: float) -> tuple[float, np.ndarray]:
-    if not (tau > 0.0):
-        raise ValueError(f"tau must be > 0, got {tau}")
-    z_l, z_g = _rows(z_l), _rows(z_g)
-    if z_l.shape != z_g.shape:
-        raise ValueError(f"logit shapes differ: {z_l.shape} vs {z_g.shape}")
-    loss, grad = _ntd_rows(z_l, z_g, np.asarray([y]), tau)
-    return float(loss[0]), grad[0]
-
-
 def _ntd_mse_rows(z_l: np.ndarray, z_g: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n, c = z_l.shape
-    mask = _not_true_mask(n, c, y)
+    mask = _not_true_mask(c, y)
     diff = np.where(mask, z_l - z_g, 0.0)
     loss = (diff * diff).sum(axis=1) / (c - 1)
     grad = 2.0 * diff / (c - 1)
     return loss, grad
-
-
-def ntd_mse_loss_and_grad(z_l, z_g, y: int) -> tuple[float, np.ndarray]:
-    """Mean squared logit mismatch over the not-true classes only."""
-    z_l, z_g = _rows(z_l), _rows(z_g)
-    if z_l.shape != z_g.shape:
-        raise ValueError(f"logit shapes differ: {z_l.shape} vs {z_g.shape}")
-    loss, grad = _ntd_mse_rows(z_l, z_g, np.asarray([y]))
-    return float(loss[0]), grad[0]
 
 
 def fedprox_penalty(w, w_g, mu: float, out: np.ndarray | None = None):
@@ -160,8 +129,7 @@ def fedprox_penalty(w, w_g, mu: float, out: np.ndarray | None = None):
     allocated.  Each row's square norm is its own dot product, as for a
     lone vector, so a row's penalty does not depend on the stack.
     """
-    if mu < 0.0:
-        raise ValueError(f"mu must be >= 0, got {mu}")
+    _check_loss(mu=mu)
     w = np.asarray(w, dtype=np.float64)
     w_g = np.asarray(w_g, dtype=np.float64)
     if w_g.ndim != 1 or w.ndim not in (1, 2) or w.shape[-1:] != w_g.shape:
@@ -180,6 +148,7 @@ def fedprox_penalty(w, w_g, mu: float, out: np.ndarray | None = None):
 # Terms are added in the order listed, and only where they count: fedntd with
 # beta = 0 is plain cross-entropy, bit for bit.  fedprox's proximal term acts
 # on parameters, not logits, so the trainer adds it (`LossConfig.proximal`).
+_CE = lambda z_l, z_g, y, tau: _ce_rows(z_l, y)
 _KL = lambda z_l, z_g, y, tau: _kl_rows(z_l, z_g, tau)
 _NTD_MSE = lambda z_l, z_g, y, tau: _ntd_mse_rows(z_l, z_g, y)
 _OBJECTIVES = {
@@ -208,10 +177,7 @@ class LossConfig:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if not (self.beta >= 0.0 and np.isfinite(self.beta)):
             raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
-        if not (self.tau > 0.0 and np.isfinite(self.tau)):
-            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
-        if not (self.mu >= 0.0 and np.isfinite(self.mu)):
-            raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
+        _check_loss(self.tau, self.mu)
         if not (0.0 <= self.interp_lambda <= 1.0):
             raise ValueError(f"interp_lambda must be in [0, 1], got {self.interp_lambda}")
 
@@ -230,7 +196,7 @@ def batch_loss_and_grad(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample losses and logit gradients for a batch under `cfg`'s row of _OBJECTIVES."""
     z_l = np.asarray(z_l, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    y = _check_labels(np.asarray(y, dtype=np.int64), z_l.shape[1])
     ce_weight, terms = _OBJECTIVES[cfg.method](cfg)
     if terms:
         if z_g is None:
@@ -251,6 +217,40 @@ def batch_loss_and_grad(
 def _one_row(cfg: LossConfig, z_l, z_g, y: int) -> tuple[float, np.ndarray]:
     loss, grad = batch_loss_and_grad(cfg, _rows(z_l), np.asarray([y]), _rows(z_g))
     return float(loss[0]), grad[0]
+
+
+def _one_sample(term, z_l, z_g, y: int, tau: float) -> tuple[float, np.ndarray]:
+    """A row term of _OBJECTIVES on one sample, after checking tau, shapes and label once."""
+    _check_loss(tau)
+    z_l, z_g = _rows(z_l), _rows(z_l if z_g is None else z_g)  # CE takes no teacher
+    if z_l.shape != z_g.shape:
+        raise ValueError(f"logit shapes differ: {z_l.shape} vs {z_g.shape}")
+    y = _check_labels(np.asarray([y]), z_l.shape[1])
+    loss, grad = term(z_l, z_g, y, tau)
+    return float(loss[0]), grad[0]
+
+
+def ce_loss_and_grad(z, y: int) -> tuple[float, np.ndarray]:
+    """Cross-entropy against a one-hot label; grad = softmax(z) - onehot(y)."""
+    return _one_sample(_CE, z, None, y, 1.0)
+
+
+def kd_loss_and_grad(z_l, z_g, tau: float) -> tuple[float, np.ndarray]:
+    """Softened-softmax KL distillation over all classes (teacher held fixed).
+
+    Returns the raw KL; any tau**2 rescaling is the caller's business.
+    """
+    return _one_sample(_KL, z_l, z_g, 0, tau)  # KL takes no label; 0 is always in range
+
+
+def ntd_loss_and_grad(z_l, z_g, y: int, tau: float) -> tuple[float, np.ndarray]:
+    """Not-true distillation on one sample: KL over the classes other than y."""
+    return _one_sample(_ntd_rows, z_l, z_g, y, tau)
+
+
+def ntd_mse_loss_and_grad(z_l, z_g, y: int) -> tuple[float, np.ndarray]:
+    """Mean squared logit mismatch over the not-true classes only."""
+    return _one_sample(_NTD_MSE, z_l, z_g, y, 1.0)
 
 
 def fedntd_objective(z_l, z_g, y: int, beta: float, tau: float) -> tuple[float, np.ndarray]:

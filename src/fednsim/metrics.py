@@ -47,10 +47,9 @@ def predict(
 
 def class_wise_accuracy(pred: np.ndarray, testset: Dataset) -> np.ndarray:
     """Top-1 accuracy per class; every class must appear in the testset."""
+    if missing := testset.missing_classes():
+        raise ValueError(f"testset has no samples for classes {missing}")
     counts = testset.class_counts()
-    missing = np.flatnonzero(counts == 0)
-    if missing.size:
-        raise ValueError(f"testset has no samples for classes {missing.tolist()}")
     correct = np.bincount(testset.labels[pred == testset.labels], minlength=testset.num_classes)
     return correct / counts
 

@@ -181,6 +181,18 @@ def backward(
     return grad
 
 
+def _check_sgd(lr=0.0, momentum=0.0, weight_decay=0.0, lr_decay=1.0, lr_name="lr") -> None:
+    """The one valid range of each SGD setting; scalar tests only, as it runs every step."""
+    if not (lr >= 0.0):
+        raise ValueError(f"{lr_name} must be >= 0, got {lr}")
+    if not (0.0 <= momentum < 1.0):
+        raise ValueError(f"momentum must be in [0, 1), got {momentum}")
+    if not (weight_decay >= 0.0):
+        raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
+    if not (0.0 < lr_decay <= 1.0):
+        raise ValueError(f"lr_decay must be in (0, 1], got {lr_decay}")
+
+
 def sgd_momentum_step(
     params: np.ndarray,
     grad: np.ndarray,
@@ -204,12 +216,7 @@ def sgd_momentum_step(
     `params` non-finite, whatever lr, momentum and weight_decay are
     (0 * inf is NaN).
     """
-    if not (lr >= 0.0):
-        raise ValueError(f"lr must be >= 0, got {lr}")
-    if not (0.0 <= momentum < 1.0):
-        raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-    if weight_decay < 0.0:
-        raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
+    _check_sgd(lr, momentum, weight_decay)
     if weight_decay != 0.0:
         grad += np.multiply(params, weight_decay, out=scratch)
     velocity *= momentum
@@ -221,8 +228,7 @@ def sgd_momentum_step(
 
 def lr_at_round(lr0: float, t: int, decay: float = 0.99) -> float:
     """Geometric decay per round: lr0 * decay**t (default factor 0.99)."""
-    if not (lr0 >= 0.0):
-        raise ValueError(f"lr0 must be >= 0, got {lr0}")
+    _check_sgd(lr0, lr_decay=decay, lr_name="lr0")
     if t < 0:
         raise ValueError(f"round index must be >= 0, got {t}")
     return lr0 * decay**t

@@ -2,10 +2,10 @@
 
 Checks, independent of any training run:
 
-* the true/not-true split identities: the per-sample KL (and MSE)
-  distillation losses, split at the true class, equal weighted sums of
-  per-class normalized terms under the in-local and out-local
-  distributions;
+* the true/not-true split identities: the KL and MSE distillation
+  losses, as (sample, class) term matrices split at the true class, equal
+  weighted sums of per-class normalized terms under the in-local and
+  out-local distributions (one routine checks both);
 * the gradient-diversity curve of mixture gradients p + beta * p_tilde:
   a closed form derived under a uniform global class distribution, its
   monotone decrease in beta, and a lower bound on the decrease rate;
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import out_local_distribution
-from .losses import softmax_temp
+from .losses import _check_loss, softmax_temp
 from .metrics import gradient_diversity
 from .rng import NS_VERIFY, stream
 
@@ -186,10 +186,8 @@ class SplitInstance:
             raise ValueError("logit matrices must match and labels must be per-row")
         if not (np.isfinite(zl).all() and np.isfinite(zr).all()):
             raise ValueError("logits must be finite")
-        if not (self.tau > 0.0):
-            raise ValueError(f"tau must be > 0, got {self.tau}")
-        present = np.unique(y)
-        if len(present) != zl.shape[1] or present[0] != 0 or present[-1] != zl.shape[1] - 1:
+        _check_loss(self.tau)
+        if not np.array_equal(np.unique(y), np.arange(zl.shape[1])):
             raise ValueError("every class must appear among the labels")
         object.__setattr__(self, "z_local", zl)
         object.__setattr__(self, "z_ref", zr)
@@ -212,60 +210,34 @@ def random_split_instance(rng: np.random.Generator) -> SplitInstance:
     )
 
 
-def _split_weights(labels: np.ndarray, num_classes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    counts = np.bincount(labels, minlength=num_classes)
-    p = counts / counts.sum()
-    return counts, p, out_local_distribution(p)
+def _split_discrepancy(terms: np.ndarray, labels: np.ndarray) -> float:
+    """Max gap between the direct and the weighted-sum accumulation of a loss.
+
+    `terms` holds the loss's per (sample, class) terms.  Compares the
+    true-class part against sum_c p_c E_{i in class c}[term], and the
+    not-true part divided by (C-1) against the p_tilde-weighted analogue
+    over the samples outside each class.
+    """
+    n, c = terms.shape
+    true_mask = np.arange(c) == labels[:, None]
+    p = np.bincount(labels, minlength=c) / n
+    p_tilde = out_local_distribution(p)
+    weighted_true = sum(p[k] * terms[labels == k, k].mean() for k in range(c))
+    weighted_nt = sum(p_tilde[k] * terms[labels != k, k].mean() for k in range(c))
+    return max(abs(terms[true_mask].sum() / n - weighted_true),
+               abs(terms[~true_mask].sum() / n / (c - 1) - weighted_nt))
 
 
 def kl_split_discrepancy(instance: SplitInstance) -> float:
-    """Max gap between direct and weighted-sum KL accumulations.
-
-    Compares the true-class part against sum_c p_c E_{i in class c}[term]
-    and the not-true part divided by (C-1) against the p_tilde-weighted
-    analogue over samples outside each class.
-    """
-    n, c = instance.z_local.shape
+    """The split gap of KL(reference || local), from its teacher-weighted log ratios."""
     q_l = softmax_temp(instance.z_local, instance.tau)
     q_g = softmax_temp(instance.z_ref, instance.tau)
-    term = -q_g * np.log(q_l / q_g)  # per (sample, class) teacher-weighted log ratio
-    rows = np.arange(n)
-    true_mask = np.zeros((n, c), dtype=bool)
-    true_mask[rows, instance.labels] = True
-
-    direct_true = term[rows, instance.labels].sum() / n
-    direct_nt = term[~true_mask].sum() / n
-
-    _, p, p_tilde = _split_weights(instance.labels, c)
-    weighted_true = sum(
-        p[cls] * term[instance.labels == cls, cls].mean() for cls in range(c)
-    )
-    weighted_nt = sum(
-        p_tilde[cls] * term[instance.labels != cls, cls].mean() for cls in range(c)
-    )
-    return max(abs(direct_true - weighted_true), abs(direct_nt / (c - 1) - weighted_nt))
+    return _split_discrepancy(-q_g * np.log(q_l / q_g), instance.labels)
 
 
 def mse_split_discrepancy(instance: SplitInstance) -> float:
-    """Same dual-path check for the squared-logit-difference losses."""
-    n, c = instance.z_local.shape
-    sq = (instance.z_local - instance.z_ref) ** 2
-    rows = np.arange(n)
-    true_mask = np.zeros((n, c), dtype=bool)
-    true_mask[rows, instance.labels] = True
-
-    direct_true = sq[rows, instance.labels].sum() / n
-    direct_nt = sq[~true_mask].sum() / (n * (c - 1))
-
-    counts, p, p_tilde = _split_weights(instance.labels, c)
-    weighted_true = sum(
-        p[cls] * sq[instance.labels == cls, cls].sum() / counts[cls] for cls in range(c)
-    )
-    weighted_nt = sum(
-        p_tilde[cls] * sq[instance.labels != cls, cls].sum() / (n - counts[cls])
-        for cls in range(c)
-    )
-    return max(abs(direct_true - weighted_true), abs(direct_nt - weighted_nt))
+    """The split gap of the squared logit differences."""
+    return _split_discrepancy((instance.z_local - instance.z_ref) ** 2, instance.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +373,9 @@ def run_all(trials: int = 100, seed: int = 0, diversity_instances: int = 50) -> 
     results = []
 
     rng = stream(seed, NS_VERIFY, 0)
-    kl_worst = max(kl_split_discrepancy(random_split_instance(rng)) for _ in range(trials))
-    results.append(CheckResult("kl_split_identity", kl_worst < 1e-9, kl_worst, 1e-9))
-    mse_worst = max(mse_split_discrepancy(random_split_instance(rng)) for _ in range(trials))
-    results.append(CheckResult("mse_split_identity", mse_worst < 1e-9, mse_worst, 1e-9))
+    for name, discrepancy in (("kl", kl_split_discrepancy), ("mse", mse_split_discrepancy)):
+        worst = max(discrepancy(random_split_instance(rng)) for _ in range(trials))
+        results.append(CheckResult(f"{name}_split_identity", worst < 1e-9, worst, 1e-9))
 
     gap_worst, inc_worst, excess_worst = -np.inf, -np.inf, -np.inf
     for _ in range(diversity_instances):

@@ -118,10 +118,15 @@ class TestRunCommand:
         # an internal error, and leaves no process behind
         monkeypatch.setattr(federation, "_workers", lambda sessions: min(sessions, 2))
         real, parent = federation.local_train, os.getpid()
+        helper_started = multiprocessing.get_context("fork").Event()  # shared by the fork
 
         def dying(*args, **kwargs):
             if os.getpid() != parent:
+                helper_started.set()
                 os._exit(1)
+            # this process holds its session until the helper has taken one, so
+            # that it cannot take every session of round 1 and leave none to die in
+            helper_started.wait(60)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(federation, "local_train", dying)

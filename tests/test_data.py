@@ -91,6 +91,11 @@ def write_idx_labels(path, labels: np.ndarray, magic: int = 0x00000801) -> None:
         f.write(labels.astype(np.uint8).tobytes())
 
 
+def test_missing_classes_ascending():
+    assert Dataset(np.zeros((3, 1)), [2, 0, 2], 5).missing_classes() == [1, 3, 4]
+    assert Dataset(np.zeros((2, 1)), [1, 0], 2).missing_classes() == []
+
+
 class TestReadIdx:
     def test_hand_built_fixture_exact_pixels(self, tmp_path):
         images = np.array(

@@ -15,7 +15,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import get_type_hints
 
-from .data import PartitionSpec
+from .data import PartitionSpec, _check_separation
 from .federation import FederationConfig
 from .losses import LossConfig
 from .model import MlpConfig
@@ -73,8 +73,7 @@ class ExperimentConfig:
             raise ValueError(f"data must be one of {', '.join(DATA_SOURCES)}, got {self.data!r}")
         if min(self.synth_per_class, self.synth_test_per_class) < 1:
             raise ValueError("synth_per_class and synth_test_per_class must be >= 1")
-        if not (0.0 <= self.synth_separation < float("inf")):
-            raise ValueError(f"synth_separation must be finite and >= 0, got {self.synth_separation}")
+        _check_separation(self.synth_separation, "synth_separation")
         if self.checkpoint_stride < 0:
             raise ValueError(f"checkpoint_stride must be >= 0, got {self.checkpoint_stride}")
         # the component configs check every other key

@@ -105,6 +105,12 @@ class PartitionSpec:
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
 
 
+def _check_separation(separation: float, name: str = "separation") -> None:
+    """The one valid range of the synthetic class-mean separation."""
+    if not (0.0 <= separation < np.inf):
+        raise ValueError(f"{name} must be finite and >= 0, got {separation}")
+
+
 def synth_dataset(
     num_classes: int,
     per_class_n: int,
@@ -122,8 +128,7 @@ def synth_dataset(
     """
     if min(num_classes, per_class_n, dim) < 1:
         raise ValueError("num_classes, per_class_n and dim must all be >= 1")
-    if separation < 0.0:
-        raise ValueError("separation must be >= 0")
+    _check_separation(separation)
     mean_rng = stream(seed, NS_SYNTH_MEANS)
     dirs = mean_rng.normal(size=(num_classes, dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)

@@ -46,12 +46,14 @@ from .metrics import (
 from .model import (
     MlpConfig,
     _check_sgd,
+    _column_blocks,
     backward,
     forward,
     init_params,
     layer_buffers,
     lr_at_round,
     sgd_momentum_step,
+    unpack_params,
 )
 from .rng import NS_CLIENT_SHUFFLE, NS_ROUND_SAMPLE, stream
 
@@ -190,6 +192,7 @@ def local_train(
     # momentum, gradient, and scratch for the proximal gradient and then the
     # weight-decay product: (K, P) each, one allocation for the session
     velocity, grad, scratch = np.zeros((3, *w.shape))
+    w_layers, grad_layers, teacher_layers = (unpack_params(mlp, a) for a in (w, grad, w_global))
     loss_total = np.zeros(len(clients))
     needs_teacher = fed.loss.needs_teacher
     steps = 0
@@ -200,15 +203,16 @@ def local_train(
             x = dataset.features[idx]
             y = dataset.labels[idx]
             hidden = []
-            z_l = forward(mlp, w, x, hidden)
-            z_g = forward(mlp, w_global, x) if needs_teacher else None
+            z_l = forward(mlp, w, x, hidden, layers=w_layers)
+            z_g = forward(mlp, w_global, x, layers=teacher_layers) if needs_teacher else None
             # the loss kernels are row-wise, so they may see all K*B rows at once
             losses, dl_dz = batch_loss_and_grad(
                 fed.loss, z_l.reshape(-1, mlp.num_classes), y.reshape(-1),
                 None if z_g is None else z_g.reshape(-1, mlp.num_classes),
             )
-            batch_loss = losses.reshape(len(ids), -1).mean(axis=1)
-            backward(mlp, w, x, hidden, dl_dz.reshape(z_l.shape), out=grad)
+            batch_loss = losses.reshape(len(ids), -1).sum(axis=1) / y.shape[1]  # as np.mean does
+            backward(mlp, w, x, hidden, dl_dz.reshape(z_l.shape), out=grad,
+                     layers=w_layers, grad_layers=grad_layers)
             if fed.loss.proximal:
                 prox_loss, prox_grad = fedprox_penalty(w, w_global, fed.loss.mu, out=scratch)
                 batch_loss += prox_loss
@@ -230,7 +234,7 @@ def aggregate(updates: list[ClientUpdate], mode: str = "size_weighted") -> np.nd
 
     size_weighted weighs by local sample counts; uniform is a plain mean.
     Summation runs in ascending client id so the result does not depend on
-    the order updates arrive in.
+    the order updates arrive in, one cache block of columns at a time.
     """
     if not updates:
         raise ValueError("no updates to aggregate")
@@ -246,9 +250,11 @@ def aggregate(updates: list[ClientUpdate], mode: str = "size_weighted") -> np.nd
     else:
         weights = [1.0 / len(updates)] * len(updates)
     out = np.zeros_like(updates[0].params)
-    term = np.empty_like(out)
-    for weight, update in zip(weights, updates):
-        out += np.multiply(update.params, weight, out=term)
+    for cols in _column_blocks(out.shape[-1]):
+        block = out[..., cols]
+        term = np.empty_like(block)
+        for weight, update in zip(weights, updates):
+            block += np.multiply(update.params[..., cols], weight, out=term)
     return out
 
 

@@ -25,9 +25,21 @@ def _rows(z) -> np.ndarray:
 
 
 def _log_softmax(z: np.ndarray, tau: float) -> np.ndarray:
-    s = z / tau
+    s = z / tau if tau != 1.0 else z  # x / 1.0 == x, so skipping it changes no bit
     s = s - s.max(axis=1, keepdims=True)
     return s - np.log(np.exp(s).sum(axis=1, keepdims=True))
+
+
+class _Student(dict):
+    """Student logits `z`; student[tau] is their (log-softmax, softmax), made on first use."""
+
+    def __init__(self, z: np.ndarray):
+        super().__init__()
+        self.z = z
+
+    def __missing__(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
+        logp = _log_softmax(self.z, tau)
+        return self.setdefault(tau, (logp, np.exp(logp)))
 
 
 def _check_loss(tau: float = 1.0, mu: float = 0.0) -> None:
@@ -40,7 +52,7 @@ def _check_loss(tau: float = 1.0, mu: float = 0.0) -> None:
 
 def _check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
     """The one label range, for the loss kernels and for datasets; returns `labels`."""
-    if np.any(labels < 0) or np.any(labels >= num_classes):
+    if (labels < 0).any() or (labels >= num_classes).any():
         raise ValueError(f"labels out of range [0, {num_classes})")
     return labels
 
@@ -53,23 +65,24 @@ def softmax_temp(z, tau: float):
     return q[0] if z.ndim == 1 else q
 
 
-def _ce_rows(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = len(z)
-    logp = _log_softmax(z, 1.0)
-    loss = -logp[np.arange(n), y]
-    grad = np.exp(logp)
-    grad[np.arange(n), y] -= 1.0
+def _ce_rows(soft, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cross-entropy per row; `soft` is `_Student(z)[1.0]`, which it leaves unchanged."""
+    logp, p = soft
+    rows = np.arange(len(y))
+    loss = -logp[rows, y]
+    grad = p.copy()
+    grad[rows, y] -= 1.0
     return loss, grad
 
 
-def _kl_rows(z_l: np.ndarray, z_g: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """KL(teacher || student) per row on full softened softmaxes; grad wrt z_l."""
-    logp_l = _log_softmax(z_l, tau)
+def _kl_rows(soft_l, z_g: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """KL(teacher || student) per row at tau, soft_l = _Student(z_l)[tau]; grad wrt z_l."""
+    logp_l, p_l = soft_l
     logp_g = _log_softmax(z_g, tau)
     q_g = np.exp(logp_g)
     terms = np.where(q_g >= _KL_TEACHER_FLOOR, q_g * (logp_g - logp_l), 0.0)
     loss = terms.sum(axis=1)
-    grad = (np.exp(logp_l) - q_g) / tau
+    grad = p_l - q_g if tau == 1.0 else (p_l - q_g) / tau  # x / 1.0 == x
     return loss, grad
 
 
@@ -105,7 +118,8 @@ def _ntd_rows(
     """
     n, c = z_l.shape
     mask = _not_true_mask(c, y)
-    loss, grad_nt = _kl_rows(z_l[mask].reshape(n, c - 1), z_g[mask].reshape(n, c - 1), tau)
+    soft_l = _Student(z_l[mask].reshape(n, c - 1))[tau]
+    loss, grad_nt = _kl_rows(soft_l, z_g[mask].reshape(n, c - 1), tau)
     grad = np.zeros((n, c))
     grad[mask] = grad_nt.ravel()
     return loss, grad
@@ -144,21 +158,23 @@ def fedprox_penalty(w, w_g, mu: float, out: np.ndarray | None = None):
 
 
 # The local objectives as data: cfg -> (cross-entropy weight, ((weight, term), ...)),
-# where a term maps (z_l, z_g, y, tau) to per-row losses and logit gradients.
+# where a term maps (student, z_g, y, tau) to per-row losses and logit gradients
+# and a batch's terms share one `_Student`, so at tau = 1 CE and KL read one log-softmax.
 # Terms are added in the order listed, and only where they count: fedntd with
 # beta = 0 is plain cross-entropy, bit for bit.  fedprox's proximal term acts
 # on parameters, not logits, so the trainer adds it (`LossConfig.proximal`).
-_CE = lambda z_l, z_g, y, tau: _ce_rows(z_l, y)
-_KL = lambda z_l, z_g, y, tau: _kl_rows(z_l, z_g, tau)
-_NTD_MSE = lambda z_l, z_g, y, tau: _ntd_mse_rows(z_l, z_g, y)
+_CE = lambda s, z_g, y, tau: _ce_rows(s[1.0], y)
+_KL = lambda s, z_g, y, tau: _kl_rows(s[tau], z_g, tau)
+_NTD = lambda s, z_g, y, tau: _ntd_rows(s.z, z_g, y, tau)
+_NTD_MSE = lambda s, z_g, y, tau: _ntd_mse_rows(s.z, z_g, y)
 _OBJECTIVES = {
     "fedavg": lambda c: (1.0, ()),
     "fedprox": lambda c: (1.0, ()),
-    "fedntd": lambda c: (1.0, ((c.beta, _ntd_rows),) if c.beta else ()),
+    "fedntd": lambda c: (1.0, ((c.beta, _NTD),) if c.beta else ()),
     "fedntd_mse": lambda c: (1.0, ((c.beta, _NTD_MSE),) if c.beta else ()),
     "kd": lambda c: (1.0 - c.beta, ((c.beta * c.tau * c.tau, _KL),)),
     "kd_ntd_interp": lambda c: (1.0, tuple(
-        (w, term) for w, term in ((1.0 - c.interp_lambda, _KL), (c.interp_lambda, _ntd_rows)) if w
+        (w, term) for w, term in ((1.0 - c.interp_lambda, _KL), (c.interp_lambda, _NTD)) if w
     )),
 }
 METHODS = tuple(_OBJECTIVES)
@@ -204,13 +220,14 @@ def batch_loss_and_grad(
         z_g = np.asarray(z_g, dtype=np.float64)
         if z_g.shape != z_l.shape:
             raise ValueError(f"logit shapes differ: {z_l.shape} vs {z_g.shape}")
-    loss, grad = _ce_rows(z_l, y)
-    if ce_weight != 1.0:
+    student = _Student(z_l)
+    loss, grad = _CE(student, z_g, y, cfg.tau)
+    if ce_weight != 1.0:  # a weight of 1.0 multiplies nothing: 1.0 * x == x
         loss, grad = ce_weight * loss, ce_weight * grad
     for weight, term in terms:
-        term_loss, term_grad = term(z_l, z_g, y, cfg.tau)
-        loss += weight * term_loss
-        grad += weight * term_grad
+        term_loss, term_grad = term(student, z_g, y, cfg.tau)
+        loss += term_loss if weight == 1.0 else weight * term_loss
+        grad += term_grad if weight == 1.0 else weight * term_grad
     return loss, grad
 
 
@@ -226,7 +243,7 @@ def _one_sample(term, z_l, z_g, y: int, tau: float) -> tuple[float, np.ndarray]:
     if z_l.shape != z_g.shape:
         raise ValueError(f"logit shapes differ: {z_l.shape} vs {z_g.shape}")
     y = _check_labels(np.asarray([y]), z_l.shape[1])
-    loss, grad = term(z_l, z_g, y, tau)
+    loss, grad = term(_Student(z_l), z_g, y, tau)
     return float(loss[0]), grad[0]
 
 
@@ -245,7 +262,7 @@ def kd_loss_and_grad(z_l, z_g, tau: float) -> tuple[float, np.ndarray]:
 
 def ntd_loss_and_grad(z_l, z_g, y: int, tau: float) -> tuple[float, np.ndarray]:
     """Not-true distillation on one sample: KL over the classes other than y."""
-    return _one_sample(_ntd_rows, z_l, z_g, y, tau)
+    return _one_sample(_NTD, z_l, z_g, y, tau)
 
 
 def ntd_mse_loss_and_grad(z_l, z_g, y: int) -> tuple[float, np.ndarray]:

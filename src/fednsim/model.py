@@ -22,6 +22,7 @@ from .rng import NS_INIT, stream
 
 CHECKPOINT_MAGIC = b"FNTD"
 CHECKPOINT_VERSION = 1
+_BLOCK = 32768  # columns per cache block of an elementwise pass over a (K, P) stack
 
 
 @dataclass(frozen=True)
@@ -111,6 +112,7 @@ def forward(
     features: np.ndarray,
     hidden: list | None = None,
     out: list[np.ndarray] | None = None,
+    *, layers: list | None = None,
 ) -> np.ndarray:
     """Logits (..., B, num_classes) of features (..., B, input_dim).
 
@@ -125,10 +127,11 @@ def forward(
     appended to it; `backward` takes them and recomputes nothing.  When
     `out` holds one buffer per layer (see `layer_buffers`), every layer
     writes its output there, through the same BLAS call and with the same
-    bits, and the logits returned are a view of the last buffer.
+    bits, and the logits returned are a view of the last buffer.  `layers`
+    may hold `unpack_params(config, params)`, made once by the caller.
     """
     h = _check_features(config, features)
-    layers = unpack_params(config, params)
+    layers = unpack_params(config, params) if layers is None else layers
     if out is None:
         out = [None] * len(layers)
     for (w, b), buf in zip(layers[:-1], out):
@@ -150,6 +153,7 @@ def backward(
     hidden: list[np.ndarray],
     dl_dlogits: np.ndarray,
     out: np.ndarray | None = None,
+    *, layers: list | None = None, grad_layers: list | None = None,
 ) -> np.ndarray:
     """Gradient of the mean-over-batch loss w.r.t. the parameters, shaped like `params`.
 
@@ -157,7 +161,8 @@ def backward(
     features.  `dl_dlogits` (..., B, num_classes) holds per-sample logit
     gradients; the 1/B averaging happens here.  With `out`, the gradient is
     written into it and it is returned, so that a training loop can reuse
-    one buffer for every step.
+    one buffer for every step.  `layers` and `grad_layers` may hold
+    `unpack_params` of `params` and of `out`, made once by the caller.
     """
     if dl_dlogits.shape != (*features.shape[:-1], config.num_classes):
         raise ValueError(
@@ -166,8 +171,8 @@ def backward(
     if len(hidden) != len(config.hidden_dims):
         raise ValueError(f"need {len(config.hidden_dims)} hidden activations, got {len(hidden)}")
     grad = np.empty(params.shape) if out is None else out
-    layers = unpack_params(config, params)
-    glayers = unpack_params(config, grad)
+    layers = unpack_params(config, params) if layers is None else layers
+    glayers = unpack_params(config, grad) if grad_layers is None else grad_layers
     inputs = [features, *hidden]
     delta = dl_dlogits / dl_dlogits.shape[-2]
     for li in range(len(layers) - 1, -1, -1):
@@ -208,30 +213,38 @@ def sgd_momentum_step(
     v' = momentum * v + g'
     params' = params - lr * v'
 
-    `params` and `velocity` (float64, any shape, a stack of clients
-    included) are updated in place and returned; `grad` is overwritten as
+    `params` and `velocity` (float64, a vector or a stack of clients'
+    vectors) are updated in place and returned; `grad` is overwritten as
     scratch.  `scratch`, shaped like `params`, receives the weight-decay
-    product, which is otherwise allocated on every step.  lr = 0 leaves
+    product, which is otherwise allocated per block: the six passes run on
+    one block of `_BLOCK` columns, which stays in cache, before the next, and
+    each element sees the same operations in the same order.  lr = 0 leaves
     finite parameters unchanged; a NaN or inf in `params` or `grad` leaves
-    `params` non-finite, whatever lr, momentum and weight_decay are
-    (0 * inf is NaN).
+    `params` non-finite, whatever lr, momentum and weight_decay are (0 * inf is NaN).
     """
     _check_sgd(lr, momentum, weight_decay)
-    if weight_decay != 0.0:
-        grad += np.multiply(params, weight_decay, out=scratch)
-    velocity *= momentum
-    velocity += grad
-    np.multiply(velocity, lr, out=grad)
-    params -= grad
+    for cols in _column_blocks(params.shape[-1]):
+        p, g, v = params[..., cols], grad[..., cols], velocity[..., cols]
+        if weight_decay != 0.0:
+            g += np.multiply(p, weight_decay, out=None if scratch is None else scratch[..., cols])
+        v *= momentum
+        v += g
+        np.multiply(v, lr, out=g)
+        p -= g
     return params, velocity
 
 
+def _column_blocks(n: int) -> list[slice]:
+    """Slices of n columns in blocks of `_BLOCK`, the last one ragged."""
+    return [slice(lo, lo + _BLOCK) for lo in range(0, n, _BLOCK)]
+
+
 def lr_at_round(lr0: float, t: int, decay: float = 0.99) -> float:
-    """Geometric decay per round: lr0 * decay**t (default factor 0.99)."""
+    """Geometric decay per round: lr0 * decay**t (default factor 0.99); lr0 = inf stays inf."""
     _check_sgd(lr0, lr_decay=decay, lr_name="lr0")
     if t < 0:
         raise ValueError(f"round index must be >= 0, got {t}")
-    return lr0 * decay**t
+    return lr0 * decay**t if lr0 < np.inf else lr0  # decay**t may be 0, and inf * 0 is NaN
 
 
 def save_params(path, params: np.ndarray) -> None:

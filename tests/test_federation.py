@@ -15,7 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fednsim import federation
+from fednsim import federation, model
 from fednsim.config import parse_config_text
 from fednsim.data import ClientData, Dataset, make_partition, PartitionSpec, synth_dataset
 from fednsim.federation import (
@@ -484,19 +484,23 @@ class TestAggregate:
         with pytest.raises(ValueError):
             aggregate([])
 
+    @pytest.mark.parametrize("columns", [64, model._BLOCK])  # 64: 400 columns in 7 blocks, 1 ragged
+    @pytest.mark.parametrize("clients", [1, 3, 5])
     @pytest.mark.parametrize("mode", ["size_weighted", "uniform"])
     @pytest.mark.parametrize("nonfinite", [False, True])
-    def test_matches_allocating_sum_bitwise(self, mode, nonfinite):
+    def test_matches_allocating_sum_bitwise(self, mode, nonfinite, clients, columns, monkeypatch):
+        monkeypatch.setattr(model, "_BLOCK", columns)
         rng = np.random.default_rng(6)
-        block = rng.normal(size=(5, 400))  # updates are rows of one stacked block
+        block = rng.normal(size=(clients, 400))  # updates are rows of one stacked block
         if nonfinite:
-            block[0, 3], block[2, 3], block[4, 10] = np.inf, -np.inf, np.nan
-        updates = [ClientUpdate(i, block[i], int(rng.integers(1, 90)), 0.0) for i in range(5)]
+            block[0, 3], block[clients // 2, 3], block[-1, 399] = np.inf, -np.inf, np.nan
+        updates = [ClientUpdate(i, block[i], int(rng.integers(1, 90)), 0.0)
+                   for i in range(clients)]
         total = sum(u.sample_count for u in updates)
         with np.errstate(invalid="ignore"):
-            ref = np.zeros(400)  # the sum as written with a temporary per update
+            ref = np.zeros(400)  # the whole-vector sum, with a temporary per update
             for u in updates:
-                ref += (u.sample_count / total if mode == "size_weighted" else 1 / 5) * u.params
+                ref += (u.sample_count / total if mode == "size_weighted" else 1 / clients) * u.params
             assert aggregate(updates, mode).tobytes() == ref.tobytes()
 
 
@@ -907,10 +911,15 @@ class TestGroupPool:
         set_workers(monkeypatch, 2)
         real = federation.local_train
         parent = os.getpid()
+        helper_poked = multiprocessing.get_context("fork").Event()  # shared by the fork
 
         def poked(*args, **kwargs):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGINT)
+                helper_poked.set()
+            # this process holds its session until a helper has taken one and
+            # been poked, so that the helper cannot miss every session
+            helper_poked.wait(60)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(federation, "local_train", poked)
@@ -918,6 +927,7 @@ class TestGroupPool:
             poked_run = run_federation(fed, mlp, dataset, partition, testset)
         except KeyboardInterrupt:
             pytest.fail("a helper's SIGINT interrupted the run")
+        assert helper_poked.is_set()
         assert poked_run.final_params.tobytes() == alone.final_params.tobytes()
 
     @pytest.mark.parametrize("workers", [2, 3])
@@ -975,6 +985,7 @@ class TestGroupPool:
         set_workers(monkeypatch, 6)
         log = CallLog(tmp_path / "sessions")
         record_sessions(monkeypatch, log)
+        spread_sessions(monkeypatch, cfg, partition, 2)  # at least two processes train a round
         stressed = run_federation(cfg.federation_config(), mlp, train, partition, test)
         assert multiprocessing.active_children() == []
         calls = log.read()
@@ -1032,10 +1043,15 @@ class TestPoolCleanup:
         set_workers(monkeypatch, 2)
         real = federation.local_train
         parent = os.getpid()
+        helper_started = multiprocessing.get_context("fork").Event()  # shared by the fork
 
         def dying(*args, **kwargs):
             if os.getpid() != parent:
+                helper_started.set()
                 os._exit(1)
+            # this process holds its session until the helper has taken one, so
+            # that it cannot take every session of round 1 and leave none to die in
+            helper_started.wait(60)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(federation, "local_train", dying)

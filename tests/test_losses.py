@@ -389,7 +389,7 @@ def _batches(draw):
 _STRUCTURE = dict(
     batch=_batches(), beta=st.floats(0.0, 5.0), tau=st.floats(0.1, 5.0), lam=st.floats(0.0, 1.0)
 )
-_NTD_TERMS = (losses._ntd_rows, losses._NTD_MSE)
+_NTD_TERMS = (losses._NTD, losses._NTD_MSE)
 
 
 def _bits(*arrays) -> list[bytes]:
@@ -415,12 +415,12 @@ class TestObjectiveStructure:
         _, terms = losses._OBJECTIVES[method](cfg)
         for _, term in terms:
             if term in _NTD_TERMS:
-                _, grad = term(z_l, z_g, y, tau)
+                _, grad = term(losses._Student(z_l), z_g, y, tau)
                 assert _bits(grad[rows, y]) == _bits(np.zeros(len(y)))
         if all(term in _NTD_TERMS for _, term in terms):
             # adding beta * 0.0 leaves cross-entropy's true-class gradient bit for bit
             _, grad = batch_loss_and_grad(cfg, z_l, y, z_g)
-            _, ce_grad = losses._ce_rows(z_l, y)
+            _, ce_grad = losses._ce_rows(losses._Student(z_l)[1.0], y)
             assert _bits(grad[rows, y]) == _bits(ce_grad[rows, y])
 
     @settings(max_examples=30, deadline=None)
@@ -440,15 +440,15 @@ class TestObjectiveStructure:
         c = z_l.shape[1]
         eps = np.finfo(np.float64).eps
         # softmax minus one-hot, and softmax minus softmax over tau: each row sums to 0
-        _, ce_grad = losses._ce_rows(z_l, y)
+        _, ce_grad = losses._ce_rows(losses._Student(z_l)[1.0], y)
         assert np.all(np.abs(ce_grad.sum(axis=1)) <= 4 * c * eps)
-        _, kl_grad = losses._kl_rows(z_l, z_g, tau)
+        _, kl_grad = losses._kl_rows(losses._Student(z_l)[tau], z_g, tau)
         assert np.all(np.abs(kl_grad.sum(axis=1)) <= 4 * c * eps / tau)
         ce_weight, terms = losses._OBJECTIVES[method](cfg)
         if not any(term is losses._NTD_MSE for _, term in terms):
             # the whole objective is CE, KL and not-true KL, each summing to 0
             _, grad = batch_loss_and_grad(cfg, z_l, y, z_g)
-            scale = ce_weight + sum(weight / tau for weight, _ in terms)
+            scale = abs(ce_weight) + sum(weight / tau for weight, _ in terms)  # kd: 1 - beta < 0
             assert np.all(np.abs(grad.sum(axis=1)) <= 8 * c * eps * (1 + scale))
 
 
@@ -456,9 +456,9 @@ class TestObjectiveStructure:
 @given(batch=_STRUCTURE["batch"], tau=_STRUCTURE["tau"])
 def test_interp_endpoints_compose_terms(batch, tau):
     z_l, z_g, y, _ = batch
-    ce_loss, ce_grad = losses._ce_rows(z_l, y)
+    ce_loss, ce_grad = losses._ce_rows(losses._Student(z_l)[1.0], y)
     for lam, term_loss, term_grad in (
-        (0.0, *losses._kl_rows(z_l, z_g, tau)),
+        (0.0, *losses._kl_rows(losses._Student(z_l)[tau], z_g, tau)),
         (1.0, *losses._ntd_rows(z_l, z_g, y, tau)),
     ):
         cfg = LossConfig("kd_ntd_interp", tau=tau, interp_lambda=lam)
@@ -467,3 +467,96 @@ def test_interp_endpoints_compose_terms(batch, tau):
     # lambda = 1 is fedntd at beta = 1
     fedntd = batch_loss_and_grad(LossConfig("fedntd", beta=1.0, tau=tau), z_l, y, z_g)
     assert _bits(*fedntd) == _bits(loss, grad)
+
+
+# The row terms and objectives written out in full: every division by tau,
+# every weight multiply and np.mean, and no softmax shared between terms.
+# batch_loss_and_grad skips what is an identity and shares what is computed
+# the same way on the same input, so it must give these bits exactly.
+def _ref_log_softmax(z, tau):
+    s = z / tau
+    s = s - s.max(axis=1, keepdims=True)
+    return s - np.log(np.exp(s).sum(axis=1, keepdims=True))
+
+
+def _ref_ce(z, y):
+    logp = _ref_log_softmax(z, 1.0)
+    grad = np.exp(logp)
+    grad[np.arange(len(z)), y] -= 1.0
+    return -logp[np.arange(len(z)), y], grad
+
+
+def _ref_kl(z_l, z_g, tau):
+    logp_l, logp_g = _ref_log_softmax(z_l, tau), _ref_log_softmax(z_g, tau)
+    q_g = np.exp(logp_g)
+    terms = np.where(q_g >= 1e-15, q_g * (logp_g - logp_l), 0.0)
+    return terms.sum(axis=1), (np.exp(logp_l) - q_g) / tau
+
+
+def _ref_ntd(z_l, z_g, y, tau):
+    n, c = z_l.shape
+    mask = np.arange(c) != y[:, None]
+    loss, grad_nt = _ref_kl(z_l[mask].reshape(n, c - 1), z_g[mask].reshape(n, c - 1), tau)
+    grad = np.zeros((n, c))
+    grad[mask] = grad_nt.ravel()
+    return loss, grad
+
+
+def _ref_ntd_mse(z_l, z_g, y):
+    c = z_l.shape[1]
+    diff = np.where(np.arange(c) != y[:, None], z_l - z_g, 0.0)
+    return (diff * diff).sum(axis=1) / (c - 1), 2.0 * diff / (c - 1)
+
+
+def _ref_objective(cfg, z_l, y, z_g):
+    b, tau, lam = cfg.beta, cfg.tau, cfg.interp_lambda
+    kl, ntd = _ref_kl(z_l, z_g, tau), _ref_ntd(z_l, z_g, y, tau)
+    ce_weight, terms = {
+        "fedavg": (1.0, []),
+        "fedprox": (1.0, []),
+        "fedntd": (1.0, [(b, ntd)] if b else []),
+        "fedntd_mse": (1.0, [(b, _ref_ntd_mse(z_l, z_g, y))] if b else []),
+        "kd": (1.0 - b, [(b * tau * tau, kl)]),
+        "kd_ntd_interp": (1.0, [(w, term) for w, term in ((1.0 - lam, kl), (lam, ntd)) if w]),
+    }[cfg.method]
+    loss, grad = _ref_ce(z_l, y)
+    loss, grad = ce_weight * loss, ce_weight * grad
+    for weight, (term_loss, term_grad) in terms:
+        loss, grad = loss + weight * term_loss, grad + weight * term_grad
+    return loss, grad
+
+
+def _parity_batch(seed):
+    """20 rows over 10 classes, some teacher probabilities below the KL floor."""
+    rng = np.random.default_rng(seed)
+    z_l, z_g = rng.normal(0.0, 4.0, (2, 20, 10))
+    z_g[:5] *= 10.0
+    return z_l, z_g, rng.integers(0, 10, 20)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("tau", [1.0, 2.5])
+def test_batch_objective_bits_match_the_written_out_terms(method, tau):
+    z_l, z_g, y = _parity_batch(0)
+    for beta in (0.0, 1.0, 0.7):
+        for lam in (0.0, 0.5, 1.0):
+            cfg = LossConfig(method, beta=beta, tau=tau, interp_lambda=lam)
+            got = batch_loss_and_grad(cfg, z_l, y, z_g)
+            assert _bits(*got) == _bits(*_ref_objective(cfg, z_l, y, z_g)), (beta, lam)
+            # the per-client batch mean local training takes is np.mean's
+            rows = got[0].reshape(4, 5)
+            assert _bits(rows.sum(axis=1) / 5) == _bits(rows.mean(axis=1))
+
+
+def test_single_sample_entries_match_the_written_out_terms():
+    z_l, z_g, y = _parity_batch(1)
+    for i in range(len(y)):
+        zl, zg, yi = z_l[i : i + 1], z_g[i : i + 1], y[i : i + 1]
+        for tau in (1.0, 2.5):
+            assert _bits(*kd_loss_and_grad(zl[0], zg[0], tau)) == _bits(
+                *(a[0] for a in _ref_kl(zl, zg, tau)))
+            assert _bits(*ntd_loss_and_grad(zl[0], zg[0], yi[0], tau)) == _bits(
+                *(a[0] for a in _ref_ntd(zl, zg, yi, tau)))
+        assert _bits(*ce_loss_and_grad(zl[0], yi[0])) == _bits(*(a[0] for a in _ref_ce(zl, yi)))
+        assert _bits(*ntd_mse_loss_and_grad(zl[0], zg[0], yi[0])) == _bits(
+            *(a[0] for a in _ref_ntd_mse(zl, zg, yi)))

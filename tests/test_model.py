@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fednsim import model
 from fednsim.losses import ce_loss_and_grad
 from fednsim.model import (
     MlpConfig,
@@ -373,14 +374,19 @@ class TestSgdMomentum:
             sgd_momentum_step(p, g, np.zeros(2), lr, momentum, weight_decay)
         assert np.isfinite(p).tolist() == [True, False]
 
+    @pytest.mark.parametrize("block", [16, model._BLOCK])  # 16: 50 columns in 4 blocks, 1 ragged
+    @pytest.mark.parametrize("with_scratch", [True, False])
     @pytest.mark.parametrize("weight_decay", [0.0, 1e-5, 0.3])
-    @pytest.mark.parametrize("shape", [(50,), (4, 50)])
-    def test_scratch_gives_the_allocating_bits(self, weight_decay, shape):
+    @pytest.mark.parametrize("shape", [(50,), (1, 50), (3, 50), (4, 50)])
+    def test_scratch_gives_the_allocating_bits(self, weight_decay, shape, with_scratch, block,
+                                               monkeypatch):
+        # the blocked passes give the bits of the whole-vector formula
+        monkeypatch.setattr(model, "_BLOCK", block)
         rng = np.random.default_rng(8)
         for trial in range(20):
             p, g, v = (_with_nonfinite(rng, shape) if trial % 2 else rng.normal(size=shape)
                        for _ in range(3))
-            scratch = np.full(shape, np.nan)
+            scratch = np.full(shape, np.nan) if with_scratch else None
             with np.errstate(invalid="ignore"):
                 ref_p, ref_v = _sgd_allocating(p, g, v, 0.05, 0.9, weight_decay)
                 sgd_momentum_step(p, g, v, 0.05, 0.9, weight_decay, scratch)
@@ -407,6 +413,11 @@ class TestLrSchedule:
     def test_rejects_negative_round(self):
         with pytest.raises(ValueError):
             lr_at_round(0.01, -1)
+
+    @pytest.mark.parametrize("t,decay", [(0, 0.99), (3, 1.0), (200, 0.01), (10**6, 0.5)])
+    def test_infinite_lr0_stays_infinite(self, t, decay):
+        # decay**t underflows to 0 in the last two, and inf * 0 is NaN
+        assert lr_at_round(np.inf, t, decay) == np.inf
 
 
 class TestCheckpoint:

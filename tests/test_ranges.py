@@ -8,6 +8,7 @@ quantity, and accept the same edge values.
 import numpy as np
 import pytest
 
+from fednsim.config import ExperimentConfig
 from fednsim.data import (
     Dataset,
     PartitionSpec,
@@ -96,6 +97,10 @@ TABLE = [
     ("alpha", "alpha", [0.0, -1.0, NAN, INF], [1e-3, 1e6], {
         "PartitionSpec": lambda v: PartitionSpec(alpha=v),
         "dirichlet_partition": lambda v: dirichlet_partition(DS, 2, v, 0),
+    }),
+    ("separation", "separation must be finite and >= 0", [NAN, -0.1, INF, -INF], [0.0, 1e6], {
+        "ExperimentConfig": lambda v: ExperimentConfig(synth_separation=v),
+        "synth_dataset": lambda v: synth_dataset(2, 3, 2, v, 0),
     }),
     ("labels", "labels out of range", [-1, 3], [0, 2], {
         "Dataset": lambda v: Dataset(np.zeros((1, 2)), [v], 3),

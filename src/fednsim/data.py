@@ -134,13 +134,14 @@ def synth_dataset(
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     means = separation * dirs
 
-    sample_rng = stream(seed, NS_SYNTH_SAMPLES, split)
-    # one class at a time into the final array, so only one class's draw is extra
-    feats = np.empty((num_classes * per_class_n, dim))
-    for c, block in enumerate(feats.reshape(num_classes, per_class_n, dim)):
-        np.add(means[c], sample_rng.normal(size=(per_class_n, dim)), out=block)
+    # The classes' draws, one after another from one stream, as one call.
+    # Each element is means[c] + (0.0 + z), as `normal()` would give: its
+    # loc add of 0.0 turns a -0.0 draw into 0.0.
+    feats = stream(seed, NS_SYNTH_SAMPLES, split).standard_normal((num_classes, per_class_n, dim))
+    feats += 0.0
+    feats += means[:, None, :]
     labels = np.repeat(np.arange(num_classes), per_class_n)
-    return Dataset(feats, labels, num_classes)
+    return Dataset(feats.reshape(-1, dim), labels, num_classes)
 
 
 def _read_idx_header(f, path, expected_magic: int, ndims: int) -> tuple[int, ...]:

@@ -50,7 +50,6 @@ from .model import (
     backward,
     forward,
     init_params,
-    layer_buffers,
     lr_at_round,
     sgd_momentum_step,
     unpack_params,
@@ -478,9 +477,7 @@ def _run_task(task: _Task, block: np.ndarray, clients: dict[int, ClientData], da
     losses = [u.mean_loss for u in trained]
     if not task.scored:
         return losses, None
-    buffers = layer_buffers(mlp, testset.features.shape[:-1])
-    return losses, [class_wise_accuracy(predict(mlp, u.params, testset, out=buffers), testset)
-                    for u in trained]
+    return losses, [class_wise_accuracy(predict(mlp, u.params, testset), testset) for u in trained]
 
 
 def _cost(session: list[ClientData]) -> int:
@@ -640,8 +637,6 @@ def _evaluate_round(
     accuracy, which the worker that trained it measured (`_train_groups`).
     `incoming_acc` is w_in's class-wise accuracy: the previous round's when
     it logged, else measured during this round by one of the workers.
-    Every weight divergence writes into one parameter-sized buffer, dropped
-    when the round is scored.
     """
     pred_out = predict(mlp, w_out, testset)
     try:
@@ -649,13 +644,12 @@ def _evaluate_round(
     except ValueError:  # incoming model got every test sample wrong
         a_g = None
 
-    diff = np.empty_like(w_in)
     in_accs, out_accs, wdivs, ddists = [], [], [], []
     for update in updates:
         p = dists[update.client_id]
         in_accs.append(masked_accuracy(update.class_acc, p))
         out_accs.append(masked_accuracy(update.class_acc, out_local_distribution(p)))
-        wdivs.append(weight_divergence(w_in, update.params, out=diff))
+        wdivs.append(weight_divergence(w_in, update.params))
         ddists.append(distribution_distance(a_g, p) if a_g is not None else float("nan"))
     return RoundLog(
         t=t,

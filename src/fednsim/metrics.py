@@ -1,7 +1,6 @@
 """Measurement machinery: accuracies, forgetting and drift.
 
-Everything here is a pure function over immutable inputs; an `out`
-argument only lends a buffer for intermediate values.  Class-wise
+Everything here is a pure function over immutable inputs.  Class-wise
 accuracy vectors are plain float64 arrays of length C.
 """
 
@@ -31,17 +30,13 @@ class RoundLog:
     train_loss: float
 
 
-def predict(
-    config: MlpConfig, params: np.ndarray, testset: Dataset, out: list[np.ndarray] | None = None
-) -> np.ndarray:
+def predict(config: MlpConfig, params: np.ndarray, testset: Dataset) -> np.ndarray:
     """Top-1 class of every test sample: one forward of the whole set.
 
     Every accuracy below is derived from these predictions, so a model is
     scored with one forward however many accuracies are taken from it.
-    `out` is passed to `forward`: buffers from `layer_buffers` let one set
-    of activations serve every model scored on the testset.
     """
-    logits = forward(config, params, testset.features, out=out)
+    logits = forward(config, params, testset.features)
     return logits.argmax(axis=-1)  # argmax ties go to the lowest class index
 
 
@@ -99,17 +94,13 @@ def gradient_diversity(grads: list[np.ndarray]) -> float:
     return float(np.mean(np.einsum("ij,ij->i", g, g))) / denom
 
 
-def weight_divergence(w_a: np.ndarray, w_b: np.ndarray, out: np.ndarray | None = None) -> float:
-    """L1 distance between two parameter vectors.
-
-    `out`, shaped like them, holds the differences; without it they are
-    allocated.
-    """
+def weight_divergence(w_a: np.ndarray, w_b: np.ndarray) -> float:
+    """L1 distance between two parameter vectors."""
     w_a = np.asarray(w_a, dtype=np.float64)
     w_b = np.asarray(w_b, dtype=np.float64)
     if w_a.shape != w_b.shape:
         raise ValueError(f"shapes differ: {w_a.shape} vs {w_b.shape}")
-    diff = np.subtract(w_a, w_b, out=out)
+    diff = w_a - w_b
     return float(np.abs(diff, out=diff).sum())
 
 

@@ -96,22 +96,11 @@ def _check_features(config: MlpConfig, features: np.ndarray) -> np.ndarray:
     return features
 
 
-def layer_buffers(config: MlpConfig, rows: tuple[int, ...]) -> list[np.ndarray]:
-    """Uninitialised output buffers of every layer for features shaped (*rows, input_dim).
-
-    `forward(..., out=layer_buffers(config, features.shape[:-1]))` writes
-    into them, so that a caller scoring many models on one feature matrix
-    allocates the activations once.
-    """
-    return [np.empty((*rows, fan_out)) for _, fan_out in config.layer_shapes()]
-
-
 def forward(
     config: MlpConfig,
     params: np.ndarray,
     features: np.ndarray,
     hidden: list | None = None,
-    out: list[np.ndarray] | None = None,
     *, layers: list | None = None,
 ) -> np.ndarray:
     """Logits (..., B, num_classes) of features (..., B, input_dim).
@@ -124,24 +113,19 @@ def forward(
     must not depend on how many clients train together.
 
     When `hidden` is a list, the post-ReLU output of every hidden layer is
-    appended to it; `backward` takes them and recomputes nothing.  When
-    `out` holds one buffer per layer (see `layer_buffers`), every layer
-    writes its output there, through the same BLAS call and with the same
-    bits, and the logits returned are a view of the last buffer.  `layers`
+    appended to it; `backward` takes them and recomputes nothing.  `layers`
     may hold `unpack_params(config, params)`, made once by the caller.
     """
     h = _check_features(config, features)
     layers = unpack_params(config, params) if layers is None else layers
-    if out is None:
-        out = [None] * len(layers)
-    for (w, b), buf in zip(layers[:-1], out):
-        h = np.matmul(h, w, out=buf)
+    for w, b in layers[:-1]:
+        h = np.matmul(h, w)
         h += b[..., None, :]
         np.maximum(h, 0.0, out=h)
         if hidden is not None:
             hidden.append(h)
     w, b = layers[-1]
-    logits = np.matmul(h, w, out=out[-1])
+    logits = np.matmul(h, w)
     logits += b[..., None, :]
     return logits
 

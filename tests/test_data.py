@@ -66,11 +66,13 @@ class TestSynthDataset:
     @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 10, 5), (10, 7, 32), (4, 200, 6)])
     @pytest.mark.parametrize("seed,split,separation", [(0, 0, 2.5), (5, 1, 0.0), (2**40, 3, 9.0)])
     def test_same_bits_as_concatenated_blocks(self, shape, seed, split, separation):
-        # the features as once written: one block per class, then one concatenate
+        # the features as once written: one normal() block per class, then one concatenate
         classes, per_class, dim = shape
         dirs = stream(seed, NS_SYNTH_MEANS).normal(size=(classes, dim))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         means = separation * dirs
+        if separation == 0.0 and means.size > 1:  # 0.0 times a negative direction is -0.0
+            assert np.signbit(means).any()
         rng = stream(seed, NS_SYNTH_SAMPLES, split)
         ref = np.concatenate([means[c] + rng.normal(size=(per_class, dim)) for c in range(classes)])
         ds = synth_dataset(classes, per_class, dim, separation, seed, split=split)

@@ -17,7 +17,15 @@ import pytest
 
 from fednsim import federation, model
 from fednsim.config import parse_config_text
-from fednsim.data import ClientData, Dataset, make_partition, PartitionSpec, synth_dataset
+from fednsim.data import (
+    ClientData,
+    Dataset,
+    PartitionSpec,
+    in_local_distribution,
+    make_partition,
+    out_local_distribution,
+    synth_dataset,
+)
 from fednsim.federation import (
     ClientUpdate,
     DivergenceError,
@@ -28,6 +36,16 @@ from fednsim.federation import (
     sample_clients,
 )
 from fednsim.losses import LossConfig, ce_loss_and_grad
+from fednsim.metrics import (
+    RoundLog,
+    class_wise_accuracy,
+    distribution_distance,
+    masked_accuracy,
+    normalized_accuracy_vector,
+    overall_accuracy,
+    predict,
+    weight_divergence,
+)
 from fednsim.model import MlpConfig, init_params, unpack_params
 from fednsim.runio import write_round_csv, write_summary_json
 
@@ -214,10 +232,10 @@ def record_scoring(monkeypatch, log: CallLog):
             log.add(pid=os.getpid(), round=round_t, cid=u.client_id, params=digest(u.params))
         return updates
 
-    def predict(mlp, params, testset, out=None):
+    def predict(mlp, params, testset):
         log.add(pid=os.getpid(), round=current["round"], params=digest(params),
                 evaluate=current["evaluate"])
-        return real_predict(mlp, params, testset, out=out)
+        return real_predict(mlp, params, testset)
 
     def task(task, **kwargs):
         current["round"] = task.round_t
@@ -550,6 +568,55 @@ class TestRunFederation:
         final = result.logs[-1].class_acc
         assert final.min() > 0.4
         assert final.max() <= 2 * final.min()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_round_logs_recomputed_from_the_updates(self, workers, monkeypatch):
+        # every field of every round's log, scored again from the round's
+        # updates and models with the metrics functions alone
+        fed, mlp, dataset, partition, testset = tiny_setup(method="fedntd", sampling_ratio=0.75)
+        set_workers(monkeypatch, workers)
+        rounds = []  # (updates, aggregate), each copied out of the shared block
+        real_aggregate = federation.aggregate
+
+        def capture(updates, mode):
+            w = real_aggregate(updates, mode)
+            rounds.append(([dataclasses.replace(u, params=u.params.copy()) for u in updates],
+                           w.copy()))
+            return w
+
+        monkeypatch.setattr(federation, "aggregate", capture)
+        result = run_federation(fed, mlp, dataset, partition, testset)
+        assert len(result.logs) == len(rounds) == fed.rounds
+        assert sum(len(updates) > 1 for updates, _ in rounds) == fed.rounds
+        clients = {c.client_id: c for c in partition}
+        w_in = init_params(mlp, fed.master_seed)
+        for t, ((updates, w_out), log) in enumerate(zip(rounds, result.logs), start=1):
+            pred_out = predict(mlp, w_out, testset)
+            a_g = normalized_accuracy_vector(class_wise_accuracy(predict(mlp, w_in, testset),
+                                                                 testset))
+            in_accs, out_accs, wdivs, ddists = [], [], [], []
+            for u in sorted(updates, key=lambda u: u.client_id):
+                acc = class_wise_accuracy(predict(mlp, u.params, testset), testset)
+                p = in_local_distribution(clients[u.client_id], dataset)
+                in_accs.append(masked_accuracy(acc, p))
+                out_accs.append(masked_accuracy(acc, out_local_distribution(p)))
+                wdivs.append(weight_divergence(w_in, u.params))
+                ddists.append(distribution_distance(a_g, p))
+            expected = RoundLog(
+                t=t,
+                global_acc=overall_accuracy(pred_out, testset),
+                class_acc=class_wise_accuracy(pred_out, testset),
+                local_in_acc_mean=float(np.mean(in_accs)),
+                local_in_acc_std=float(np.std(in_accs)),
+                local_out_acc_mean=float(np.mean(out_accs)),
+                local_out_acc_std=float(np.std(out_accs)),
+                weight_div_mean=float(np.mean(wdivs)),
+                dist_dist_mean=float(np.mean(ddists)),
+                train_loss=float(np.mean([u.mean_loss for u in updates])),
+            )
+            assert logs_bit_identical(log, expected), (t, log, expected)
+            w_in = w_out
+        assert result.final_params.tobytes() == w_in.tobytes()
 
     def test_eval_stride_logs_final_round(self):
         fed, mlp, dataset, partition, testset = tiny_setup(rounds=5, eval_stride=2)
@@ -950,12 +1017,12 @@ class TestGroupPool:
             trained.update((id(u.params), u.client_id) for u in updates)
             return updates
 
-        def failing(mlp, params, testset, out=None):
+        def failing(mlp, params, testset):
             if os.getpid() != parent and id(params) in trained:
                 group = group_of[trained[id(params)]]
                 failed.add(group=group)
                 raise OSError(f"injected in group {group}")
-            return real_predict(mlp, params, testset, out=out)
+            return real_predict(mlp, params, testset)
 
         monkeypatch.setattr(federation, "local_train", remembered)
         monkeypatch.setattr(federation, "predict", failing)

@@ -4,9 +4,10 @@ Each case runs the `run` pipeline (config, synthetic data, partition,
 federation, CSV and summary writers) and pins the sha256 of rounds.csv,
 summary.json and the final float64 parameters.  A refactor of the training
 or evaluation path must leave all three unchanged.  The digests were taken
-with numpy 2.4 on OpenBLAS 0.3.31 (x86-64, Haswell kernels); another BLAS
-build may round matrix products differently, so a failure names the build
-it ran on.
+with numpy 2.4 on OpenBLAS 0.3.31 (x86-64), whose runtime-selected kernel
+was `SkylakeX` (AVX-512), and they hold for that kernel only: another
+kernel (`OPENBLAS_CORETYPE=Haswell`, say) or another BLAS build may round
+matrix products differently, so a failure names the build it ran on.
 """
 
 import hashlib

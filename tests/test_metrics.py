@@ -148,16 +148,15 @@ class TestDistances:
         assert weight_divergence(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
         assert weight_divergence(np.array([1.0, 2.0]), np.array([0.0, 0.0])) == 3.0
 
-    def test_weight_divergence_out_matches_allocating_bits(self):
+    def test_weight_divergence_nonfinite_matches_the_written_out_sum(self):
         rng = np.random.default_rng(2)
         a, b = rng.normal(size=(2, 500))
-        out = np.full(500, np.nan)
-        assert weight_divergence(a, b, out=out) == float(np.abs(a - b).sum())
+        assert weight_divergence(a, b) == float(np.abs(a - b).sum())
         a[17] = np.inf
         with np.errstate(invalid="ignore"):
-            assert weight_divergence(a, b, out=out) == np.inf
+            assert weight_divergence(a, b) == np.inf
             b[17] = np.inf  # inf - inf is NaN
-            got = weight_divergence(a, b, out=out)
+            got = weight_divergence(a, b)
             ref = float(np.abs(a - b).sum())
         assert np.float64(got).tobytes() == np.float64(ref).tobytes()
 

@@ -10,7 +10,6 @@ from fednsim.model import (
     backward,
     forward,
     init_params,
-    layer_buffers,
     load_params,
     lr_at_round,
     save_params,
@@ -285,29 +284,6 @@ class TestStacked:
         g = rng.normal(size=(2, 4, 3))
         assert backward(cfg, params, x, hidden, g, out=out) is out
         assert out.tobytes() == backward(cfg, params, x, hidden, g).tobytes()
-
-
-class TestForwardBuffers:
-    """forward(out=) writes every layer into the caller's buffers, with the same bits."""
-
-    @pytest.mark.parametrize("stacked", [False, True])
-    def test_buffers_receive_the_allocating_forward_bits(self, stacked):
-        cfg = MlpConfig(input_dim=7, hidden_dims=(9, 5), num_classes=4)
-        rng = np.random.default_rng(5)
-        # (P,) params with (N, d) features, or (K, P) params with (K, B, d) features
-        shape, rows = ((3, cfg.param_count()), (3, 6)) if stacked else ((cfg.param_count(),), (40,))
-        buffers = [np.full_like(b, np.nan) for b in layer_buffers(cfg, rows)]
-        assert [b.shape for b in buffers] == [(*rows, 9), (*rows, 5), (*rows, 4)]
-        for _ in range(3):  # one set of buffers serves model after model
-            params = rng.normal(size=shape)
-            x = rng.normal(size=(*rows, cfg.input_dim))
-            hidden, ref_hidden = [], []
-            logits = forward(cfg, params, x, hidden, out=buffers)
-            ref = forward(cfg, params, x, ref_hidden)
-            assert np.shares_memory(logits, buffers[-1]) and logits.shape == buffers[-1].shape
-            assert all(h is b for h, b in zip(hidden, buffers))
-            assert logits.tobytes() == ref.tobytes()
-            assert [h.tobytes() for h in hidden] == [h.tobytes() for h in ref_hidden]
 
 
 def _sgd_allocating(params, grad, velocity, lr, momentum, weight_decay):

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, parse_config
+from .config import IDX_KEYS, ConfigError, ExperimentConfig, parse_config
 from .data import (
     Dataset,
     IdxFormatError,
@@ -68,33 +68,39 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
+def load_run(cfg: ExperimentConfig) -> tuple:
+    """`run_federation`'s inputs under `cfg`, in its order: (fed, mlp, train,
+    partition, test).  IDX data is a ConfigError naming its keys and files
+    when the test set does not pair with the training set or the model
+    cannot take the data (images of no pixels, labels of one class)."""
     if cfg.data == "synth":
-        train = synth_dataset(
-            cfg.synth_classes, cfg.synth_per_class, cfg.synth_dim, cfg.synth_separation,
-            cfg.seed, split=0,
-        )
-        test = synth_dataset(
-            cfg.synth_classes, cfg.synth_test_per_class, cfg.synth_dim, cfg.synth_separation,
-            cfg.seed, split=1,
-        )
-        return train, test
-    train = read_idx(cfg.idx_train_images, cfg.idx_train_labels)
-    test = read_idx(cfg.idx_test_images, cfg.idx_test_labels)
-    # a run scores the model on every class of the test set, at the training width
-    if test.dim != train.dim:
-        raise ConfigError(
-            f"idx_test_images {cfg.idx_test_images}: images of {test.dim} pixels, "
-            f"the training images have {train.dim}"
-        )
-    classes = max(train.num_classes, test.num_classes)
-    train = Dataset(train.features, train.labels, classes)
-    test = Dataset(test.features, test.labels, classes)
-    if missing := test.missing_classes():
-        raise ConfigError(
-            f"idx_test_labels {cfg.idx_test_labels}: no test samples for classes {missing}"
-        )
-    return train, test
+        train = synth_dataset(cfg.synth_classes, cfg.synth_per_class, cfg.synth_dim,
+                              cfg.synth_separation, cfg.seed, split=0)
+        test = synth_dataset(cfg.synth_classes, cfg.synth_test_per_class, cfg.synth_dim,
+                             cfg.synth_separation, cfg.seed, split=1)
+        mlp = cfg.mlp_config(train.dim, train.num_classes)
+    else:
+        train = read_idx(cfg.idx_train_images, cfg.idx_train_labels)
+        test = read_idx(cfg.idx_test_images, cfg.idx_test_labels)
+        # a run scores the model on every class of the test set, at the training width
+        if test.dim != train.dim:
+            raise ConfigError(
+                f"idx_test_images {cfg.idx_test_images}: images of {test.dim} pixels, "
+                f"the training images have {train.dim}"
+            )
+        classes = max(train.num_classes, test.num_classes)
+        train = Dataset(train.features, train.labels, classes)
+        test = Dataset(test.features, test.labels, classes)
+        if missing := test.missing_classes():
+            raise ConfigError(
+                f"idx_test_labels {cfg.idx_test_labels}: no test samples for classes {missing}"
+            )
+        try:
+            mlp = cfg.mlp_config(train.dim, classes)
+        except ValueError as exc:  # MlpConfig owns the model's ranges
+            files = ", ".join(f"{key} {getattr(cfg, key)}" for key in IDX_KEYS)
+            raise ConfigError(f"the model for {files}: {exc}") from None
+    return cfg.federation_config(), mlp, train, make_partition(train, cfg.partition_spec()), test
 
 
 def _cmd_run(args) -> int:
@@ -106,9 +112,7 @@ def _cmd_run(args) -> int:
     if args.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
 
-    train, test = _load_datasets(cfg)
-    partition = make_partition(train, cfg.partition_spec())
-    mlp = cfg.mlp_config(train.dim, train.num_classes)
+    fed, mlp, train, partition, test = load_run(cfg)
 
     out_dir = Path(cfg.out_dir)
     try:
@@ -120,7 +124,7 @@ def _cmd_run(args) -> int:
         save_params(out_dir / f"checkpoint_round_{t:05d}.fntd", params)
 
     result = run_federation(
-        cfg.federation_config(), mlp, train, partition, test,
+        fed, mlp, train, partition, test,
         threads=args.threads,
         checkpoint_stride=cfg.checkpoint_stride,
         checkpoint_fn=checkpoint,
@@ -144,8 +148,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_partition(args) -> int:
     cfg = parse_config(args.config)
-    train, _ = _load_datasets(cfg)
-    partition = make_partition(train, cfg.partition_spec())
+    _, _, train, partition, _ = load_run(cfg)  # rejects what `run` rejects
 
     if args.stats:
         print(f"strategy={cfg.partition} clients={cfg.clients} dataset_size={len(train)}")

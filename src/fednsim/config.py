@@ -21,6 +21,7 @@ from .losses import LossConfig
 from .model import MlpConfig
 
 DATA_SOURCES = ("synth", "idx")
+IDX_KEYS = ("idx_train_images", "idx_train_labels", "idx_test_images", "idx_test_labels")
 
 
 class ConfigError(ValueError):
@@ -166,7 +167,7 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
                 raise ConfigError(f"{source}:{seen_lines[key]}: {key}: {exc}") from None
         raise
     if cfg.data == "idx":
-        for key in ("idx_train_images", "idx_train_labels", "idx_test_images", "idx_test_labels"):
+        for key in IDX_KEYS:
             if not getattr(cfg, key):
                 raise ConfigError(f"{source}: {key} is required when data = idx")
     return cfg

@@ -162,7 +162,7 @@ def read_idx(images_path, labels_path) -> Dataset:
     Pixels are scaled to [0, 1] by dividing by 255.  Raises a distinct
     error for a wrong magic number, a truncated file, and an image/label
     count mismatch, and IdxFormatError naming the path for a file that
-    cannot be opened or read (missing, a directory).
+    cannot be opened or read (missing, a directory) or holds no images.
     """
     try:
         with open(images_path, "rb") as f:
@@ -183,6 +183,8 @@ def read_idx(images_path, labels_path) -> Dataset:
 
     if n != n_labels:
         raise IdxCountMismatchError(f"{n} images but {n_labels} labels")
+    if n == 0:
+        raise IdxFormatError(f"{images_path}: no images")
     return Dataset(features, labels, int(labels.max()) + 1)
 
 

@@ -59,6 +59,12 @@ from .rng import NS_CLIENT_SHUFFLE, NS_ROUND_SAMPLE, stream
 AGGREGATION_MODES = ("size_weighted", "uniform")
 
 
+def _check_aggregation(mode: str) -> None:
+    """The one rule for an aggregation mode."""
+    if mode not in AGGREGATION_MODES:
+        raise ValueError(f"unknown aggregation {mode!r}, expected one of {AGGREGATION_MODES}")
+
+
 class DivergenceError(RuntimeError):
     """A local session ended with a non-finite summed loss or parameters.
 
@@ -99,10 +105,7 @@ class FederationConfig:
             raise ValueError("rounds, local_epochs, batch_size and eval_stride must be >= 1")
         if not (0.0 < self.sampling_ratio <= 1.0):
             raise ValueError(f"sampling_ratio must be in (0, 1], got {self.sampling_ratio}")
-        if self.aggregation not in AGGREGATION_MODES:
-            raise ValueError(
-                f"unknown aggregation {self.aggregation!r}, expected one of {AGGREGATION_MODES}"
-            )
+        _check_aggregation(self.aggregation)
         _check_sgd(self.lr0, self.momentum, self.weight_decay, self.lr_decay, lr_name="lr0")
 
 
@@ -237,8 +240,7 @@ def aggregate(updates: list[ClientUpdate], mode: str = "size_weighted") -> np.nd
     """
     if not updates:
         raise ValueError("no updates to aggregate")
-    if mode not in AGGREGATION_MODES:
-        raise ValueError(f"unknown aggregation {mode!r}")
+    _check_aggregation(mode)
     updates = sorted(updates, key=lambda u: u.client_id)
     length = updates[0].params.shape
     if any(u.params.shape != length for u in updates):

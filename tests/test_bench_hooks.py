@@ -16,9 +16,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fednsim import federation
+from fednsim import cli, federation
 
-from test_federation import pool_setup, round_groups, set_workers, spread_sessions, tiny_setup
+from test_federation import (
+    POOL_CONFIG, pool_setup, round_groups, set_workers, spread_sessions, tiny_setup,
+)
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -104,3 +106,20 @@ def test_traced_run_on_worker_processes_changes_nothing(spans, monkeypatch):
     assert layers["model.forward.teacher.calls"] == layers["model.forward.local.calls"] > 0
     assert layers["model.forward.teacher.rows"] == layers["model.forward.local.rows"]
     assert layers["model.backward.calls"] == layers["model.forward.local.calls"]
+
+
+def test_cli_run_set_up_is_traced(spans, monkeypatch, tmp_path):
+    # the cli workload's trace sees its set-up at cli's attributes: one
+    # synthesis of each split and one partition
+    config = tmp_path / "pool.cfg"
+    config.write_text(POOL_CONFIG)
+    set_workers(monkeypatch, 1)
+    recorder = spans.Recorder()
+    recorder.install()
+    try:
+        assert cli.main(["run", str(config), "--out", str(tmp_path / "out")]) == 0
+    finally:
+        recorder.uninstall()
+    layers = recorder.layer_metrics(1, 1)
+    assert layers["data.synth_dataset.calls"] == 2
+    assert layers["data.make_partition.calls"] == 1

@@ -223,10 +223,20 @@ class TestConfigBoundaries:
             assert code == 0 and err == ""
 
 
+# IDX data that a run cannot use: (train images shape, train classes, test
+# images shape, test classes, the file the error names).  Labels cycle
+# through the classes.
+UNUSABLE_IDX = {
+    "narrower_test_images": ((30, 2, 2), 3, (12, 2, 1), 3, "test-images"),
+    "test_set_missing_a_class": ((30, 2, 2), 3, (12, 2, 2), 2, "test-labels"),
+    "one_class": ((30, 2, 2), 1, (12, 2, 2), 1, "train-labels"),
+    "zero_pixel_images": ((30, 0, 2), 3, (12, 0, 2), 3, "train-images"),
+    "no_training_images": ((0, 2, 2), 3, (12, 2, 2), 3, "train-images"),
+}
+
+
 class TestIdxDataSource:
     def test_run_from_idx_files(self, tmp_path):
-        import numpy as np
-
         from test_data import write_idx_images, write_idx_labels
 
         rng = np.random.default_rng(0)
@@ -269,20 +279,16 @@ class TestIdxDataSource:
         assert run_cli("run", config) == 1
 
     @pytest.mark.parametrize("command", ["run", "partition"])
-    @pytest.mark.parametrize("case", ["narrower_test_images", "test_set_missing_a_class"])
+    @pytest.mark.parametrize("case", sorted(UNUSABLE_IDX))
     def test_unpaired_test_set_exit_1(self, case, command, tmp_path, capsys):
-        import numpy as np
-
         from test_data import write_idx_images, write_idx_labels
 
+        train_shape, train_classes, test_shape, test_classes, named = UNUSABLE_IDX[case]
         rng = np.random.default_rng(0)
-        train_labels = np.arange(30, dtype=np.uint8) % 3
-        test_labels = np.arange(12, dtype=np.uint8) % (3 if case == "narrower_test_images" else 2)
-        test_shape = (12, 2, 1) if case == "narrower_test_images" else (12, 2, 2)
-        write_idx_images(tmp_path / "train-images", rng.integers(0, 256, (30, 2, 2), np.uint8))
-        write_idx_labels(tmp_path / "train-labels", train_labels)
-        write_idx_images(tmp_path / "test-images", rng.integers(0, 256, test_shape, np.uint8))
-        write_idx_labels(tmp_path / "test-labels", test_labels)
+        for k, shape, classes in (("train", train_shape, train_classes),
+                                  ("test", test_shape, test_classes)):
+            write_idx_images(tmp_path / f"{k}-images", rng.integers(0, 256, shape, np.uint8))
+            write_idx_labels(tmp_path / f"{k}-labels", np.arange(shape[0]) % classes)
         config = tmp_path / "idx.cfg"
         config.write_text("data = idx\n" + "".join(
             f"idx_{k}_{part} = {tmp_path / f'{k}-{part}'}\n"
@@ -290,8 +296,7 @@ class TestIdxDataSource:
         ) + "partition = iid\nclients = 2\nrounds = 1\n")
         assert run_cli(command, config) == 1
         err = capsys.readouterr().err
-        bad = tmp_path / ("test-images" if case == "narrower_test_images" else "test-labels")
-        assert err.startswith("error:") and str(bad) in err, err
+        assert err.startswith("error:") and str(tmp_path / named) in err, err
         assert "internal error" not in err
 
 

@@ -16,6 +16,9 @@ from fednsim.config import (
     parse_config_text,
     serialize_config,
 )
+from fednsim.data import PartitionSpec
+from fednsim.federation import FederationConfig
+from fednsim.losses import LossConfig
 from fednsim.metrics import RoundLog, forgetting_measure
 from fednsim.runio import read_round_csv, write_round_csv, write_summary_json
 
@@ -33,6 +36,12 @@ class TestParseConfig:
         assert cfg.beta == 1.0
         assert cfg.tau == 1.0
         assert cfg.mu == 0.1
+
+    def test_component_defaults_match_the_experiment_defaults(self):
+        cfg = ExperimentConfig()
+        assert cfg.federation_config() == FederationConfig()
+        assert cfg.partition_spec() == PartitionSpec()
+        assert cfg.loss_config() == LossConfig()
 
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config_text("# experiment\n\nrounds = 7  # short\n")

@@ -17,8 +17,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fednsim.cli import load_run
 from fednsim.config import parse_config_text
-from fednsim.data import make_partition, synth_dataset
 from fednsim.federation import run_federation, sample_clients
 from fednsim.runio import write_round_csv, write_summary_json
 
@@ -160,20 +160,11 @@ def _config(name):
     return replace(parse_config_text(_COMMON + CASES[name][0], name), out_dir="golden")
 
 
-def _inputs(cfg):
-    train = synth_dataset(cfg.synth_classes, cfg.synth_per_class, cfg.synth_dim,
-                          cfg.synth_separation, cfg.seed, split=0)
-    test = synth_dataset(cfg.synth_classes, cfg.synth_test_per_class, cfg.synth_dim,
-                         cfg.synth_separation, cfg.seed, split=1)
-    return train, test, make_partition(train, cfg.partition_spec())
-
-
 def run_digests(name, out_dir) -> dict[str, str]:
     """Runs case `name`, writes its outputs under `out_dir`, returns their sha256."""
     cfg = _config(name)
-    train, test, partition = _inputs(cfg)
-    mlp = cfg.mlp_config(train.dim, train.num_classes)
-    result = run_federation(cfg.federation_config(), mlp, train, partition, test)
+    fed, mlp, train, partition, test = load_run(cfg)
+    result = run_federation(fed, mlp, train, partition, test)
     write_round_csv(result.logs, out_dir / "rounds.csv", mlp.num_classes)
     write_summary_json(result.logs, cfg, out_dir / "summary.json", "rounds.csv")
     return {
@@ -204,7 +195,7 @@ def test_mixed_case_has_shared_and_lone_sizes_in_one_round():
     # the pinned dirichlet fedprox case must hold a round whose sampled clients
     # include two of one size and one of a size no other sampled client has
     cfg = _config("dirichlet_fedprox_mixed")
-    _train, _test, partition = _inputs(cfg)
+    _, _, _, partition, _ = load_run(cfg)
     sizes = {c.client_id: len(c) for c in partition}
     eligible = [cid for cid, n in sizes.items() if n > 0]
     mixed = []

@@ -17,7 +17,7 @@ from fednsim.data import (
     shard_partition,
     synth_dataset,
 )
-from fednsim.federation import FederationConfig
+from fednsim.federation import ClientUpdate, FederationConfig, aggregate
 from fednsim.losses import (
     LossConfig,
     batch_loss_and_grad,
@@ -69,6 +69,10 @@ TABLE = [
     ("lr_decay", "lr_decay", [NAN, 0.0, -1.0, 1.5, INF], [1.0, 1e-3], {
         "FederationConfig": lambda v: FederationConfig(lr_decay=v),
         "lr_at_round": lambda v: lr_at_round(0.1, 3, v),
+    }),
+    ("aggregation", "unknown aggregation", ["mean", ""], ["uniform", "size_weighted"], {
+        "FederationConfig": lambda v: FederationConfig(aggregation=v),
+        "aggregate": lambda v: aggregate([ClientUpdate(0, np.ones(2), 1, 0.0)], v),
     }),
     ("tau", "tau", [NAN, 0.0, -1.0, INF, -INF], [1e6, 1e-3], {
         "LossConfig": lambda v: LossConfig(tau=v),

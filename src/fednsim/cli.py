@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -103,6 +104,15 @@ def load_run(cfg: ExperimentConfig) -> tuple:
     return cfg.federation_config(), mlp, train, make_partition(train, cfg.partition_spec()), test
 
 
+@contextmanager
+def _writing(path):
+    """An OSError while writing `path` (a directory there, say) is a ConfigError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config)
     if args.seed is not None:
@@ -121,7 +131,9 @@ def _cmd_run(args) -> int:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from None
 
     def checkpoint(t: int, params: np.ndarray) -> None:
-        save_params(out_dir / f"checkpoint_round_{t:05d}.fntd", params)
+        path = out_dir / f"checkpoint_round_{t:05d}.fntd"
+        with _writing(path):
+            save_params(path, params)
 
     result = run_federation(
         fed, mlp, train, partition, test,
@@ -131,8 +143,10 @@ def _cmd_run(args) -> int:
     )
     csv_path = out_dir / "rounds.csv"
     summary_path = out_dir / "summary.json"
-    write_round_csv(result.logs, csv_path, mlp.num_classes)
-    write_summary_json(result.logs, cfg, summary_path, csv_path.name)
+    with _writing(csv_path):
+        write_round_csv(result.logs, csv_path, mlp.num_classes)
+    with _writing(summary_path):
+        write_summary_json(result.logs, cfg, summary_path, csv_path.name)
     final = result.logs[-1]
     print(f"finished {cfg.rounds} rounds: accuracy {final.global_acc:.4f}, "
           f"outputs in {out_dir}")

@@ -3,8 +3,9 @@
 The format is deliberately flat and diff-friendly: one `key = value` per
 line, `#` comments, blank lines allowed.  Unknown keys, bad types, and
 out-of-range values are reported with the key name and line number.
-Each key is parsed by its field's type, and each range is checked once,
-by the dataclass that carries the field.  Serialization emits every key
+Each key is parsed by its field's type.  A key that a component config
+owns takes its default from it, and each range is checked once, by the
+dataclass that carries the field.  Serialization emits every key
 in a fixed order so that parse -> serialize -> parse is the identity and
 the config hash is whitespace- and comment-insensitive.
 """
@@ -12,7 +13,7 @@ the config hash is whitespace- and comment-insensitive.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import get_type_hints
 
 from .data import PartitionSpec, _check_separation
@@ -26,6 +27,16 @@ IDX_KEYS = ("idx_train_images", "idx_train_labels", "idx_test_images", "idx_test
 
 class ConfigError(ValueError):
     pass
+
+
+# Each component field with the key that holds it: the key of the same name,
+# but for three renames.  federation_config() passes in FederationConfig.loss.
+_RENAMED = {"strategy": "partition", "alpha": "dirichlet_alpha", "master_seed": "seed"}
+_COMPONENT_KEYS = {
+    component: tuple((f.name, _RENAMED.get(f.name, f.name))
+                     for f in fields(component) if f.name != "loss")
+    for component in (LossConfig, FederationConfig, PartitionSpec)
+}
 
 
 @dataclass
@@ -42,30 +53,30 @@ class ExperimentConfig:
     idx_test_images: str = ""
     idx_test_labels: str = ""
     # partition
-    partition: str = "iid"
-    clients: int = 10
-    shards_per_client: int = 2
-    dirichlet_alpha: float = 0.5
+    partition: str = PartitionSpec.strategy
+    clients: int = PartitionSpec.clients
+    shards_per_client: int = PartitionSpec.shards_per_client
+    dirichlet_alpha: float = PartitionSpec.alpha
     # model
     hidden_dims: tuple[int, ...] = (64, 64)
     # federation
-    method: str = "fedavg"
-    rounds: int = 50
-    local_epochs: int = 5
-    batch_size: int = 50
-    sampling_ratio: float = 0.1
-    lr0: float = 0.01
-    momentum: float = 0.9
-    weight_decay: float = 1e-5
-    lr_decay: float = 0.99
-    beta: float = 1.0
-    tau: float = 1.0
-    mu: float = 0.1
-    interp_lambda: float = 0.5
-    aggregation: str = "size_weighted"
-    seed: int = 0
+    method: str = LossConfig.method
+    rounds: int = FederationConfig.rounds
+    local_epochs: int = FederationConfig.local_epochs
+    batch_size: int = FederationConfig.batch_size
+    sampling_ratio: float = FederationConfig.sampling_ratio
+    lr0: float = FederationConfig.lr0
+    momentum: float = FederationConfig.momentum
+    weight_decay: float = FederationConfig.weight_decay
+    lr_decay: float = FederationConfig.lr_decay
+    beta: float = LossConfig.beta
+    tau: float = LossConfig.tau
+    mu: float = LossConfig.mu
+    interp_lambda: float = LossConfig.interp_lambda
+    aggregation: str = FederationConfig.aggregation
+    seed: int = FederationConfig.master_seed
     # bookkeeping
-    eval_stride: int = 1
+    eval_stride: int = FederationConfig.eval_stride
     checkpoint_stride: int = 0
     out_dir: str = "runs"
 
@@ -82,39 +93,18 @@ class ExperimentConfig:
         self.partition_spec()
         self.mlp_config(self.synth_dim, self.synth_classes)
 
+    def _component(self, component, **given):
+        return component(**{name: getattr(self, key) for name, key in _COMPONENT_KEYS[component]},
+                         **given)
+
     def loss_config(self) -> LossConfig:
-        return LossConfig(
-            method=self.method,
-            beta=self.beta,
-            tau=self.tau,
-            mu=self.mu,
-            interp_lambda=self.interp_lambda,
-        )
+        return self._component(LossConfig)
 
     def federation_config(self) -> FederationConfig:
-        return FederationConfig(
-            rounds=self.rounds,
-            local_epochs=self.local_epochs,
-            batch_size=self.batch_size,
-            sampling_ratio=self.sampling_ratio,
-            loss=self.loss_config(),
-            lr0=self.lr0,
-            momentum=self.momentum,
-            weight_decay=self.weight_decay,
-            lr_decay=self.lr_decay,
-            aggregation=self.aggregation,
-            master_seed=self.seed,
-            eval_stride=self.eval_stride,
-        )
+        return self._component(FederationConfig, loss=self.loss_config())
 
     def partition_spec(self) -> PartitionSpec:
-        return PartitionSpec(
-            strategy=self.partition,
-            clients=self.clients,
-            shards_per_client=self.shards_per_client,
-            alpha=self.dirichlet_alpha,
-            seed=self.seed,
-        )
+        return self._component(PartitionSpec)
 
     def mlp_config(self, input_dim: int, num_classes: int) -> MlpConfig:
         return MlpConfig(input_dim=input_dim, hidden_dims=self.hidden_dims, num_classes=num_classes)

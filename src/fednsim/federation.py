@@ -65,6 +65,12 @@ def _check_aggregation(mode: str) -> None:
         raise ValueError(f"unknown aggregation {mode!r}, expected one of {AGGREGATION_MODES}")
 
 
+def _check_sampling(ratio: float) -> None:
+    """The one valid range of the client sampling ratio."""
+    if not (0.0 < ratio <= 1.0):
+        raise ValueError(f"sampling_ratio must be in (0, 1], got {ratio}")
+
+
 class DivergenceError(RuntimeError):
     """A local session ended with a non-finite summed loss or parameters.
 
@@ -103,8 +109,7 @@ class FederationConfig:
     def __post_init__(self):
         if min(self.rounds, self.local_epochs, self.batch_size, self.eval_stride) < 1:
             raise ValueError("rounds, local_epochs, batch_size and eval_stride must be >= 1")
-        if not (0.0 < self.sampling_ratio <= 1.0):
-            raise ValueError(f"sampling_ratio must be in (0, 1], got {self.sampling_ratio}")
+        _check_sampling(self.sampling_ratio)
         _check_aggregation(self.aggregation)
         _check_sgd(self.lr0, self.momentum, self.weight_decay, self.lr_decay, lr_name="lr0")
 
@@ -127,6 +132,7 @@ class FederationResult:
 def sample_count(clients: int, ratio: float, eligible: int) -> int:
     """How many clients every round samples: max(1, round(ratio * clients)),
     at most the `eligible` count."""
+    _check_sampling(ratio)
     return min(max(1, round(ratio * clients)), eligible)
 
 

@@ -75,12 +75,18 @@ def _ce_rows(soft, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return loss, grad
 
 
+def _kl_terms(logp_l: np.ndarray, z_g: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """KL(teacher || student) per (row, class) at tau, from the student's
+    log-softmax, and the teacher's softmax q_g."""
+    logp_g = _log_softmax(z_g, tau)
+    q_g = np.exp(logp_g)
+    return np.where(q_g >= _KL_TEACHER_FLOOR, q_g * (logp_g - logp_l), 0.0), q_g
+
+
 def _kl_rows(soft_l, z_g: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """KL(teacher || student) per row at tau, soft_l = _Student(z_l)[tau]; grad wrt z_l."""
     logp_l, p_l = soft_l
-    logp_g = _log_softmax(z_g, tau)
-    q_g = np.exp(logp_g)
-    terms = np.where(q_g >= _KL_TEACHER_FLOOR, q_g * (logp_g - logp_l), 0.0)
+    terms, q_g = _kl_terms(logp_l, z_g, tau)
     loss = terms.sum(axis=1)
     grad = p_l - q_g if tau == 1.0 else (p_l - q_g) / tau  # x / 1.0 == x
     return loss, grad

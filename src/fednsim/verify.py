@@ -26,12 +26,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import out_local_distribution
-from .losses import _check_loss, softmax_temp
+from .losses import _check_loss, _kl_terms, _log_softmax
 from .metrics import gradient_diversity
 from .rng import NS_VERIFY, stream
 
 COLUMN_SUM_TOL = 1e-9
 SLOPE_TOL = 1e-6  # how far the diversity slope may rise above -M/(1+beta)^2
+
+
+def _check_trials(count: int, name: str = "trials") -> None:
+    """The one valid range of a check's count of random instances."""
+    if count < 1:
+        raise ValueError(f"{name} must be >= 1, got {count}")
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +235,9 @@ def _split_discrepancy(terms: np.ndarray, labels: np.ndarray) -> float:
 
 
 def kl_split_discrepancy(instance: SplitInstance) -> float:
-    """The split gap of KL(reference || local), from its teacher-weighted log ratios."""
-    q_l = softmax_temp(instance.z_local, instance.tau)
-    q_g = softmax_temp(instance.z_ref, instance.tau)
-    return _split_discrepancy(-q_g * np.log(q_l / q_g), instance.labels)
+    """The split gap of KL(reference || local), from the training loss's KL terms."""
+    logp_l = _log_softmax(instance.z_local, instance.tau)
+    return _split_discrepancy(_kl_terms(logp_l, instance.z_ref, instance.tau)[0], instance.labels)
 
 
 def mse_split_discrepancy(instance: SplitInstance) -> float:
@@ -335,6 +340,7 @@ def smoothness_violation(lam: float, num_classes: int, trials: int, seed: int = 
     """
     if not (lam > 0.0):
         raise ValueError(f"lam must be > 0, got {lam}")
+    _check_trials(trials)
     rng = stream(seed, NS_VERIFY, 1)
     worst = -np.inf
     for _ in range(trials):
@@ -370,6 +376,8 @@ class CheckResult:
 
 def run_all(trials: int = 100, seed: int = 0, diversity_instances: int = 50) -> list[CheckResult]:
     """The full verification report; every entry must pass."""
+    _check_trials(trials)
+    _check_trials(diversity_instances, "diversity_instances")
     results = []
 
     rng = stream(seed, NS_VERIFY, 0)

@@ -400,6 +400,16 @@ class TestFileBoundaries:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(bad) in err, err
 
+    @pytest.mark.parametrize("name", ["checkpoint_round_00001.fntd", "rounds.csv", "summary.json"])
+    def test_unwritable_output_exit_1(self, name, tmp_path, capsys):
+        config = tmp_path / "exp.cfg"
+        config.write_text(TINY_CONFIG + "checkpoint_stride = 1\n")
+        bad = tmp_path / "out" / name
+        bad.mkdir(parents=True)  # a directory where the run writes a file
+        assert run_cli("run", config, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {bad}:"), err
+
 
 class TestUsage:
     def test_unknown_subcommand_exit_1(self, capsys):

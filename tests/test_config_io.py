@@ -1,7 +1,9 @@
 """Tests for config parsing/serialization/hashing and metric persistence."""
 
 import json
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from fednsim.config import (
     ConfigError,
     ExperimentConfig,
+    config_dict,
     config_hash,
     parse_config,
     parse_config_text,
@@ -42,6 +45,26 @@ class TestParseConfig:
         assert cfg.federation_config() == FederationConfig()
         assert cfg.partition_spec() == PartitionSpec()
         assert cfg.loss_config() == LossConfig()
+
+    def test_readme_defaults_table_matches_the_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| Key | Default | Meaning |\n| --- | --- | --- |\n", 1)[1]
+        defaults = config_dict(ExperimentConfig())
+        order = list(defaults)
+        documented = {}
+        for row in table.split("\n\n", 1)[0].splitlines():
+            key_cell, default_cell = row.split(" | ")[:2]
+            keys = re.findall(r"`(\w+)`", key_cell)
+            if "…" in key_cell:  # a range of keys sharing one row
+                keys = order[order.index(keys[0]):order.index(keys[-1]) + 1]
+            for key in keys:
+                documented[key] = default_cell.strip("`")
+        want = {
+            key: ",".join(map(str, value)) if isinstance(value, list) else str(value) or "empty"
+            for key, value in defaults.items()
+        }
+        assert list(documented) == order
+        assert documented == want
 
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config_text("# experiment\n\nrounds = 7  # short\n")

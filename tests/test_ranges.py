@@ -17,7 +17,13 @@ from fednsim.data import (
     shard_partition,
     synth_dataset,
 )
-from fednsim.federation import ClientUpdate, FederationConfig, aggregate
+from fednsim.federation import (
+    ClientUpdate,
+    FederationConfig,
+    aggregate,
+    sample_clients,
+    sample_count,
+)
 from fednsim.losses import (
     LossConfig,
     batch_loss_and_grad,
@@ -32,7 +38,7 @@ from fednsim.losses import (
     softmax_temp,
 )
 from fednsim.model import lr_at_round, sgd_momentum_step
-from fednsim.verify import SplitInstance
+from fednsim.verify import SplitInstance, run_all, smoothness_violation
 
 NAN, INF = float("nan"), float("inf")
 Z_L = np.array([0.3, -1.2, 2.0])
@@ -74,6 +80,11 @@ TABLE = [
         "FederationConfig": lambda v: FederationConfig(aggregation=v),
         "aggregate": lambda v: aggregate([ClientUpdate(0, np.ones(2), 1, 0.0)], v),
     }),
+    ("sampling_ratio", "sampling_ratio", [0.0, -0.1, 1.5, NAN, INF], [1.0, 1e-3], {
+        "FederationConfig": lambda v: FederationConfig(sampling_ratio=v),
+        "sample_count": lambda v: sample_count(10, v, 10),
+        "sample_clients": lambda v: sample_clients(10, v, 1, 0),
+    }),
     ("tau", "tau", [NAN, 0.0, -1.0, INF, -INF], [1e6, 1e-3], {
         "LossConfig": lambda v: LossConfig(tau=v),
         "softmax_temp": lambda v: softmax_temp(Z_L, v),
@@ -105,6 +116,13 @@ TABLE = [
     ("separation", "separation must be finite and >= 0", [NAN, -0.1, INF, -INF], [0.0, 1e6], {
         "ExperimentConfig": lambda v: ExperimentConfig(synth_separation=v),
         "synth_dataset": lambda v: synth_dataset(2, 3, 2, v, 0),
+    }),
+    ("trials", r"\btrials must be >= 1", [0, -1], [1], {
+        "run_all": lambda v: run_all(trials=v, diversity_instances=1),
+        "smoothness_violation": lambda v: smoothness_violation(1.7, 5, v),
+    }),
+    ("diversity_instances", "diversity_instances must be >= 1", [0, -1], [1], {
+        "run_all": lambda v: run_all(trials=1, diversity_instances=v),
     }),
     ("labels", "labels out of range", [-1, 3], [0, 2], {
         "Dataset": lambda v: Dataset(np.zeros((1, 2)), [v], 3),

@@ -6,13 +6,15 @@ Subcommands:
   verify     run the numerical verification suite
   metrics    recompute forgetting and drift series from a stored CSV
 
-Exit codes: 0 success, 1 bad configuration or usage, 2 runtime failure
-(including a failing verification check).
+Exit codes: 0 success, 1 bad configuration or usage (a run too large for
+memory among them), 2 runtime failure (including a failing verification
+check).
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -245,8 +247,13 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - safety net
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        if isinstance(exc, MemoryError) or getattr(exc, "errno", None) == errno.ENOMEM:
+            print(f"error: out of memory ({exc}); the array sizes are set by synth_classes, "
+                  "synth_per_class, synth_test_per_class, synth_dim, hidden_dims, clients, "
+                  "sampling_ratio", file=sys.stderr)
+            return 1
+        print(f"internal error: {exc}", file=sys.stderr)  # pragma: no cover - safety net
         return 2
 
 

@@ -266,11 +266,14 @@ def aggregate(updates: list[ClientUpdate], mode: str = "size_weighted") -> np.nd
 
 
 @functools.cache
-def _blas_threads():
-    """(get, set) of the thread count of the OpenBLAS that numpy calls, or None.
+def _openblas():
+    """`lookup(name)`, the ctypes function `name` of the OpenBLAS that numpy
+    calls (None if it has none), or None where no OpenBLAS is found.
 
-    The library is looked up among the files this process has mapped, and
-    its two functions by the names OpenBLAS builds give them.
+    The library is looked up among the files this process has mapped, by
+    the names OpenBLAS builds give its thread-count functions; `lookup`
+    gives `name` their prefix and suffix: `scipy_openblas_{name}64_` in
+    scipy-openblas, `openblas_{name}` in a plain build.
     """
     try:
         with open("/proc/self/maps", encoding="utf-8") as maps:
@@ -282,15 +285,30 @@ def _blas_threads():
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for prefix in ("scipy_openblas", "openblas"):
-            for suffix in ("64_", ""):
-                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-                if get is not None and put is not None:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    put.argtypes, put.restype = [ctypes.c_int], None
-                    return get, put
+        for form in ("scipy_openblas_{}64_", "scipy_openblas_{}", "openblas_{}64_", "openblas_{}"):
+            if all(hasattr(lib, form.format(f)) for f in ("get_num_threads", "set_num_threads")):
+                return lambda name: getattr(lib, form.format(name), None)
     return None
+
+
+@functools.cache
+def _blas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy calls, or None."""
+    if (lookup := _openblas()) is None:
+        return None
+    get, put = lookup("get_num_threads"), lookup("set_num_threads")
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+def blas_core() -> str | None:
+    """The kernel numpy's OpenBLAS picked at runtime (`SkylakeX`, say), or None."""
+    corename = None if (lookup := _openblas()) is None else lookup("get_corename")
+    if corename is None:
+        return None
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
 
 
 def _workers(clients: int) -> int:
@@ -497,13 +515,12 @@ def _train_groups(
     groups: list[list[ClientData]],
     round_t: int,
     scored: bool,
-    score_w_in: bool,
 ) -> tuple[list[ClientUpdate], np.ndarray | None]:
     """Trains every lockstep group from the incoming model in row 0 of `pool.block`.
 
     Returns the updates in ascending client id, their parameters rows of
-    the block, and with `score_w_in` the incoming model's class-wise
-    accuracy.  The groups are the round's sessions; while there are fewer
+    the block, and when `scored` the incoming model's class-wise accuracy,
+    else None.  The groups are the round's sessions; while there are fewer
     sessions than workers, the largest one of two or more clients is split
     in half by client id (a client's bits do not depend on who trains
     beside it).  Sessions are handed out largest (clients x samples) first,
@@ -528,7 +545,7 @@ def _train_groups(
     for session in sorted(sessions, key=_cost, reverse=True):
         tasks.append(_Task(round_t, row, tuple(c.client_id for c in session), scored))
         row += len(session)
-    if score_w_in:
+    if scored:
         tasks.append(_Task(round_t, 0, (), True))
     outcomes = pool.run(round_t, tasks)
 
@@ -574,9 +591,9 @@ def run_federation(
     helpers forked from it once, here, and ended before this returns
     (`_Pool`, `_train_groups`), with the same bits at every worker count.
     In a logged round each worker scores the updates it trained, right
-    after training them, and the incoming model is scored during the round
-    too unless the previous round logged it.  `threads` must be >= 1 and
-    changes nothing.
+    after training them, and one of them scores the incoming model, so a
+    round's log depends on that round's models alone.  `threads` must be
+    >= 1 and changes nothing.
 
     The testset must hold every class, since each logged round scores the
     models class by class; one that lacks a class is rejected before any
@@ -608,7 +625,6 @@ def run_federation(
     run_task = functools.partial(_run_task, block=block, clients=clients, dataset=dataset,
                                  fed=fed, mlp=mlp, testset=testset)
     logs: list[RoundLog] = []
-    w_acc = None  # class-wise accuracy of w, when the round that made w logged it
     with _Pool(_workers(sampled), block, run_task) as pool:
         for t in range(1, fed.rounds + 1):
             w_in[...] = w
@@ -617,13 +633,10 @@ def run_federation(
             for cid in ids:
                 groups.setdefault(len(clients[cid]), []).append(clients[cid])
             logged = t % fed.eval_stride == 0 or t == fed.rounds
-            updates, w_in_acc = _train_groups(pool, list(groups.values()), t, logged,
-                                              logged and w_acc is None)
+            updates, w_in_acc = _train_groups(pool, list(groups.values()), t, logged)
             w = aggregate(updates, fed.aggregation)
             if logged:
-                logs.append(_evaluate_round(t, mlp, testset, w_in, w, updates, dists,
-                                            w_acc if w_in_acc is None else w_in_acc))
-            w_acc = logs[-1].class_acc if logged else None
+                logs.append(_evaluate_round(t, mlp, testset, w_in, w, updates, dists, w_in_acc))
             if checkpoint_stride > 0 and checkpoint_fn is not None and t % checkpoint_stride == 0:
                 checkpoint_fn(t, w)
     return FederationResult(w, logs)
@@ -643,8 +656,8 @@ def _evaluate_round(
 
     `updates` come in ascending client id, each with its class-wise
     accuracy, which the worker that trained it measured (`_train_groups`).
-    `incoming_acc` is w_in's class-wise accuracy: the previous round's when
-    it logged, else measured during this round by one of the workers.
+    `incoming_acc` is w_in's class-wise accuracy, which one of the workers
+    measured during this round.
     """
     pred_out = predict(mlp, w_out, testset)
     try:

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: subcommands, exit codes, determinism."""
 
+import errno
 import json
 import multiprocessing
 import os
@@ -10,7 +11,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from fednsim import federation
+from fednsim import cli, federation
 from fednsim.cli import main
 from fednsim.config import ExperimentConfig
 from fednsim.model import load_params
@@ -171,6 +172,41 @@ class TestRunCommand:
     def test_ordinary_run_prints_no_warning(self, tiny_config, tmp_path, capsys):
         assert run_cli("run", tiny_config, "--out", tmp_path / "o") == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["run", "partition"])
+    def test_data_too_large_for_memory_exit_1(self, command, tiny_config, tmp_path, monkeypatch,
+                                             capsys):
+        # what numpy raises for synth_dim = 100000000000, without allocating it
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.18 TiB for an array")
+
+        monkeypatch.setattr(cli, "synth_dataset", too_large)
+        argv = ["run", tiny_config, "--out", tmp_path / "o"] if command == "run" else [
+            "partition", tiny_config, "--stats"]
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: out of memory (Unable to allocate 2.18 TiB for an array); the "
+                       "array sizes are set by synth_classes, synth_per_class, "
+                       "synth_test_per_class, synth_dim, hidden_dims, clients, sampling_ratio\n")
+
+    def test_shared_block_too_large_for_memory_exit_1(self, tiny_config, tmp_path, monkeypatch,
+                                                      capsys):
+        def no_memory(*args):
+            raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+        monkeypatch.setattr(federation.mmap, "mmap", no_memory)
+        assert run_cli("run", tiny_config, "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: out of memory ([Errno {errno.ENOMEM}] ")
+        assert err.endswith("hidden_dims, clients, sampling_ratio\n")
+
+    def test_other_os_error_stays_internal(self, tiny_config, tmp_path, monkeypatch, capsys):
+        def denied(*args):
+            raise OSError(errno.EACCES, os.strerror(errno.EACCES))
+
+        monkeypatch.setattr(federation.mmap, "mmap", denied)
+        assert run_cli("run", tiny_config, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err.startswith("internal error:")
 
 
 # Every config key fed each boundary value through `fednsim run`.  A value is

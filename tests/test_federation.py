@@ -768,6 +768,14 @@ class TestGroupPool:
         assert not other.is_alive()
         assert federation._workers(10**6) == len(os.sched_getaffinity(0))
 
+    def test_blas_core_read_from_the_thread_count_library(self, monkeypatch):
+        lookup = federation._openblas()
+        assert lookup("get_num_threads") is federation._blas_threads()[0]
+        assert lookup("no_such_function") is None
+        assert federation.blas_core()  # a kernel name, such as SkylakeX
+        monkeypatch.setattr(federation, "_openblas", lambda: None)
+        assert federation.blas_core() is None
+
     @pytest.mark.parametrize("method", ["fedprox", "fedntd"])
     def test_outputs_identical_at_1_2_3_workers(self, method, monkeypatch, tmp_path, blas_two):
         cfg, train, test, partition, mlp = pool_setup(method)
@@ -918,9 +926,9 @@ class TestGroupPool:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("stride", [1, 2])
     def test_eval_forwards_per_logged_round(self, stride, workers, monkeypatch, tmp_path):
-        # 2 + K forwards when the previous round was not logged, else 1 + K;
-        # w_in's is made during the round, so _evaluate_round, on the calling
-        # process, makes one: w_out's
+        # 2 + K forwards in every logged round: w_in's and the K updates' are
+        # made during the round, so _evaluate_round, on the calling process,
+        # makes one: w_out's
         cfg, train, test, partition, mlp = pool_setup("fedprox")
         set_workers(monkeypatch, workers)
         log = CallLog(tmp_path / "calls")
@@ -929,7 +937,7 @@ class TestGroupPool:
         run_federation(fed, mlp, train, partition, test)
         sampled = [sum(map(len, groups)) for groups in round_groups(cfg, partition)]
         logged = [t for t in range(1, fed.rounds + 1) if t % stride == 0]
-        expected = {t: (1 if t - 1 in logged else 2) + sampled[t - 1] for t in logged}
+        expected = {t: 2 + sampled[t - 1] for t in logged}
         forwards = [r for r in log.read() if "evaluate" in r]
         assert Counter(r["round"] for r in forwards) == expected
         assert Counter(r["round"] for r in forwards if r["evaluate"]) == dict.fromkeys(logged, 1)

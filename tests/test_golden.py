@@ -7,7 +7,8 @@ or evaluation path must leave all three unchanged.  The digests were taken
 with numpy 2.4 on OpenBLAS 0.3.31 (x86-64), whose runtime-selected kernel
 was `SkylakeX` (AVX-512), and they hold for that kernel only: another
 kernel (`OPENBLAS_CORETYPE=Haswell`, say) or another BLAS build may round
-matrix products differently, so a failure names the build it ran on.
+matrix products differently, so a failure names the build it ran on and the
+kernel its OpenBLAS picked at runtime.
 """
 
 import hashlib
@@ -19,7 +20,7 @@ import pytest
 
 from fednsim.cli import load_run
 from fednsim.config import parse_config_text
-from fednsim.federation import run_federation, sample_clients
+from fednsim.federation import blas_core, run_federation, sample_clients
 from fednsim.runio import write_round_csv, write_summary_json
 
 _COMMON = """\
@@ -175,11 +176,13 @@ def run_digests(name, out_dir) -> dict[str, str]:
 
 
 def _blas_build() -> str:
+    """numpy's version, its BLAS build and the kernel that BLAS runs."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        return f"numpy {np.__version__}, {blas.get('name')} {blas.get('version')}"
+        build = f"numpy {np.__version__}, {blas.get('name')} {blas.get('version')}"
     except Exception:  # older numpy without mode="dicts"
-        return f"numpy {np.__version__}, BLAS unknown"
+        build = f"numpy {np.__version__}, BLAS unknown"
+    return f"{build}, OpenBLAS core {blas_core() or 'unknown'}"
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -187,14 +190,19 @@ def test_outputs_match_golden_digests(name, tmp_path):
     got = run_digests(name, tmp_path)
     assert got == CASES[name][1], (
         f"{name}: output digests changed (ran on {_blas_build()}; pinned on numpy 2.4, "
-        f"OpenBLAS 0.3.31)"
+        f"OpenBLAS 0.3.31, OpenBLAS core SkylakeX)"
     )
 
 
-def test_mixed_case_has_shared_and_lone_sizes_in_one_round():
-    # the pinned dirichlet fedprox case must hold a round whose sampled clients
-    # include two of one size and one of a size no other sampled client has
-    cfg = _config("dirichlet_fedprox_mixed")
+def test_a_failure_names_the_openblas_core():
+    core = blas_core()
+    assert core  # this numpy calls an OpenBLAS that names its kernel
+    assert _blas_build().endswith(f", OpenBLAS core {core}")
+
+
+def has_shared_and_lone_sizes_in_one_round(cfg) -> bool:
+    """Whether a round of `cfg` samples two clients of one size and one of a
+    size no other sampled client has."""
     _, _, _, partition, _ = load_run(cfg)
     sizes = {c.client_id: len(c) for c in partition}
     eligible = [cid for cid, n in sizes.items() if n > 0]
@@ -203,4 +211,8 @@ def test_mixed_case_has_shared_and_lone_sizes_in_one_round():
         ids = sample_clients(cfg.clients, cfg.sampling_ratio, t, cfg.seed, eligible)
         counts = Counter(sizes[i] for i in ids).values()
         mixed.append(max(counts) >= 2 and min(counts) == 1)
-    assert any(mixed)
+    return any(mixed)
+
+
+def test_mixed_case_has_shared_and_lone_sizes_in_one_round():
+    assert has_shared_and_lone_sizes_in_one_round(_config("dirichlet_fedprox_mixed"))

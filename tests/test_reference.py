@@ -6,18 +6,23 @@ process pool, no shared parameter block and no reused buffers.  Every
 logged round is scored from scratch with the `metrics` functions: the
 incoming model again in every logged round, each update from its own
 predictions.  `run_federation` must end on the same parameters and log
-the same rounds, bit for bit, at every worker count.  The check pins no
-digest, so it holds on any BLAS kernel.
+the same rounds, bit for bit, at every worker count: on the golden configs,
+and on small random ones that hypothesis draws.  The check pins no digest,
+so it holds on any BLAS kernel.
 """
 
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fednsim.cli import load_run
-from fednsim.data import in_local_distribution, out_local_distribution
+from fednsim.config import ExperimentConfig
+from fednsim.data import PARTITION_STRATEGIES, in_local_distribution, out_local_distribution
 from fednsim.federation import aggregate, local_train, run_federation, sample_clients
+from fednsim.losses import METHODS
 from fednsim.metrics import (
     RoundLog,
     class_wise_accuracy,
@@ -31,7 +36,7 @@ from fednsim.metrics import (
 from fednsim.model import init_params
 
 from test_federation import set_workers
-from test_golden import CASES, _config
+from test_golden import CASES, _config, has_shared_and_lone_sizes_in_one_round
 
 
 def reference_run(fed, mlp, train, partition, test):
@@ -78,9 +83,8 @@ def score_round(t, mlp, train, test, clients, w_in, w_out, updates):
     )
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_run_federation_matches_the_reference(name, monkeypatch):
-    inputs = load_run(_config(name))
+def assert_matches_reference(inputs, monkeypatch):
+    """`run_federation` on `inputs` equals `reference_run`, bit for bit, at 1, 2 and 3 workers."""
     want_params, want_logs = reference_run(*inputs)
     for workers in (1, 2, 3):
         set_workers(monkeypatch, workers)
@@ -91,3 +95,48 @@ def test_run_federation_matches_the_reference(name, monkeypatch):
             for field in fields(RoundLog):
                 assert np.array_equal(getattr(got, field.name), getattr(want, field.name),
                                       equal_nan=True), (workers, got.t, field.name)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_run_federation_matches_the_reference(name, monkeypatch):
+    assert_matches_reference(load_run(_config(name)), monkeypatch)
+
+
+@st.composite
+def small_configs(draw):
+    """A run of a few rounds on a few tiny clients, under any strategy and method."""
+    strategy = draw(st.sampled_from(PARTITION_STRATEGIES))
+    clients = draw(st.integers(2, 6))
+    shards = draw(st.integers(1, 2))
+    # sharding needs the samples to cut into clients * shards equal shards
+    per_class = (clients * shards * draw(st.integers(1, 2)) if strategy == "sharding"
+                 else draw(st.integers(2, 8)))
+    return ExperimentConfig(
+        synth_classes=draw(st.integers(2, 4)), synth_per_class=per_class,
+        synth_test_per_class=3, synth_dim=3, hidden_dims=(4,), partition=strategy,
+        clients=clients, shards_per_client=shards,
+        dirichlet_alpha=draw(st.sampled_from([0.2, 1.0, 20.0])),  # 0.2 may leave clients empty
+        method=draw(st.sampled_from(METHODS)), tau=draw(st.sampled_from([1.0, 2.0])),
+        sampling_ratio=draw(st.floats(0.3, 1.0)), rounds=draw(st.integers(1, 6)),
+        eval_stride=draw(st.integers(1, 3)), local_epochs=1, batch_size=draw(st.integers(2, 5)),
+        lr0=0.05, seed=draw(st.integers(0, 2**16)),
+    )
+
+
+# 3 of 5 iid clients of sizes 5, 5, 5, 5, 4 a round, every second round logged
+_MIXED = ExperimentConfig(synth_classes=3, synth_per_class=8, synth_test_per_class=3,
+                          synth_dim=3, hidden_dims=(4,), partition="iid", clients=5,
+                          method="fedntd", sampling_ratio=0.6, rounds=3, eval_stride=2,
+                          local_epochs=1, batch_size=3, lr0=0.05, seed=1)
+
+
+def test_mixed_example_has_shared_and_lone_sizes_in_one_round():
+    assert has_shared_and_lone_sizes_in_one_round(_MIXED)
+
+
+@settings(max_examples=40, deadline=None)
+@example(cfg=_MIXED)
+@given(cfg=small_configs())
+def test_random_small_runs_match_the_reference(cfg):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_matches_reference(load_run(cfg), monkeypatch)

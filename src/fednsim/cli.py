@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import IDX_KEYS, ConfigError, ExperimentConfig, parse_config
+from .config import IDX_KEYS, SIZE_KEYS, ConfigError, ExperimentConfig, parse_config
 from .data import (
     Dataset,
     IdxFormatError,
@@ -249,9 +249,8 @@ def main(argv=None) -> int:
         return 2
     except Exception as exc:
         if isinstance(exc, MemoryError) or getattr(exc, "errno", None) == errno.ENOMEM:
-            print(f"error: out of memory ({exc}); the array sizes are set by synth_classes, "
-                  "synth_per_class, synth_test_per_class, synth_dim, hidden_dims, clients, "
-                  "sampling_ratio", file=sys.stderr)
+            print(f"error: out of memory ({exc}); the array sizes are set by "
+                  f"{', '.join(SIZE_KEYS)}", file=sys.stderr)
             return 1
         print(f"internal error: {exc}", file=sys.stderr)  # pragma: no cover - safety net
         return 2

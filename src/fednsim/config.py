@@ -16,13 +16,16 @@ import hashlib
 from dataclasses import dataclass, fields
 from typing import get_type_hints
 
-from .data import PartitionSpec, _check_separation
+from .data import PartitionSpec, _check_separation, _check_synth_counts
 from .federation import FederationConfig
 from .losses import LossConfig
 from .model import MlpConfig
 
 DATA_SOURCES = ("synth", "idx")
 IDX_KEYS = ("idx_train_images", "idx_train_labels", "idx_test_images", "idx_test_labels")
+# the keys that size a run's arrays, which an out-of-memory error names
+SIZE_KEYS = ("synth_classes", "synth_per_class", "synth_test_per_class", "synth_dim", "hidden_dims",
+             "clients", "sampling_ratio")
 
 
 class ConfigError(ValueError):
@@ -83,8 +86,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.data not in DATA_SOURCES:
             raise ValueError(f"data must be one of {', '.join(DATA_SOURCES)}, got {self.data!r}")
-        if min(self.synth_per_class, self.synth_test_per_class) < 1:
-            raise ValueError("synth_per_class and synth_test_per_class must be >= 1")
+        for per_class in (self.synth_per_class, self.synth_test_per_class):
+            _check_synth_counts(self.synth_classes, per_class, self.synth_dim)
         _check_separation(self.synth_separation, "synth_separation")
         if self.checkpoint_stride < 0:
             raise ValueError(f"checkpoint_stride must be >= 0, got {self.checkpoint_stride}")

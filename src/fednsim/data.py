@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import _check_labels
+from .model import MAX_FLOATS
 from .rng import NS_PARTITION, NS_SYNTH_MEANS, NS_SYNTH_SAMPLES, stream
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -111,6 +112,15 @@ def _check_separation(separation: float, name: str = "separation") -> None:
         raise ValueError(f"{name} must be finite and >= 0, got {separation}")
 
 
+def _check_synth_counts(num_classes: int, per_class_n: int, dim: int) -> None:
+    """The one valid range of a synthetic split's counts: each >= 1, and no
+    more features in all than one array can hold."""
+    features = int(num_classes) * int(per_class_n) * int(dim)  # Python ints do not overflow
+    if min(num_classes, per_class_n, dim) < 1 or features > MAX_FLOATS:
+        raise ValueError(f"synthetic counts must be >= 1 and make at most {MAX_FLOATS} features, "
+                         f"got {num_classes} classes x {per_class_n} per class x {dim} dims")
+
+
 def synth_dataset(
     num_classes: int,
     per_class_n: int,
@@ -126,8 +136,7 @@ def synth_dataset(
     the same means (0 = train, 1 = test, ...).  Samples are class-major
     and there are exactly `per_class_n` per class.
     """
-    if min(num_classes, per_class_n, dim) < 1:
-        raise ValueError("num_classes, per_class_n and dim must all be >= 1")
+    _check_synth_counts(num_classes, per_class_n, dim)
     _check_separation(separation)
     mean_rng = stream(seed, NS_SYNTH_MEANS)
     dirs = mean_rng.normal(size=(num_classes, dim))
@@ -305,8 +314,7 @@ def export_partition_json(path, dataset: Dataset, partition: list[ClientData]) -
             p = in_local_distribution(client, dataset)
             p_tilde = out_local_distribution(p)
         else:
-            p = np.zeros(dataset.num_classes)
-            p_tilde = np.zeros(dataset.num_classes)
+            p = p_tilde = np.zeros(dataset.num_classes)
         obj[str(client.client_id)] = {
             "size": len(client),
             "indices": client.indices.tolist(),

@@ -5,11 +5,11 @@ incoming global parameters, aggregate by parameter averaging, evaluate.
 Sampled clients of equal size train in lockstep, as one stack of
 parameter vectors.  A run trains its rounds on a pool of processes, at
 most one per CPU: the calling process and helpers forked from it when the
-run starts, which share one block of parameter rows (`_Pool`).  A round's
-sessions, its lockstep groups, the largest split in half when there are
-fewer groups than workers, go to whichever worker is free, and in a
-logged round each worker also scores the updates it trained on the test
-set.  Clients draw their batch order from private per-(round, client) RNG
+run starts, which share one block of parameter rows and send back only
+small records (`_Pool`, `_train_groups`).  A round's sessions, its
+lockstep groups, the largest split in half when there are fewer groups
+than workers, go to whichever worker is free, and in a logged round each
+worker also scores the updates it trained on the test set.  Clients draw their batch order from private per-(round, client) RNG
 streams, every matrix product stays one BLAS call per client, sessions
 share no state, and aggregation sums in ascending client id, so each
 client's update and its score are bit-identical to training it alone,
@@ -26,7 +26,7 @@ import os
 import pickle
 import signal
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -117,7 +117,7 @@ class FederationConfig:
 @dataclass
 class ClientUpdate:
     client_id: int
-    params: np.ndarray
+    params: np.ndarray | None  # None in a session's reply (`_run_task`): they sit in the block
     sample_count: int
     mean_loss: float
     class_acc: np.ndarray | None = None  # test-set accuracy per class, in a logged round
@@ -333,11 +333,12 @@ def _workers(clients: int) -> int:
 class _Pool:
     """The calling process and `workers - 1` helper processes forked from it.
 
-    Every worker reads and writes `block`, a float64 array in one anonymous
-    mapping, which is shared with processes forked after it is made.  `run`
-    hands out a round's tasks from one counter all workers share, and
+    `run` hands out a round's tasks from one counter all workers share, and
     `do_task(task)` runs one.  Only tasks and their outcomes, results or
-    exceptions, cross the pipes, so both must be small and picklable.
+    exceptions, cross the pipes, so both must be small and picklable: what
+    the tasks write for each other, such as trained parameters, goes into
+    memory the helpers share with the calling process, mapped before they
+    are forked.
 
     While the helpers live, numpy's BLAS runs on one thread in every
     process, so that the processes do not contend for the CPUs; the
@@ -349,9 +350,8 @@ class _Pool:
     no process is started and the calling process runs every task in order.
     """
 
-    def __init__(self, workers: int, block: np.ndarray, do_task):
+    def __init__(self, workers: int, do_task):
         self.workers = workers
-        self.block = block
         self._do_task = do_task
         self._next = None  # the task counter all workers share, made with the helpers
         self._helpers: list[multiprocessing.process.BaseProcess] = []
@@ -491,54 +491,54 @@ def _run_task(task: _Task, block: np.ndarray, clients: dict[int, ClientData], da
     """Runs one task on whichever worker took it, from the incoming model in row 0.
 
     Returns the incoming model's class-wise accuracy for a task with no ids;
-    otherwise the clients' mean losses, and, when scored, each update's
-    class-wise accuracy, or None.  An update's score depends on that update
-    alone, so it is the same wherever it is made.
+    otherwise the `ClientUpdate`s that `local_train` returned, with `params`
+    None, as the parameters are already in the task's rows of the block,
+    and, when scored, each update's class-wise accuracy.  An update's score
+    depends on that update alone, so it is the same wherever it is made.
     """
     w_in = block[0]
     if not task.ids:
         return class_wise_accuracy(predict(mlp, w_in, testset), testset)
     trained = local_train(w_in, [clients[cid] for cid in task.ids], dataset, fed, mlp,
                           task.round_t, out=block[task.row : task.row + len(task.ids)])
-    losses = [u.mean_loss for u in trained]
-    if not task.scored:
-        return losses, None
-    return losses, [class_wise_accuracy(predict(mlp, u.params, testset), testset) for u in trained]
+    if task.scored:
+        for u in trained:
+            u.class_acc = class_wise_accuracy(predict(mlp, u.params, testset), testset)
+    return [replace(u, params=None) for u in trained]
 
 
 def _cost(session: list[ClientData]) -> int:
     return len(session) * len(session[0])
 
 
-def _train_groups(
-    pool: _Pool,
-    groups: list[list[ClientData]],
-    round_t: int,
-    scored: bool,
-) -> tuple[list[ClientUpdate], np.ndarray | None]:
-    """Trains every lockstep group from the incoming model in row 0 of `pool.block`.
+def _train_groups(pool: _Pool, block: np.ndarray, sampled: list[ClientData], round_t: int,
+                  scored: bool) -> tuple[list[ClientUpdate], np.ndarray | None]:
+    """Trains the round's sampled clients from the incoming model in row 0 of `block`.
 
-    Returns the updates in ascending client id, their parameters rows of
-    the block, and when `scored` the incoming model's class-wise accuracy,
-    else None.  The groups are the round's sessions; while there are fewer
-    sessions than workers, the largest one of two or more clients is split
-    in half by client id (a client's bits do not depend on who trains
-    beside it).  Sessions are handed out largest (clients x samples) first,
-    so that the round does not end on one long session, and each trains
-    into its own rows.  With `scored`, as in a logged round, the worker
-    that trained a session then scores each of its updates on the test set
-    (`ClientUpdate.class_acc`), and w_in's scoring is one more task, last.
+    Returns the updates in ascending client id, and when `scored` the
+    incoming model's class-wise accuracy, else None.  Clients of equal size
+    make one lockstep session; while there are fewer sessions than
+    min(workers, clients), the largest of two or more clients is split in
+    half by client id (a client's bits do not depend on who trains beside
+    it).  Sessions are handed out largest (clients x samples) first, so the
+    round does not end on one long session, each into its own rows.  With
+    `scored`, as in a logged round, the worker that trained a session then
+    scores each of its updates on the test set (`ClientUpdate.class_acc`),
+    and w_in's scoring is one more task, last.  A session replies with its
+    `ClientUpdate`s without parameters (`_run_task`); each gets its block
+    row back here as `params`.
 
     Outcomes are read in session order, ascending lowest client id, w_in's
     last: the first exception other than DivergenceError is raised as a
     loop over the sessions would meet it, and otherwise the DivergenceError
     of the lowest client id.
     """
-    sessions = list(groups)
-    while len(sessions) < pool.workers:
+    groups: dict[int, list[ClientData]] = {}
+    for client in sampled:
+        groups.setdefault(len(client), []).append(client)
+    sessions = list(groups.values())
+    while len(sessions) < min(pool.workers, len(sampled)):
         big = max(range(len(sessions)), key=lambda k: (len(sessions[k]) > 1, _cost(sessions[k])))
-        if len(sessions[big]) == 1:
-            break
         half = (len(sessions[big]) + 1) // 2
         sessions[big : big + 1] = [sessions[big][:half], sessions[big][half:]]
     tasks, row = [], 1
@@ -549,10 +549,7 @@ def _train_groups(
         tasks.append(_Task(round_t, 0, (), True))
     outcomes = pool.run(round_t, tasks)
 
-    sizes = {c.client_id: len(c) for group in groups for c in group}
-    updates: list[ClientUpdate] = []
-    diverged: list[DivergenceError] = []
-    w_in_acc = None
+    updates, diverged, w_in_acc = [], [], None
     for task, outcome in sorted(zip(tasks, outcomes), key=lambda p: (not p[0].ids, p[0].ids[:1])):
         if isinstance(outcome, DivergenceError):
             diverged.append(outcome)
@@ -561,10 +558,7 @@ def _train_groups(
         elif not task.ids:
             w_in_acc = outcome
         else:
-            losses, accs = outcome
-            updates.extend(ClientUpdate(cid, pool.block[task.row + k], sizes[cid], losses[k],
-                                        None if accs is None else accs[k])
-                           for k, cid in enumerate(task.ids))
+            updates += (replace(u, params=block[task.row + k]) for k, u in enumerate(outcome))
     if diverged:
         raise min(diverged, key=lambda err: err.client_id)
     updates.sort(key=lambda u: u.client_id)
@@ -612,28 +606,25 @@ def run_federation(
     eligible = [c.client_id for c in partition if len(c) > 0]
     if not eligible:
         raise ValueError("every client is empty")
-    dists = {
-        cid: in_local_distribution(clients[cid], dataset) for cid in eligible
-    }
+    # each eligible client's in-local class distribution p and its out-local one
+    dists = {cid: (p, out_local_distribution(p)) for cid in eligible
+             for p in [in_local_distribution(clients[cid], dataset)]}
 
     w = init_params(mlp, fed.master_seed)
     sampled = sample_count(len(partition), fed.sampling_ratio, len(eligible))
     # row 0 holds the round's incoming model, the rows after it the sampled clients' updates
-    block = np.frombuffer(mmap.mmap(-1, 8 * (sampled + 1) * w.size), dtype=np.float64)
-    block = block.reshape(sampled + 1, w.size)
+    block = np.frombuffer(mmap.mmap(-1, 8 * (sampled + 1) * w.size)).reshape(sampled + 1, -1)
     w_in = block[0]
     run_task = functools.partial(_run_task, block=block, clients=clients, dataset=dataset,
                                  fed=fed, mlp=mlp, testset=testset)
     logs: list[RoundLog] = []
-    with _Pool(_workers(sampled), block, run_task) as pool:
+    with _Pool(_workers(sampled), run_task) as pool:
         for t in range(1, fed.rounds + 1):
             w_in[...] = w
             ids = sample_clients(len(partition), fed.sampling_ratio, t, fed.master_seed, eligible)
-            groups: dict[int, list[ClientData]] = {}
-            for cid in ids:
-                groups.setdefault(len(clients[cid]), []).append(clients[cid])
             logged = t % fed.eval_stride == 0 or t == fed.rounds
-            updates, w_in_acc = _train_groups(pool, list(groups.values()), t, logged)
+            updates, w_in_acc = _train_groups(pool, block, [clients[cid] for cid in ids], t,
+                                              logged)
             w = aggregate(updates, fed.aggregation)
             if logged:
                 logs.append(_evaluate_round(t, mlp, testset, w_in, w, updates, dists, w_in_acc))
@@ -642,22 +633,16 @@ def run_federation(
     return FederationResult(w, logs)
 
 
-def _evaluate_round(
-    t: int,
-    mlp: MlpConfig,
-    testset: Dataset,
-    w_in: np.ndarray,
-    w_out: np.ndarray,
-    updates: list[ClientUpdate],
-    dists: dict[int, np.ndarray],
-    incoming_acc: np.ndarray,
-) -> RoundLog:
+def _evaluate_round(t: int, mlp: MlpConfig, testset: Dataset, w_in: np.ndarray, w_out: np.ndarray,
+                    updates: list[ClientUpdate], dists: dict[int, tuple[np.ndarray, np.ndarray]],
+                    incoming_acc: np.ndarray) -> RoundLog:
     """Scores the round from w_out's test-set forward.
 
     `updates` come in ascending client id, each with its class-wise
     accuracy, which the worker that trained it measured (`_train_groups`).
-    `incoming_acc` is w_in's class-wise accuracy, which one of the workers
-    measured during this round.
+    `dists` holds each client's in-local and out-local class distributions,
+    p and p~, made once for the run.  `incoming_acc` is w_in's class-wise
+    accuracy, which one of the workers measured during this round.
     """
     pred_out = predict(mlp, w_out, testset)
     try:
@@ -667,9 +652,9 @@ def _evaluate_round(
 
     in_accs, out_accs, wdivs, ddists = [], [], [], []
     for update in updates:
-        p = dists[update.client_id]
+        p, p_out = dists[update.client_id]
         in_accs.append(masked_accuracy(update.class_acc, p))
-        out_accs.append(masked_accuracy(update.class_acc, out_local_distribution(p)))
+        out_accs.append(masked_accuracy(update.class_acc, p_out))
         wdivs.append(weight_divergence(w_in, update.params))
         ddists.append(distribution_distance(a_g, p) if a_g is not None else float("nan"))
     return RoundLog(

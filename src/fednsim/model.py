@@ -23,6 +23,8 @@ from .rng import NS_INIT, stream
 CHECKPOINT_MAGIC = b"FNTD"
 CHECKPOINT_VERSION = 1
 _BLOCK = 32768  # columns per cache block of an elementwise pass over a (K, P) stack
+# float64 elements one numpy array can hold: its byte count must fit in an intp
+MAX_FLOATS = int(np.iinfo(np.intp).max) // 8
 
 
 @dataclass(frozen=True)
@@ -39,6 +41,9 @@ class MlpConfig:
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
+        if (count := self.param_count()) > MAX_FLOATS:
+            raise ValueError(f"the model has {count} parameters, more than the {MAX_FLOATS} "
+                             "one array can hold")
 
     def layer_shapes(self) -> list[tuple[int, int]]:
         dims = (self.input_dim, *self.hidden_dims, self.num_classes)

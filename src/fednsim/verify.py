@@ -153,12 +153,12 @@ def check_diversity_curve(
 
     max_increase = float(np.diff(lams).max()) if len(betas) > 1 else 0.0
     m_const = slope_bound_constant(instance)
-    max_excess = -np.inf
-    for i in range(1, len(betas) - 1):
-        slope = (lams[i + 1] - lams[i - 1]) / (betas[i + 1] - betas[i - 1])
-        max_excess = max(max_excess, slope + m_const / (1.0 + betas[i]) ** 2)
-    if not np.isfinite(max_excess):  # degenerate grid (C = 2)
-        max_excess = 0.0
+    # central differences at interior points; a grid of zero width there
+    # (every beta is 0 when C = 2) has no slope
+    wide = betas[2:] != betas[:-2]
+    slopes = (lams[2:] - lams[:-2])[wide] / (betas[2:] - betas[:-2])[wide]
+    excess = slopes + m_const / (1.0 + betas[1:-1][wide]) ** 2
+    max_excess = float(excess.max()) if excess.size else 0.0
     return DiversityReport(
         betas=betas,
         lambdas=lams,

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per release criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -rA` to see the per-criterion
-lines.  Criterion 7 trains 6 desk-scale federations and takes ~1.5 minutes;
-everything else finishes in seconds.
+lines.  Criterion 7 trains 6 desk-scale federations and takes about 12 s
+on a 2-core machine; everything else finishes in seconds.
 """
 
 import dataclasses

@@ -80,6 +80,34 @@ def test_traced_run_counts_and_changes_nothing(spans, monkeypatch):
     assert np.isfinite(layers["federation.straggler_ratio"])
 
 
+_EXERCISED = {  # method: spans a one-worker run of it must record
+    method: {"model.forward.local", "model.forward.eval", "metrics.class_wise_accuracy",
+             "metrics.masked_accuracy", "metrics.overall_accuracy", "metrics.weight_divergence",
+             "federation.aggregate", "model.init_params", "rng.stream", extra}
+    for method, extra in (("fedprox", "losses.fedprox_penalty"),
+                          ("fedntd", "model.forward.teacher"))
+}
+
+
+@pytest.mark.parametrize("method", sorted(_EXERCISED))
+def test_every_exercised_span_records_calls(spans, method, monkeypatch):
+    # a kernel that fednsim stops calling through its hooked attribute would
+    # leave its span, and the benchmark's figure of it, at zero
+    fed, mlp, dataset, partition, testset = tiny_setup(method=method, sampling_ratio=0.75)
+    set_workers(monkeypatch, 1)
+    recorder = spans.Recorder()
+    recorder.install()
+    try:
+        result = federation.run_federation(fed, mlp, dataset, partition, testset)
+    finally:
+        recorder.uninstall()
+    layers = recorder.layer_metrics(len(result.logs), 1)
+    assert {name: layers[f"{name}.calls"] for name in _EXERCISED[method]
+            if layers[f"{name}.calls"] < 1} == {}
+    other = "model.forward.teacher" if method == "fedprox" else "losses.fedprox_penalty"
+    assert layers[f"{other}.calls"] == 0
+
+
 def test_traced_run_on_worker_processes_changes_nothing(spans, monkeypatch):
     # fedntd on dirichlet clients: every round trains 2 or 3 groups on 2
     # processes, and the helper's spans stay in the helper

@@ -14,7 +14,7 @@ import pytest
 from fednsim import cli, federation
 from fednsim.cli import main
 from fednsim.config import ExperimentConfig
-from fednsim.model import load_params
+from fednsim.model import MAX_FLOATS, load_params
 
 TINY_CONFIG = """\
 data = synth
@@ -188,6 +188,21 @@ class TestRunCommand:
         assert err == ("error: out of memory (Unable to allocate 2.18 TiB for an array); the "
                        "array sizes are set by synth_classes, synth_per_class, "
                        "synth_test_per_class, synth_dim, hidden_dims, clients, sampling_ratio\n")
+
+    @pytest.mark.parametrize("key,value", [("synth_dim", "4611686018427387904"),
+                                           ("synth_dim", "1000000000000000000000"),
+                                           ("hidden_dims", "4611686018427387904")])
+    def test_more_than_an_array_can_hold_exit_1(self, key, value, tmp_path, capsys):
+        # rejected from the counts alone, before numpy is asked for the array
+        lines = TINY_CONFIG.splitlines()
+        lineno = next(n for n, line in enumerate(lines, 1) if line.startswith(f"{key} ="))
+        lines[lineno - 1] = f"{key} = {value}"
+        path = tmp_path / "huge.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli("run", path, "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:{lineno}: {key}: ")
+        assert f" {MAX_FLOATS} " in err and err.count("\n") == 1
 
     def test_shared_block_too_large_for_memory_exit_1(self, tiny_config, tmp_path, monkeypatch,
                                                       capsys):

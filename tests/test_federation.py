@@ -5,6 +5,7 @@ import hashlib
 import json
 import mmap
 import multiprocessing
+import multiprocessing.connection
 import os
 import pickle
 import signal
@@ -1032,6 +1033,51 @@ class TestGroupPool:
         groups = [record["group"] for record in failed.read()]
         assert groups and str(err.value) == f"injected in group {min(groups)}"
         assert multiprocessing.active_children() == []
+
+    def test_helper_replies_hold_no_parameter_array(self, monkeypatch, tmp_path):
+        # a helper sends back each session's ClientUpdates with params None,
+        # as the parameters already sit in the shared block: every array in
+        # a reply is a class-wise accuracy, num_classes long
+        cfg, train, test, partition, mlp = pool_setup("fedntd")
+        set_workers(monkeypatch, 1)
+        alone = run_federation(cfg.federation_config(), mlp, train, partition, test)
+        set_workers(monkeypatch, 2)
+        spread_sessions(monkeypatch, cfg, partition, 2)  # the helper trains in every round
+        parent = os.getpid()
+        replies = CallLog(tmp_path / "replies")
+        real_send = multiprocessing.connection.Connection.send
+
+        def send(conn, obj):
+            if os.getpid() != parent:
+                replies.add(updates=[[u.params is None, u.class_acc.size] for outcome in
+                                     obj.values() if isinstance(outcome, list) for u in outcome],
+                            arrays=[outcome.size for outcome in obj.values()
+                                    if isinstance(outcome, np.ndarray)])
+            return real_send(conn, obj)
+
+        monkeypatch.setattr(multiprocessing.connection.Connection, "send", send)
+        pooled = run_federation(cfg.federation_config(), mlp, train, partition, test)
+        records = replies.read()
+        updates = [u for r in records for u in r["updates"]]
+        assert len(records) == cfg.rounds and updates
+        assert updates == [[True, mlp.num_classes]] * len(updates)
+        assert all(size == mlp.num_classes for r in records for size in r["arrays"])
+        assert pooled.final_params.tobytes() == alone.final_params.tobytes()
+        assert all(logs_bit_identical(a, b) for a, b in zip(pooled.logs, alone.logs))
+
+    def test_out_local_distribution_once_per_eligible_client(self, monkeypatch):
+        fed, mlp, dataset, partition, testset = tiny_setup(rounds=4, sampling_ratio=0.75)
+        real, seen = federation.out_local_distribution, []
+
+        def counted(p):
+            seen.append(p.tobytes())
+            return real(p)
+
+        monkeypatch.setattr(federation, "out_local_distribution", counted)
+        run_federation(fed, mlp, dataset, partition, testset)
+        assert len(seen) == len(partition) == 4
+        assert sorted(seen) == sorted(in_local_distribution(c, dataset).tobytes()
+                                      for c in partition)
 
     def test_many_groups_on_more_workers_than_cores(self, monkeypatch, tmp_path):
         # every client in its own group and six workers on fewer cores, all

@@ -117,6 +117,15 @@ TABLE = [
         "ExperimentConfig": lambda v: ExperimentConfig(synth_separation=v),
         "synth_dataset": lambda v: synth_dataset(2, 3, 2, v, 0),
     }),
+    # 2**62 and 10**21 make more features than one array can hold
+    ("synth_counts", "synthetic counts", [0, -1, 2**62, 10**21], [1], {
+        "ExperimentConfig.synth_per_class": lambda v: ExperimentConfig(synth_per_class=v),
+        "ExperimentConfig.synth_test_per_class": lambda v: ExperimentConfig(
+            synth_test_per_class=v),
+        "ExperimentConfig.synth_dim": lambda v: ExperimentConfig(synth_dim=v),
+        "synth_dataset.per_class_n": lambda v: synth_dataset(2, v, 2, 1.0, 0),
+        "synth_dataset.dim": lambda v: synth_dataset(2, 3, v, 1.0, 0),
+    }),
     ("trials", r"\btrials must be >= 1", [0, -1], [1], {
         "run_all": lambda v: run_all(trials=v, diversity_instances=1),
         "smoothness_violation": lambda v: smoothness_violation(1.7, 5, v),

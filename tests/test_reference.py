@@ -1,13 +1,14 @@
 """A plain reference for the round loop: training and scoring.
 
 `reference_run` trains each round's sampled clients one at a time, in
-ascending id, with `local_train`, then aggregates: no lockstep groups, no
-process pool, no shared parameter block and no reused buffers.  Every
-logged round is scored from scratch with the `metrics` functions: the
-incoming model again in every logged round, each update from its own
-predictions.  `run_federation` must end on the same parameters and log
-the same rounds, bit for bit, at every worker count: on the golden configs,
-and on small random ones that hypothesis draws.  The check pins no digest,
+ascending id, each with a plain loop of its own on (P,) vectors
+(`reference_train`), then aggregates: no `local_train`, no lockstep
+groups, no process pool, no shared parameter block and no reused
+buffers.  Every logged round is scored from scratch with the `metrics`
+functions: the incoming model again in every logged round, each update
+from its own predictions.  `run_federation` must end on the same
+parameters and log the same rounds, bit for bit, at every worker count:
+on the golden configs, and on small random ones that hypothesis draws.  The check pins no digest,
 so it holds on any BLAS kernel.
 """
 
@@ -21,8 +22,8 @@ from hypothesis import strategies as st
 from fednsim.cli import load_run
 from fednsim.config import ExperimentConfig
 from fednsim.data import PARTITION_STRATEGIES, in_local_distribution, out_local_distribution
-from fednsim.federation import aggregate, local_train, run_federation, sample_clients
-from fednsim.losses import METHODS
+from fednsim.federation import ClientUpdate, aggregate, run_federation, sample_clients
+from fednsim.losses import METHODS, batch_loss_and_grad, fedprox_penalty
 from fednsim.metrics import (
     RoundLog,
     class_wise_accuracy,
@@ -33,7 +34,8 @@ from fednsim.metrics import (
     predict,
     weight_divergence,
 )
-from fednsim.model import init_params
+from fednsim.model import backward, forward, init_params, lr_at_round, sgd_momentum_step
+from fednsim.rng import NS_CLIENT_SHUFFLE, stream
 
 from test_federation import set_workers
 from test_golden import CASES, _config, has_shared_and_lone_sizes_in_one_round
@@ -47,11 +49,39 @@ def reference_run(fed, mlp, train, partition, test):
     logs = []
     for t in range(1, fed.rounds + 1):
         ids = sample_clients(len(partition), fed.sampling_ratio, t, fed.master_seed, eligible)
-        updates = [local_train(w, [clients[cid]], train, fed, mlp, t)[0] for cid in ids]
+        updates = [reference_train(w, clients[cid], train, fed, mlp, t) for cid in ids]
         w_in, w = w, aggregate(updates, fed.aggregation)
         if t % fed.eval_stride == 0 or t == fed.rounds:
             logs.append(score_round(t, mlp, train, test, clients, w_in, w, updates))
     return w, logs
+
+
+def reference_train(w_global, client, train, fed, mlp, t):
+    """Round t's session of one client: E epochs of its own shuffled
+    mini-batches, one momentum-SGD step each, from zero momentum."""
+    rng = stream(fed.master_seed, NS_CLIENT_SHUFFLE, t, client.client_id)
+    lr = lr_at_round(fed.lr0, t - 1, fed.lr_decay)
+    w, velocity = w_global.copy(), np.zeros_like(w_global)
+    total, steps = 0.0, 0
+    for _epoch in range(fed.local_epochs):
+        order = client.indices[rng.permutation(len(client))]
+        for start in range(0, len(order), fed.batch_size):
+            batch = order[start : start + fed.batch_size]
+            x, y = train.features[batch], train.labels[batch]
+            hidden = []
+            z = forward(mlp, w, x, hidden)
+            z_g = forward(mlp, w_global, x) if fed.loss.needs_teacher else None
+            losses, dl_dz = batch_loss_and_grad(fed.loss, z, y, z_g)
+            loss = losses.sum() / len(y)
+            grad = backward(mlp, w, x, hidden, dl_dz)
+            if fed.loss.proximal:
+                prox_loss, prox_grad = fedprox_penalty(w, w_global, fed.loss.mu)
+                loss += prox_loss
+                grad += prox_grad
+            sgd_momentum_step(w, grad, velocity, lr, fed.momentum, fed.weight_decay)
+            total += loss
+            steps += 1
+    return ClientUpdate(client.client_id, w, len(client), float(total / steps))
 
 
 def score_round(t, mlp, train, test, clients, w_in, w_out, updates):

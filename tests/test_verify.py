@@ -84,6 +84,13 @@ class TestDiversityCurve:
         assert report.monotone
         assert report.slope_ok
 
+    def test_two_classes_have_no_slope(self):
+        # with C = 2 every beta of the grid is 0: no central difference is
+        # taken, so nothing divides 0 by 0 (a RuntimeWarning fails the suite)
+        report = check_diversity_curve(cyclic_instance([np.array([0.7, 0.3])]))
+        assert not beta_grid(2).any()
+        assert report.max_slope_excess == 0.0 and report.slope_ok and report.monotone
+
     def test_property_sweep_50_seeds(self):
         for seed in range(50):
             rng = np.random.default_rng(seed)

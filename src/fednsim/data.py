@@ -113,12 +113,13 @@ def _check_separation(separation: float, name: str = "separation") -> None:
 
 
 def _check_synth_counts(num_classes: int, per_class_n: int, dim: int) -> None:
-    """The one valid range of a synthetic split's counts: each >= 1, and no
-    more features in all than one array can hold."""
+    """The one valid range of a synthetic split's counts: >= 2 classes, the
+    others >= 1, and no more features in all than one array can hold."""
     features = int(num_classes) * int(per_class_n) * int(dim)  # Python ints do not overflow
-    if min(num_classes, per_class_n, dim) < 1 or features > MAX_FLOATS:
-        raise ValueError(f"synthetic counts must be >= 1 and make at most {MAX_FLOATS} features, "
-                         f"got {num_classes} classes x {per_class_n} per class x {dim} dims")
+    if num_classes < 2 or min(per_class_n, dim) < 1 or features > MAX_FLOATS:
+        raise ValueError(f"synthetic counts must be >= 2 classes, >= 1 per class and >= 1 dims "
+                         f"and make at most {MAX_FLOATS} features, got {num_classes} classes x "
+                         f"{per_class_n} per class x {dim} dims")
 
 
 def synth_dataset(
@@ -314,7 +315,8 @@ def export_partition_json(path, dataset: Dataset, partition: list[ClientData]) -
             p = in_local_distribution(client, dataset)
             p_tilde = out_local_distribution(p)
         else:
-            p = p_tilde = np.zeros(dataset.num_classes)
+            p = np.zeros(dataset.num_classes)
+            p_tilde = np.zeros(dataset.num_classes)
         obj[str(client.client_id)] = {
             "size": len(client),
             "indices": client.indices.tolist(),

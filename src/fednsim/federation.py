@@ -5,15 +5,15 @@ incoming global parameters, aggregate by parameter averaging, evaluate.
 Sampled clients of equal size train in lockstep, as one stack of
 parameter vectors.  A run trains its rounds on a pool of processes, at
 most one per CPU: the calling process and helpers forked from it when the
-run starts, which share one block of parameter rows and send back only
-small records (`_Pool`, `_train_groups`).  A round's sessions, its
-lockstep groups, the largest split in half when there are fewer groups
-than workers, go to whichever worker is free, and in a logged round each
-worker also scores the updates it trained on the test set.  Clients draw their batch order from private per-(round, client) RNG
-streams, every matrix product stays one BLAS call per client, sessions
-share no state, and aggregation sums in ascending client id, so each
-client's update and its score are bit-identical to training it alone,
-whatever the number of workers.
+run starts, which share one block of parameter rows (`_train_groups`).  A
+round's sessions, its lockstep groups, the largest split in half when
+there are fewer groups than workers, go to whichever worker is free, and
+in a logged round each worker also scores the updates it trained on the
+test set.  Clients draw their batch order from private per-(round,
+client) RNG streams, every matrix product stays one BLAS call per client,
+sessions share no state, and aggregation sums in ascending client id, so
+each client's update and its score are bit-identical to training it
+alone, whatever the number of workers.
 """
 
 from __future__ import annotations
@@ -335,10 +335,7 @@ class _Pool:
 
     `run` hands out a round's tasks from one counter all workers share, and
     `do_task(task)` runs one.  Only tasks and their outcomes, results or
-    exceptions, cross the pipes, so both must be small and picklable: what
-    the tasks write for each other, such as trained parameters, goes into
-    memory the helpers share with the calling process, mapped before they
-    are forked.
+    exceptions, cross the pipes, so both must be small and picklable.
 
     While the helpers live, numpy's BLAS runs on one thread in every
     process, so that the processes do not contend for the CPUs; the
@@ -491,10 +488,9 @@ def _run_task(task: _Task, block: np.ndarray, clients: dict[int, ClientData], da
     """Runs one task on whichever worker took it, from the incoming model in row 0.
 
     Returns the incoming model's class-wise accuracy for a task with no ids;
-    otherwise the `ClientUpdate`s that `local_train` returned, with `params`
-    None, as the parameters are already in the task's rows of the block,
-    and, when scored, each update's class-wise accuracy.  An update's score
-    depends on that update alone, so it is the same wherever it is made.
+    otherwise `local_train`'s updates with `params` None, as they are in the
+    block, and when scored with `class_acc`, which depends on that update
+    alone, so it is the same wherever it is made.
     """
     w_in = block[0]
     if not task.ids:
@@ -511,22 +507,26 @@ def _cost(session: list[ClientData]) -> int:
     return len(session) * len(session[0])
 
 
-def _train_groups(pool: _Pool, block: np.ndarray, sampled: list[ClientData], round_t: int,
-                  scored: bool) -> tuple[list[ClientUpdate], np.ndarray | None]:
+def _train_groups(
+    pool: _Pool,
+    block: np.ndarray,
+    sampled: list[ClientData],
+    round_t: int,
+    scored: bool,
+) -> tuple[list[ClientUpdate], np.ndarray | None]:
     """Trains the round's sampled clients from the incoming model in row 0 of `block`.
 
-    Returns the updates in ascending client id, and when `scored` the
-    incoming model's class-wise accuracy, else None.  Clients of equal size
-    make one lockstep session; while there are fewer sessions than
-    min(workers, clients), the largest of two or more clients is split in
-    half by client id (a client's bits do not depend on who trains beside
-    it).  Sessions are handed out largest (clients x samples) first, so the
-    round does not end on one long session, each into its own rows.  With
-    `scored`, as in a logged round, the worker that trained a session then
-    scores each of its updates on the test set (`ClientUpdate.class_acc`),
-    and w_in's scoring is one more task, last.  A session replies with its
-    `ClientUpdate`s without parameters (`_run_task`); each gets its block
-    row back here as `params`.
+    Returns the updates in ascending client id, each with its block row as
+    `params`, and when `scored` the incoming model's class-wise accuracy,
+    else None.  Clients of equal size make one lockstep session; while
+    there are fewer sessions than min(workers, clients), the largest of two
+    or more clients is split in half by client id (a client's bits do not
+    depend on who trains beside it).  Sessions are handed out largest
+    (clients x samples) first, so that the round does not end on one long
+    session, and each trains into its own rows.  With `scored`, as in a
+    logged round, the worker that trained a session then scores each of its
+    updates on the test set (`ClientUpdate.class_acc`), and w_in's scoring
+    is one more task, last.
 
     Outcomes are read in session order, ascending lowest client id, w_in's
     last: the first exception other than DivergenceError is raised as a
@@ -549,7 +549,9 @@ def _train_groups(pool: _Pool, block: np.ndarray, sampled: list[ClientData], rou
         tasks.append(_Task(round_t, 0, (), True))
     outcomes = pool.run(round_t, tasks)
 
-    updates, diverged, w_in_acc = [], [], None
+    updates: list[ClientUpdate] = []
+    diverged: list[DivergenceError] = []
+    w_in_acc = None
     for task, outcome in sorted(zip(tasks, outcomes), key=lambda p: (not p[0].ids, p[0].ids[:1])):
         if isinstance(outcome, DivergenceError):
             diverged.append(outcome)
@@ -607,13 +609,16 @@ def run_federation(
     if not eligible:
         raise ValueError("every client is empty")
     # each eligible client's in-local class distribution p and its out-local one
-    dists = {cid: (p, out_local_distribution(p)) for cid in eligible
-             for p in [in_local_distribution(clients[cid], dataset)]}
+    dists = {}
+    for cid in eligible:
+        p = in_local_distribution(clients[cid], dataset)
+        dists[cid] = (p, out_local_distribution(p))
 
     w = init_params(mlp, fed.master_seed)
     sampled = sample_count(len(partition), fed.sampling_ratio, len(eligible))
     # row 0 holds the round's incoming model, the rows after it the sampled clients' updates
-    block = np.frombuffer(mmap.mmap(-1, 8 * (sampled + 1) * w.size)).reshape(sampled + 1, -1)
+    block = np.frombuffer(mmap.mmap(-1, 8 * (sampled + 1) * w.size), dtype=np.float64)
+    block = block.reshape(sampled + 1, w.size)
     w_in = block[0]
     run_task = functools.partial(_run_task, block=block, clients=clients, dataset=dataset,
                                  fed=fed, mlp=mlp, testset=testset)
@@ -633,15 +638,21 @@ def run_federation(
     return FederationResult(w, logs)
 
 
-def _evaluate_round(t: int, mlp: MlpConfig, testset: Dataset, w_in: np.ndarray, w_out: np.ndarray,
-                    updates: list[ClientUpdate], dists: dict[int, tuple[np.ndarray, np.ndarray]],
-                    incoming_acc: np.ndarray) -> RoundLog:
+def _evaluate_round(
+    t: int,
+    mlp: MlpConfig,
+    testset: Dataset,
+    w_in: np.ndarray,
+    w_out: np.ndarray,
+    updates: list[ClientUpdate],
+    dists: dict[int, tuple[np.ndarray, np.ndarray]],
+    incoming_acc: np.ndarray,
+) -> RoundLog:
     """Scores the round from w_out's test-set forward.
 
     `updates` come in ascending client id, each with its class-wise
-    accuracy, which the worker that trained it measured (`_train_groups`).
-    `dists` holds each client's in-local and out-local class distributions,
-    p and p~, made once for the run.  `incoming_acc` is w_in's class-wise
+    accuracy, which the worker that trained it measured (`_train_groups`),
+    and `dists` each client's (p, p~).  `incoming_acc` is w_in's class-wise
     accuracy, which one of the workers measured during this round.
     """
     pred_out = predict(mlp, w_out, testset)

@@ -151,11 +151,11 @@ def _floats(lo=None, hi=None, **kw):
 
 VALID_VALUES = dict(
     data=st.sampled_from(("synth", "idx")),
-    # classes x per class x dim stays within the features one array can hold
-    synth_classes=st.integers(2, 10**6),
-    synth_per_class=st.integers(1, 10**6),
-    synth_test_per_class=st.integers(1, 10**6),
-    synth_dim=st.integers(1, 10**6),
+    # classes x per class x dim (at most 10**17) stays within the features one array holds
+    synth_classes=st.integers(2, 10**4),
+    synth_per_class=st.integers(1, 10**4),
+    synth_test_per_class=st.integers(1, 10**4),
+    synth_dim=st.integers(1, 10**9),
     synth_separation=_floats(0.0),
     idx_train_images=_PATHS,
     idx_train_labels=_PATHS,

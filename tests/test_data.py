@@ -63,7 +63,7 @@ class TestSynthDataset:
             m_test = test.features[test.labels == c].mean(axis=0)
             assert np.linalg.norm(m_train - m_test) < 0.2
 
-    @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 10, 5), (10, 7, 32), (4, 200, 6)])
+    @pytest.mark.parametrize("shape", [(2, 1, 2), (3, 10, 5), (10, 7, 32), (4, 200, 6)])
     @pytest.mark.parametrize("seed,split,separation", [(0, 0, 2.5), (5, 1, 0.0), (2**40, 3, 9.0)])
     def test_same_bits_as_concatenated_blocks(self, shape, seed, split, separation):
         # the features as once written: one normal() block per class, then one concatenate

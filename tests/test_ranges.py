@@ -118,6 +118,10 @@ TABLE = [
         "synth_dataset": lambda v: synth_dataset(2, 3, 2, v, 0),
     }),
     # 2**62 and 10**21 make more features than one array can hold
+    ("synth_classes", "synthetic counts", [1, 0, -1, 2**62, 10**21], [2], {
+        "ExperimentConfig.synth_classes": lambda v: ExperimentConfig(synth_classes=v),
+        "synth_dataset.num_classes": lambda v: synth_dataset(v, 3, 2, 1.0, 0),
+    }),
     ("synth_counts", "synthetic counts", [0, -1, 2**62, 10**21], [1], {
         "ExperimentConfig.synth_per_class": lambda v: ExperimentConfig(synth_per_class=v),
         "ExperimentConfig.synth_test_per_class": lambda v: ExperimentConfig(

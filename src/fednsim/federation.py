@@ -172,7 +172,7 @@ def local_train(
     methods the teacher logits come from the frozen incoming global weights.
     Updates come back in ascending client id; their parameters are the rows
     of one (K, P) block: `out` when given, as rows of the pool's shared
-    block (`_Pool`), which the session then trains in place.
+    block (`_train_groups`), which the session then trains in place.
 
     Raises DivergenceError when a client ends the session with a non-finite
     summed loss or parameters, naming the lowest such client id and which
@@ -608,7 +608,6 @@ def run_federation(
     eligible = [c.client_id for c in partition if len(c) > 0]
     if not eligible:
         raise ValueError("every client is empty")
-    # each eligible client's in-local class distribution p and its out-local one
     dists = {}
     for cid in eligible:
         p = in_local_distribution(clients[cid], dataset)

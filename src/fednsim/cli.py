@@ -249,8 +249,11 @@ def main(argv=None) -> int:
         return 2
     except Exception as exc:
         if isinstance(exc, MemoryError) or getattr(exc, "errno", None) == errno.ENOMEM:
-            print(f"error: out of memory ({exc}); the array sizes are set by "
-                  f"{', '.join(SIZE_KEYS)}", file=sys.stderr)
+            config = getattr(args, "config", None)  # run and partition take one, and parsed it
+            keys = SIZE_KEYS[parse_config(config).data if config else "synth"]
+            detail = f" ({exc})" if str(exc) else ""
+            print(f"error: out of memory{detail}; the array sizes are set by {', '.join(keys)}",
+                  file=sys.stderr)
             return 1
         print(f"internal error: {exc}", file=sys.stderr)  # pragma: no cover - safety net
         return 2

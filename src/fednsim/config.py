@@ -23,9 +23,12 @@ from .model import MlpConfig
 
 DATA_SOURCES = ("synth", "idx")
 IDX_KEYS = ("idx_train_images", "idx_train_labels", "idx_test_images", "idx_test_labels")
-# the keys that size a run's arrays, which an out-of-memory error names
-SIZE_KEYS = ("synth_classes", "synth_per_class", "synth_test_per_class", "synth_dim", "hidden_dims",
-             "clients", "sampling_ratio")
+# the keys that size a run's arrays, by data source, which an out-of-memory error names
+SIZE_KEYS = {
+    "synth": ("synth_classes", "synth_per_class", "synth_test_per_class", "synth_dim",
+              "hidden_dims", "clients", "sampling_ratio"),
+    "idx": (*IDX_KEYS, "hidden_dims", "clients", "sampling_ratio"),
+}
 
 
 class ConfigError(ValueError):

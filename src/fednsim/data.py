@@ -9,13 +9,14 @@ cover the dealt samples.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .losses import _check_labels
-from .model import MAX_FLOATS
+from .model import MAX_FLOATS, read_sized
 from .rng import NS_PARTITION, NS_SYNTH_MEANS, NS_SYNTH_SAMPLES, stream
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -154,47 +155,38 @@ def synth_dataset(
     return Dataset(feats.reshape(-1, dim), labels, num_classes)
 
 
-def _read_idx_header(f, path, expected_magic: int, ndims: int) -> tuple[int, ...]:
-    head = f.read(4 * (1 + ndims))
-    if len(head) != 4 * (1 + ndims):
-        raise IdxTruncatedError(f"{path}: truncated IDX header")
-    magic = struct.unpack(">I", head[:4])[0]
-    if magic != expected_magic:
-        raise IdxBadMagicError(
-            f"{path}: magic 0x{magic:08x}, expected 0x{expected_magic:08x}"
-        )
-    return struct.unpack(f">{ndims}I", head[4:])
+def _idx_payload(path, magic: int, ndims: int) -> tuple[list[int], bytes]:
+    """The dimensions and payload bytes of the IDX file at `path`."""
+    with open(path, "rb") as f:
+        head = read_sized(f, path, "IDX header", 4 * (1 + ndims), IdxTruncatedError)
+        found, *dims = struct.unpack(f">{1 + ndims}I", head)
+        if found != magic:
+            raise IdxBadMagicError(f"{path}: magic 0x{found:08x}, expected 0x{magic:08x}")
+        return dims, read_sized(f, path, "IDX payload", math.prod(dims), IdxTruncatedError)
 
 
 def read_idx(images_path, labels_path) -> Dataset:
     """Parse the big-endian IDX image/label file pair.
 
     Pixels are scaled to [0, 1] by dividing by 255.  Raises a distinct
-    error for a wrong magic number, a truncated file, and an image/label
-    count mismatch, and IdxFormatError naming the path for a file that
-    cannot be opened or read (missing, a directory) or holds no images.
+    error for a wrong magic number, a truncated file (checked before the
+    payload is read; bytes past it are ignored), and an image/label count
+    mismatch, and IdxFormatError naming the path for a file that cannot be
+    opened or read (missing, a directory) or holds no images.
     """
     try:
-        with open(images_path, "rb") as f:
-            n, rows, cols = _read_idx_header(f, images_path, IDX_IMAGES_MAGIC, 3)
-            raw = f.read(n * rows * cols)
-            if len(raw) != n * rows * cols:
-                raise IdxTruncatedError(f"{images_path}: expected {n * rows * cols} pixel bytes")
-            features = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows * cols) / 255.0
-
-        with open(labels_path, "rb") as f:
-            (n_labels,) = _read_idx_header(f, labels_path, IDX_LABELS_MAGIC, 1)
-            raw = f.read(n_labels)
-            if len(raw) != n_labels:
-                raise IdxTruncatedError(f"{labels_path}: expected {n_labels} label bytes")
-            labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+        (n, rows, cols), pixels = _idx_payload(images_path, IDX_IMAGES_MAGIC, 3)
+        (n_labels,), label_bytes = _idx_payload(labels_path, IDX_LABELS_MAGIC, 1)
     except OSError as exc:
         raise IdxFormatError(f"cannot read IDX file {exc.filename}: {exc.strerror}") from None
 
     if n != n_labels:
-        raise IdxCountMismatchError(f"{n} images but {n_labels} labels")
+        raise IdxCountMismatchError(f"{images_path}: {n} images, but {labels_path}: "
+                                    f"{n_labels} labels")
     if n == 0:
         raise IdxFormatError(f"{images_path}: no images")
+    features = np.frombuffer(pixels, dtype=np.uint8).reshape(n, rows * cols) / 255.0
+    labels = np.frombuffer(label_bytes, dtype=np.uint8).astype(np.int64)
     return Dataset(features, labels, int(labels.max()) + 1)
 
 

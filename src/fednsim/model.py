@@ -13,6 +13,7 @@ bias vector of length fan_out.  Layer l maps activations via
 from __future__ import annotations
 
 import functools
+import os
 import struct
 from dataclasses import dataclass
 
@@ -22,6 +23,7 @@ from .rng import NS_INIT, stream
 
 CHECKPOINT_MAGIC = b"FNTD"
 CHECKPOINT_VERSION = 1
+_CHECKPOINT_HEADER = struct.Struct("<4sIQ")  # magic, version, parameter count
 _BLOCK = 32768  # columns per cache block of an elementwise pass over a (K, P) stack
 # float64 elements one numpy array can hold: its byte count must fit in an intp
 MAX_FLOATS = int(np.iinfo(np.intp).max) // 8
@@ -236,26 +238,31 @@ def lr_at_round(lr0: float, t: int, decay: float = 0.99) -> float:
     return lr0 * decay**t if lr0 < np.inf else lr0  # decay**t may be 0, and inf * 0 is NaN
 
 
+def read_sized(f, path, part: str, size: int, error=ValueError) -> bytes:
+    """The next `size` bytes of the regular file `f`; when fewer are left (a pipe
+    has none), raises `error` naming `path`, `part` and both sizes, before reading."""
+    left = os.fstat(f.fileno()).st_size - f.tell()  # Python ints: any declared size compares
+    if size > left:
+        raise error(f"{path}: truncated {part}: needs {size} bytes, {left} are left")
+    return f.read(size)
+
+
 def save_params(path, params: np.ndarray) -> None:
     """Binary checkpoint: magic 'FNTD', u32 version, u64 length, f64 values (little-endian)."""
     params = np.asarray(params, dtype=np.float64)
     with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        f.write(struct.pack("<Q", params.size))
+        f.write(_CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, params.size))
         f.write(params.astype("<f8").tobytes())
 
 
 def load_params(path) -> np.ndarray:
+    """The vector `save_params` wrote; a bad header or short file is a ValueError naming `path`."""
     with open(path, "rb") as f:
-        magic = f.read(4)
+        head = read_sized(f, path, "checkpoint header", _CHECKPOINT_HEADER.size)
+        magic, version, length = _CHECKPOINT_HEADER.unpack(head)
         if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"bad checkpoint magic {magic!r}")
-        (version,) = struct.unpack("<I", f.read(4))
+            raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
         if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        (length,) = struct.unpack("<Q", f.read(8))
-        data = f.read(length * 8)
-        if len(data) != length * 8:
-            raise ValueError("truncated checkpoint file")
+            raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        data = read_sized(f, path, "checkpoint parameters", 8 * length)
         return np.frombuffer(data, dtype="<f8").astype(np.float64)

@@ -13,7 +13,7 @@ import pytest
 
 from fednsim import cli, federation
 from fednsim.cli import main
-from fednsim.config import ExperimentConfig
+from fednsim.config import IDX_KEYS, ExperimentConfig
 from fednsim.model import MAX_FLOATS, load_params
 
 TINY_CONFIG = """\
@@ -173,21 +173,36 @@ class TestRunCommand:
         assert run_cli("run", tiny_config, "--out", tmp_path / "o") == 0
         assert capsys.readouterr().err == ""
 
-    @pytest.mark.parametrize("command", ["run", "partition"])
-    def test_data_too_large_for_memory_exit_1(self, command, tiny_config, tmp_path, monkeypatch,
-                                             capsys):
+    @pytest.mark.parametrize("command,data", [("run", "synth"), ("partition", "synth"),
+                                              ("run", "idx"), ("partition", "idx")],
+                             ids=["run", "partition", "run-idx", "partition-idx"])
+    def test_data_too_large_for_memory_exit_1(self, command, data, tiny_config, tmp_path,
+                                             monkeypatch, capsys):
         # what numpy raises for synth_dim = 100000000000, without allocating it
         def too_large(*args, **kwargs):
             raise MemoryError("Unable to allocate 2.18 TiB for an array")
 
-        monkeypatch.setattr(cli, "synth_dataset", too_large)
+        def bare(*args, **kwargs):  # a MemoryError may carry no text
+            raise MemoryError()
+
+        if data == "idx":
+            tiny_config.write_text(TINY_CONFIG.replace("data = synth", "data = idx") + "".join(
+                f"{key} = {tmp_path / key}\n" for key in IDX_KEYS))
+            monkeypatch.setattr(cli, "read_idx", bare)
+        else:
+            monkeypatch.setattr(cli, "synth_dataset", too_large)
         argv = ["run", tiny_config, "--out", tmp_path / "o"] if command == "run" else [
             "partition", tiny_config, "--stats"]
         assert run_cli(*argv) == 1
         err = capsys.readouterr().err
-        assert err == ("error: out of memory (Unable to allocate 2.18 TiB for an array); the "
-                       "array sizes are set by synth_classes, synth_per_class, "
-                       "synth_test_per_class, synth_dim, hidden_dims, clients, sampling_ratio\n")
+        assert err == {
+            "synth": ("error: out of memory (Unable to allocate 2.18 TiB for an array); the "
+                      "array sizes are set by synth_classes, synth_per_class, "
+                      "synth_test_per_class, synth_dim, hidden_dims, clients, sampling_ratio\n"),
+            "idx": ("error: out of memory; the array sizes are set by idx_train_images, "
+                    "idx_train_labels, idx_test_images, idx_test_labels, hidden_dims, clients, "
+                    "sampling_ratio\n"),
+        }[data]
 
     @pytest.mark.parametrize("key,value", [("synth_dim", "4611686018427387904"),
                                            ("synth_dim", "1000000000000000000000"),

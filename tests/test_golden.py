@@ -3,7 +3,10 @@
 Each case runs the `run` pipeline (config, synthetic data, partition,
 federation, CSV and summary writers) and pins the sha256 of rounds.csv,
 summary.json and the final float64 parameters.  A refactor of the training
-or evaluation path must leave all three unchanged.  The digests were taken
+or evaluation path must leave all three unchanged.  Each case also pins an
+8-hex sha256 prefix of every rounds.csv data row, by its round, so that a
+failure names the first round that broke, or, when every row holds, the
+outputs that differ.  The digests were taken
 with numpy 2.4 on OpenBLAS 0.3.31 (x86-64), whose runtime-selected kernel
 was `SkylakeX` (AVX-512), and they hold for that kernel only: another
 kernel (`OPENBLAS_CORETYPE=Haswell`, say) or another BLAS build may round
@@ -14,6 +17,7 @@ kernel its OpenBLAS picked at runtime.
 import hashlib
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +59,7 @@ seed = 3
             "summary.json": "ccac6702ca30df1a22095ccaab90ff369596c77decd3eba0f28d1ebecf704a48",
             "final_params": "246c4e474170f01e92a31fe0378736f3b54500b30a0925a59ef55a4841adeef5",
         },
+        {2: "96c00a97", 4: "373c3850", 5: "e9a7ca0a"},
     ),
     # sharding, KL + not-true interpolation
     "sharding_kd_ntd_interp": (
@@ -79,6 +84,7 @@ seed = 7
             "summary.json": "ff62813b024aa9a4781eb0511978ec1d8fe4c70449875981a39a08e15bf7164c",
             "final_params": "da2a16abf336a9ac4a507189a51e1b0e90947d5b870a3f3f1f4ce17d542d8636",
         },
+        {1: "8c4bd1a8", 2: "e1ea6680", 3: "f71474e4", 4: "ef1e6693"},
     ),
     # dirichlet, fedprox; rounds mix clients that share a size with clients that do not
     "dirichlet_fedprox_mixed": (
@@ -103,6 +109,7 @@ seed = 0
             "summary.json": "e851eb820a28d4cd57227132bbbae268fe186cecba19201e3bf009f09500f6a0",
             "final_params": "58e14f4dff0f49517c192bbe082b09c766979cab4e4433ac84337cdddfbebac1",
         },
+        {1: "0370000b", 2: "6adb8bb0", 3: "4f41967c", 4: "87127427"},
     ),
     # dirichlet, not-true logit MSE, evaluation every 3rd round
     "dirichlet_fedntd_mse_stride": (
@@ -128,6 +135,7 @@ seed = 2
             "summary.json": "f91f5e31d51593db12aaf39d34b1a71e25b384c1658882e3a5f15120568b5ead",
             "final_params": "d320e826aaa21918ace2523fc0c2ecf936b5489721091f71f8b65505ecc33155",
         },
+        {3: "eb5f5072", 5: "f62064dd"},
     ),
     # sharding, fedntd at beta = 1 and tau = 1 (the desk benchmark's objective), every round logged
     "sharding_fedntd_unit": (
@@ -153,6 +161,7 @@ seed = 5
             "summary.json": "19922ad725658cc9fb5ffdb39a5abb43f2596b7124408608690c0e4b39627187",
             "final_params": "941a1c89322b0c4c641c949db4dbd996ecb9e93a637ea2c24ef5b9e108c58e20",
         },
+        {1: "0b3b5a85", 2: "e78b4d9f", 3: "b2f8845a", 4: "2ab60046"},
     ),
 }
 
@@ -185,13 +194,41 @@ def _blas_build() -> str:
     return f"{build}, OpenBLAS core {blas_core() or 'unknown'}"
 
 
+def row_digests(csv_path) -> dict[int, str]:
+    """The 8-hex sha256 prefix of each rounds.csv data row, by its round."""
+    rows = Path(csv_path).read_text().splitlines()[1:]
+    return {int(row.split(",", 1)[0]): hashlib.sha256(row.encode()).hexdigest()[:8] for row in rows}
+
+
+def first_difference(name, rows: dict[int, str], got: dict[str, str]) -> str:
+    """Where case `name`'s outputs first leave its pins: the first round whose
+    rounds.csv row differs, else the outputs whose digests differ."""
+    _, digests, pinned_rows = CASES[name]
+    for t in sorted(rows.keys() | pinned_rows.keys()):
+        if rows.get(t) != pinned_rows.get(t):
+            return f"rounds.csv first differs at round {t}"
+    return "every rounds.csv row matches; " + ", ".join(
+        key for key in digests if got[key] != digests[key]) + " differ"
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_outputs_match_golden_digests(name, tmp_path):
     got = run_digests(name, tmp_path)
-    assert got == CASES[name][1], (
-        f"{name}: output digests changed (ran on {_blas_build()}; pinned on numpy 2.4, "
-        f"OpenBLAS 0.3.31, OpenBLAS core SkylakeX)"
+    rows = row_digests(tmp_path / "rounds.csv")
+    assert (got, rows) == CASES[name][1:], (
+        f"{name}: {first_difference(name, rows, got)} "
+        f"(ran on {_blas_build()}; pinned on numpy 2.4, OpenBLAS 0.3.31, OpenBLAS core SkylakeX)"
     )
+
+
+def test_a_failure_names_the_first_round_that_differs():
+    _, digests, rows = CASES["iid_fedntd_stride"]
+    assert first_difference("iid_fedntd_stride", {**rows, 4: "00000000", 5: "00000000"},
+                            digests) == "rounds.csv first differs at round 4"
+    assert first_difference("iid_fedntd_stride", {2: rows[2]}, digests) == (
+        "rounds.csv first differs at round 4")
+    assert first_difference("iid_fedntd_stride", rows, {**digests, "final_params": "0"}) == (
+        "every rounds.csv row matches; final_params differ")
 
 
 def test_a_failure_names_the_openblas_core():

@@ -7,16 +7,16 @@ Subcommands:
   metrics    recompute forgetting and drift series from a stored CSV
 
 Exit codes: 0 success, 1 bad configuration or usage (a run too large for
-memory among them), 2 runtime failure (including a failing verification
-check).
+memory and an output that cannot be written among them), 2 runtime
+failure (including a failing verification check).
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
+import os
 import sys
-from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -36,7 +36,7 @@ from .data import (
 )
 from .federation import DivergenceError, WorkerError, run_federation
 from .metrics import accuracy_cosine_similarity, forgetting_measure
-from .model import save_params
+from .model import OutputError, open_file, save_params
 from .runio import RoundCsvError, read_round_csv, write_round_csv, write_summary_json
 from .verify import run_all
 
@@ -106,15 +106,6 @@ def load_run(cfg: ExperimentConfig) -> tuple:
     return cfg.federation_config(), mlp, train, make_partition(train, cfg.partition_spec()), test
 
 
-@contextmanager
-def _writing(path):
-    """An OSError while writing `path` (a directory there, say) is a ConfigError naming it."""
-    try:
-        yield
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
-
-
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config)
     if args.seed is not None:
@@ -133,9 +124,7 @@ def _cmd_run(args) -> int:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from None
 
     def checkpoint(t: int, params: np.ndarray) -> None:
-        path = out_dir / f"checkpoint_round_{t:05d}.fntd"
-        with _writing(path):
-            save_params(path, params)
+        save_params(out_dir / f"checkpoint_round_{t:05d}.fntd", params)
 
     result = run_federation(
         fed, mlp, train, partition, test,
@@ -144,11 +133,8 @@ def _cmd_run(args) -> int:
         checkpoint_fn=checkpoint,
     )
     csv_path = out_dir / "rounds.csv"
-    summary_path = out_dir / "summary.json"
-    with _writing(csv_path):
-        write_round_csv(result.logs, csv_path, mlp.num_classes)
-    with _writing(summary_path):
-        write_summary_json(result.logs, cfg, summary_path, csv_path.name)
+    write_round_csv(result.logs, csv_path, mlp.num_classes)
+    write_summary_json(result.logs, cfg, out_dir / "summary.json", csv_path.name)
     final = result.logs[-1]
     print(f"finished {cfg.rounds} rounds: accuracy {final.global_acc:.4f}, "
           f"outputs in {out_dir}")
@@ -189,10 +175,7 @@ def _cmd_partition(args) -> int:
             f", mean L1 distance from uniform = {np.mean(l1_from_uniform):.4f}"
         )
     if args.out is not None:
-        try:
-            export_partition_json(args.out, train, partition)
-        except OSError as exc:  # a directory at that path, or a file above it
-            raise ConfigError(f"cannot write partition {args.out}: {exc.strerror}") from None
+        export_partition_json(args.out, train, partition)
         print(f"wrote partition to {args.out}")
     return 0
 
@@ -239,10 +222,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed usage/help
         return 0 if exc.code in (0, None) else 1
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout pipe fails here, not at exit
+        return code
     except (ConfigError, IdxFormatError, PartitionError, RoundCsvError, FileNotFoundError,
-            WorkerError) as exc:
+            WorkerError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError as exc:  # stdout's reader has gone; what stdout still holds
+        # goes to the null device, not to a second error when the interpreter exits
+        print(f"error: cannot write standard output: {exc.strerror}", file=sys.stderr)
+        with open_file(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 1
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

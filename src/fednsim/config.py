@@ -19,7 +19,7 @@ from typing import get_type_hints
 from .data import PartitionSpec, _check_separation, _check_synth_counts
 from .federation import FederationConfig
 from .losses import LossConfig
-from .model import MlpConfig
+from .model import MlpConfig, open_file
 
 DATA_SOURCES = ("synth", "idx")
 IDX_KEYS = ("idx_train_images", "idx_train_labels", "idx_test_images", "idx_test_labels")
@@ -171,7 +171,7 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
 
 def parse_config(path) -> ExperimentConfig:
     try:
-        with open(path, "r", encoding="utf-8") as f:
+        with open_file(path, "r", encoding="utf-8") as f:
             text = f.read()
     except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
         raise ConfigError(f"cannot read config {path}: {exc}") from None

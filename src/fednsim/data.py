@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import _check_labels
-from .model import MAX_FLOATS, read_sized
+from .model import MAX_FLOATS, open_file, read_sized, write_file
 from .rng import NS_PARTITION, NS_SYNTH_MEANS, NS_SYNTH_SAMPLES, stream
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -157,7 +157,7 @@ def synth_dataset(
 
 def _idx_payload(path, magic: int, ndims: int) -> tuple[list[int], bytes]:
     """The dimensions and payload bytes of the IDX file at `path`."""
-    with open(path, "rb") as f:
+    with open_file(path) as f:
         head = read_sized(f, path, "IDX header", 4 * (1 + ndims), IdxTruncatedError)
         found, *dims = struct.unpack(f">{1 + ndims}I", head)
         if found != magic:
@@ -315,6 +315,5 @@ def export_partition_json(path, dataset: Dataset, partition: list[ClientData]) -
             "p": p.tolist(),
             "p_tilde": p_tilde.tolist(),
         }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, sort_keys=True, separators=(",", ":"))
-        f.write("\n")
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    write_file(path, text.encode("utf-8"))

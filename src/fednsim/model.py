@@ -238,10 +238,42 @@ def lr_at_round(lr0: float, t: int, decay: float = 0.99) -> float:
     return lr0 * decay**t if lr0 < np.inf else lr0  # decay**t may be 0, and inf * 0 is NaN
 
 
+class OutputError(Exception):
+    """An output that cannot be written; the message names its path."""
+
+
+def open_file(path, mode: str = "rb", **text):
+    """`open(path, mode, **text)` to read ("r", "rb") or to create or truncate
+    ("wb"), which does not wait on a FIFO with no peer where the OS has
+    O_NONBLOCK: one with no writer reads as empty, one with no reader fails."""
+    if not hasattr(os, "O_NONBLOCK"):
+        return open(path, mode, **text)
+    flags = os.O_RDONLY if mode.startswith("r") else os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+    fd = os.open(path, flags | os.O_NONBLOCK, 0o666)
+    try:
+        os.set_blocking(fd, True)
+        return open(fd, mode, **text)
+    except OSError as exc:  # a directory, which the error must name by its path
+        os.close(fd)
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+
+
+def write_file(path, *chunks) -> None:
+    """Creates or truncates `path` and writes the bytes-like `chunks` to it; an
+    OSError (a directory there, no reader on a FIFO or pipe, a full disk) is an
+    OutputError naming `path`."""
+    try:
+        with open_file(path, "wb") as f:
+            f.writelines(chunks)
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def read_sized(f, path, part: str, size: int, error=ValueError) -> bytes:
-    """The next `size` bytes of the regular file `f`; when fewer are left (a pipe
-    has none), raises `error` naming `path`, `part` and both sizes, before reading."""
-    left = os.fstat(f.fileno()).st_size - f.tell()  # Python ints: any declared size compares
+    """The next `size` bytes of the file `f`; when fewer are left (a pipe, which
+    cannot seek, has none), raises `error` naming `path`, `part` and both sizes,
+    before reading.  Sizes compare as Python ints, so any declared size does."""
+    left = os.fstat(f.fileno()).st_size - f.tell() if f.seekable() else 0
     if size > left:
         raise error(f"{path}: truncated {part}: needs {size} bytes, {left} are left")
     return f.read(size)
@@ -249,15 +281,14 @@ def read_sized(f, path, part: str, size: int, error=ValueError) -> bytes:
 
 def save_params(path, params: np.ndarray) -> None:
     """Binary checkpoint: magic 'FNTD', u32 version, u64 length, f64 values (little-endian)."""
-    params = np.asarray(params, dtype=np.float64)
-    with open(path, "wb") as f:
-        f.write(_CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, params.size))
-        f.write(params.astype("<f8").tobytes())
+    params = np.ascontiguousarray(params, dtype="<f8")
+    write_file(path, _CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, params.size),
+               params)
 
 
 def load_params(path) -> np.ndarray:
     """The vector `save_params` wrote; a bad header or short file is a ValueError naming `path`."""
-    with open(path, "rb") as f:
+    with open_file(path) as f:
         head = read_sized(f, path, "checkpoint header", _CHECKPOINT_HEADER.size)
         magic, version, length = _CHECKPOINT_HEADER.unpack(head)
         if magic != CHECKPOINT_MAGIC:

@@ -14,6 +14,7 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig, config_dict, config_hash
 from .metrics import RoundLog, forgetting_measure
+from .model import open_file, write_file
 
 
 class RoundCsvError(ValueError):
@@ -40,13 +41,12 @@ def write_round_csv(logs: list[RoundLog], path, num_classes: int) -> None:
             raise ValueError("round log class count does not match the header")
         t, global_acc, class_acc, *tail = (getattr(log, name) for name in _FIELDS)
         lines.append(",".join([str(t)] + [_fmt(v) for v in (global_acc, *class_acc, *tail)]))
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    write_file(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_round_csv(path) -> list[RoundLog]:
     try:
-        with open(path, "r", encoding="utf-8") as f:
+        with open_file(path, "r", encoding="utf-8") as f:
             lines = [line.rstrip("\n") for line in f if line.strip()]
     except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
         raise RoundCsvError(f"cannot read round CSV {path}: {exc}") from None
@@ -93,6 +93,4 @@ def summary_dict(logs: list[RoundLog], cfg: ExperimentConfig, csv_name: str, sum
 
 def write_summary_json(logs: list[RoundLog], cfg: ExperimentConfig, path, csv_name: str) -> None:
     obj = summary_dict(logs, cfg, csv_name, str(path).rsplit("/", 1)[-1])
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(obj, f, sort_keys=True, indent=2)
-        f.write("\n")
+    write_file(path, (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8"))

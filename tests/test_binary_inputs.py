@@ -1,4 +1,4 @@
-"""Hostile binary inputs, and the one sized reader that meets them.
+"""Hostile inputs and outputs, and the one opener and sized reader that meet them.
 
 Every read whose length a file declares (IDX headers and payloads,
 checkpoint headers and parameters) goes through `model.read_sized`, which
@@ -6,6 +6,12 @@ compares the length with what is left of the file before it reads or
 allocates anything.  The hostile cases run in one child process under an
 address-space limit and a timeout, so that a reader that allocates what a
 header claims fails the test, not the machine.
+
+Every file the package opens, to read or to write, is opened by
+`model.open_file`, which does not wait on a FIFO that has no peer.  The
+FIFO and closed-pipe cases run in one child process, each under its own
+alarm, so that an open that waits fails its case instead of stalling the
+suite.
 """
 
 import ast
@@ -124,16 +130,48 @@ def test_hostile_binary_inputs_end_in_named_errors(tmp_path):
             in got["length_2_64_minus_1"][2])
 
 
+def _inside(tree, name: str) -> set[int]:
+    """ids of the nodes inside every function of `tree` called `name`."""
+    return {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == name
+            for node in ast.walk(fn)}
+
+
 def _unsized_reads(source: str) -> list[int]:
     """Lines of `.read(...)` calls with an argument outside `read_sized`."""
     tree = ast.parse(source)
-    sized = {id(node) for fn in ast.walk(tree)
-             if isinstance(fn, ast.FunctionDef) and fn.name == "read_sized"
-             for node in ast.walk(fn)}
+    sized = _inside(tree, "read_sized")
     return [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
             and node.func.attr == "read" and (node.args or node.keywords)
             and id(node) not in sized]
+
+
+def _own_opens(source: str) -> list[int]:
+    """Lines of `open(...)`, `os.open(...)` or any other `.open(...)` and
+    `os.fdopen(...)` calls outside `open_file`, but for `_openblas`'s read
+    of /proc/self/maps."""
+    tree = ast.parse(source)
+    allowed = _inside(tree, "open_file")
+    maps = _inside(tree, "_openblas")
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in allowed
+            and (isinstance(node.func, ast.Name) and node.func.id == "open"
+                 or isinstance(node.func, ast.Attribute) and node.func.attr in ("open", "fdopen"))
+            and not (id(node) in maps and node.args
+                     and isinstance(node.args[0], ast.Constant)
+                     and node.args[0].value == "/proc/self/maps")]
+
+
+def test_every_open_goes_through_open_file():
+    sources = {path.name: path.read_text() for path in sorted((SRC / "fednsim").glob("*.py"))}
+    assert {name: lines for name, source in sources.items()
+            if (lines := _own_opens(source))} == {}
+    assert "def open_file(" in sources["model.py"]  # the guard is not vacuous
+    assert _own_opens("def save(p):\n    return open(p, 'wb')\n") == [2]
+    assert _own_opens("import os\ndef save(p):\n    return os.open(p, 1)\n") == [3]
+    assert _own_opens("def open_file(p):\n    return open(p)\n") == []
+    assert _own_opens("def _openblas():\n    return open('/proc/self/maps')\n") == []
+    assert _own_opens("def _openblas(p):\n    return open(p)\n") == [2]
 
 
 def test_every_sized_read_goes_through_read_sized():
@@ -143,3 +181,119 @@ def test_every_sized_read_goes_through_read_sized():
     assert "def read_sized(" in sources["model.py"]  # the guard is not vacuous
     assert _unsized_reads("def load(f, n):\n    return f.read(n)\n") == [2]
     assert _unsized_reads("def load(f):\n    return f.read()\n") == []
+
+
+# case -> (argv, with {fifo}, {cfg}, {idx_cfg}, {out}, {closed} and {live} filled in;
+# exit code; text its stderr holds, or for an exit 0 its stdout).  `load_params` calls
+# the function.  Every FIFO has no peer; {closed} is the write end of a pipe whose read
+# end is closed, {live} that of a pipe the test reads.
+PEERLESS = {
+    "config_fifo_no_writer": (["partition", "{fifo}", "--stats"], 0,
+                              "strategy=iid clients=10 dataset_size=1000\n"),
+    "idx_fifo_no_writer": (["partition", "{idx_cfg}"], 1, "{fifo}: truncated IDX header"),
+    "metrics_fifo_no_writer": (["metrics", "{fifo}"], 1, "{fifo}: empty round CSV"),
+    "checkpoint_fifo_no_writer": (["load_params", "{fifo}"], "ValueError",
+                                  "{fifo}: truncated checkpoint header"),
+    "partition_out_fifo_no_reader": (["partition", "{cfg}", "--out", "{fifo}"], 1,
+                                     "error: cannot write {fifo}: "),
+    "rounds_csv_fifo_no_reader": (["run", "{cfg}", "--out", "{out}"], 1,
+                                  "error: cannot write {out}/rounds.csv: "),
+    "partition_out_closed_pipe": (["partition", "{cfg}", "--out", "/dev/fd/{closed}"], 1,
+                                  "error: cannot write /dev/fd/{closed}: "),
+    "config_from_stdin": (["partition", "/dev/stdin", "--stats"], 0,
+                          "strategy=iid clients=3 dataset_size=1000\n"),
+    "partition_out_live_pipe": (["partition", "{cfg}", "--out", "/dev/fd/{live}"], 0,
+                                "wrote partition to /dev/fd/{live}\n"),
+    # the child's own stdout is a pipe whose read end is closed; this case runs last
+    "stats_to_closed_stdout": (["partition", "{cfg}", "--stats"], 1,
+                               "error: cannot write standard output: Broken pipe"),
+}
+CASE_TIMEOUT_S = 10
+
+_PEERLESS_CHILD = """\
+import contextlib, io, json, signal, sys
+from fednsim import cli, model
+
+class Hung(BaseException):  # past cli.main's `except Exception`
+    pass
+
+def hung(signum, frame):
+    raise Hung
+
+signal.signal(signal.SIGALRM, hung)
+cases, results = json.loads(sys.argv[1]), {{}}
+for name, argv in cases.items():
+    out, err = io.StringIO(), io.StringIO()
+    signal.alarm({timeout})
+    try:
+        with contextlib.redirect_stderr(err):
+            if argv[0] == "load_params":
+                try:
+                    model.load_params(argv[1])
+                    code = "loaded"
+                except ValueError as exc:
+                    code = type(exc).__name__
+                    print(exc, file=sys.stderr)
+            elif name == "stats_to_closed_stdout":
+                code = cli.main(argv)
+            else:
+                with contextlib.redirect_stdout(out):
+                    code = cli.main(argv)
+    except Hung:
+        code = "hung"
+    finally:
+        signal.alarm(0)
+    results[name] = [code, out.getvalue(), err.getvalue()]
+with open(sys.argv[2], "w") as f:
+    json.dump(results, f)
+"""
+
+
+def test_no_open_waits_on_a_fifo_and_a_closed_pipe_exits_1(tmp_path):
+    fifo, out = tmp_path / "fifo", tmp_path / "out"
+    os.mkfifo(fifo)
+    out.mkdir()
+    os.mkfifo(out / "rounds.csv")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("synth_per_class = 10\nsynth_test_per_class = 5\nclients = 3\n"
+                   "hidden_dims = 4\nrounds = 2\n")
+    idx_cfg = _idx_case(tmp_path, "trailing_bytes_ignored")  # good files, but for the FIFO
+    idx_cfg.write_text(idx_cfg.read_text().replace(
+        str(tmp_path / "trailing_bytes_ignored" / "train-images"), str(fifo)))
+    closed_read, closed = os.pipe()
+    stdout_read, stdout = os.pipe()
+    live_read, live = os.pipe()  # the partition JSON of 100 samples fits its buffer
+    os.close(closed_read)
+    os.close(stdout_read)
+    fill = {"fifo": fifo, "cfg": cfg, "idx_cfg": idx_cfg, "out": out, "closed": closed,
+            "live": live}
+    cases = {name: [arg.format(**fill) for arg in argv] for name, (argv, _, _) in PEERLESS.items()}
+    # stdout block-buffered, as it is on a pipe by default, so that a flush can fail at exit
+    env = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+           "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-c", _PEERLESS_CHILD.format(timeout=CASE_TIMEOUT_S),
+            json.dumps(cases), str(tmp_path / "results.json")]
+    try:
+        child = subprocess.run(argv, input="clients = 3\n", stdout=stdout, stderr=subprocess.PIPE,
+                               text=True, pass_fds=(closed, live), env=env, check=False,
+                               timeout=CASE_TIMEOUT_S * (len(cases) + 1))
+    finally:
+        os.close(closed)
+        os.close(stdout)
+        os.close(live)
+    with open(live_read) as pipe:
+        assert len(json.loads(pipe.read())) == 3  # one entry a client
+    # nothing reaches the real stderr: no second error when the interpreter flushes stdout
+    assert (child.returncode, child.stderr) == (0, "")
+    got = json.loads((tmp_path / "results.json").read_text())
+
+    for name, (_, code, text) in PEERLESS.items():
+        got_code, got_out, got_err = got[name]
+        text = text.format(**fill)
+        assert got_code == code, (name, got_err)
+        assert "internal error" not in got_err, (name, got_err)
+        if code == 0:
+            assert got_out.startswith(text), (name, got_out)
+        else:
+            assert got_err.count("\n") == 1 and text in got_err, (name, got_err)

@@ -4,17 +4,25 @@ Each case runs the `run` pipeline (config, synthetic data, partition,
 federation, CSV and summary writers) and pins the sha256 of rounds.csv,
 summary.json and the final float64 parameters.  A refactor of the training
 or evaluation path must leave all three unchanged.  Each case also pins an
-8-hex sha256 prefix of every rounds.csv data row, by its round, so that a
-failure names the first round that broke, or, when every row holds, the
-outputs that differ.  The digests were taken
-with numpy 2.4 on OpenBLAS 0.3.31 (x86-64), whose runtime-selected kernel
-was `SkylakeX` (AVX-512), and they hold for that kernel only: another
-kernel (`OPENBLAS_CORETYPE=Haswell`, say) or another BLAS build may round
-matrix products differently, so a failure names the build it ran on and the
-kernel its OpenBLAS picked at runtime.
+8-hex sha256 prefix of every rounds.csv data row, and a 2-hex prefix of
+each of its cells, by its round, so that a failure names the first round
+that broke and its first column that differs, or, when every row holds,
+the outputs that differ.
+
+The pins were taken with numpy 2.4 on OpenBLAS 0.3.31 (x86-64) and are kept
+per kernel, the one OpenBLAS selects at runtime (`federation.blas_core()`):
+kernels may round matrix products differently.  `SkylakeX` (AVX-512) is
+the kernel this machine picks; the `Haswell` (AVX2) pins were taken in a
+child process with `OPENBLAS_CORETYPE=Haswell`.  A kernel without pins, or
+another BLAS build, fails every case with a message naming the kernel and
+the build.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -36,8 +44,7 @@ hidden_dims = 8,8
 
 CASES = {
     # iid, fedntd, evaluation every 2nd round (the last round is always logged)
-    "iid_fedntd_stride": (
-        """\
+    "iid_fedntd_stride": """\
 synth_classes = 4
 synth_per_class = 24
 synth_test_per_class = 10
@@ -54,16 +61,8 @@ lr0 = 0.05
 eval_stride = 2
 seed = 3
 """,
-        {
-            "rounds.csv": "7e4debfe06f83127e9dfe0f705343fd86acd9d0e75b08122e2ab636c77e65d05",
-            "summary.json": "ccac6702ca30df1a22095ccaab90ff369596c77decd3eba0f28d1ebecf704a48",
-            "final_params": "246c4e474170f01e92a31fe0378736f3b54500b30a0925a59ef55a4841adeef5",
-        },
-        {2: "96c00a97", 4: "373c3850", 5: "e9a7ca0a"},
-    ),
     # sharding, KL + not-true interpolation
-    "sharding_kd_ntd_interp": (
-        """\
+    "sharding_kd_ntd_interp": """\
 synth_classes = 3
 synth_per_class = 20
 synth_test_per_class = 8
@@ -79,16 +78,8 @@ sampling_ratio = 0.6
 lr0 = 0.08
 seed = 7
 """,
-        {
-            "rounds.csv": "10e8477217a33d1d6a28c21482965ae1a99efefb9b3aa729ea483852f0613e0e",
-            "summary.json": "ff62813b024aa9a4781eb0511978ec1d8fe4c70449875981a39a08e15bf7164c",
-            "final_params": "da2a16abf336a9ac4a507189a51e1b0e90947d5b870a3f3f1f4ce17d542d8636",
-        },
-        {1: "8c4bd1a8", 2: "e1ea6680", 3: "f71474e4", 4: "ef1e6693"},
-    ),
     # dirichlet, fedprox; rounds mix clients that share a size with clients that do not
-    "dirichlet_fedprox_mixed": (
-        """\
+    "dirichlet_fedprox_mixed": """\
 synth_classes = 4
 synth_per_class = 15
 synth_test_per_class = 6
@@ -104,16 +95,8 @@ sampling_ratio = 0.5
 lr0 = 0.05
 seed = 0
 """,
-        {
-            "rounds.csv": "7ec92ee959d3cfe7aa8ab1d4d1a6d262db724e932701df6fa3ee442197ad15d1",
-            "summary.json": "e851eb820a28d4cd57227132bbbae268fe186cecba19201e3bf009f09500f6a0",
-            "final_params": "58e14f4dff0f49517c192bbe082b09c766979cab4e4433ac84337cdddfbebac1",
-        },
-        {1: "0370000b", 2: "6adb8bb0", 3: "4f41967c", 4: "87127427"},
-    ),
     # dirichlet, not-true logit MSE, evaluation every 3rd round
-    "dirichlet_fedntd_mse_stride": (
-        """\
+    "dirichlet_fedntd_mse_stride": """\
 synth_classes = 4
 synth_per_class = 15
 synth_test_per_class = 6
@@ -130,16 +113,8 @@ lr0 = 0.05
 eval_stride = 3
 seed = 2
 """,
-        {
-            "rounds.csv": "9c08f2b80f82fb8a8f1ddcaf216e66f014c97f075f214290511b421d5f9ce01b",
-            "summary.json": "f91f5e31d51593db12aaf39d34b1a71e25b384c1658882e3a5f15120568b5ead",
-            "final_params": "d320e826aaa21918ace2523fc0c2ecf936b5489721091f71f8b65505ecc33155",
-        },
-        {3: "eb5f5072", 5: "f62064dd"},
-    ),
     # sharding, fedntd at beta = 1 and tau = 1 (the desk benchmark's objective), every round logged
-    "sharding_fedntd_unit": (
-        """\
+    "sharding_fedntd_unit": """\
 synth_classes = 4
 synth_per_class = 20
 synth_test_per_class = 8
@@ -156,18 +131,147 @@ sampling_ratio = 0.5
 lr0 = 0.05
 seed = 5
 """,
-        {
-            "rounds.csv": "8b0953bdbc9b6b1f363258f6760d52209444fe4a984ad0139c49f7630cceaf0c",
-            "summary.json": "19922ad725658cc9fb5ffdb39a5abb43f2596b7124408608690c0e4b39627187",
-            "final_params": "941a1c89322b0c4c641c949db4dbd996ecb9e93a637ea2c24ef5b9e108c58e20",
-        },
-        {1: "0b3b5a85", 2: "e78b4d9f", 3: "b2f8845a", 4: "2ab60046"},
-    ),
 }
 
+# Each kernel's pins, newest instruction set first: case -> (the sha256 of each
+# output, the digest of each rounds.csv data row, the digests of its cells).
+PINS = {
+    "SkylakeX": {
+        "iid_fedntd_stride": (
+            {
+                "rounds.csv": "7e4debfe06f83127e9dfe0f705343fd86acd9d0e75b08122e2ab636c77e65d05",
+                "summary.json": "ccac6702ca30df1a22095ccaab90ff369596c77decd3eba0f28d1ebecf704a48",
+                "final_params": "246c4e474170f01e92a31fe0378736f3b54500b30a0925a59ef55a4841adeef5",
+            },
+            {2: "96c00a97", 4: "373c3850", 5: "e9a7ca0a"},
+            {
+                2: "d4bf8a81f3d28f1526eb87c814",
+                4: "4bc48a8181d2ac421cd2cff92b",
+                5: "efe0228181b448206ce5fe45ec",
+            },
+        ),
+        "sharding_kd_ntd_interp": (
+            {
+                "rounds.csv": "10e8477217a33d1d6a28c21482965ae1a99efefb9b3aa729ea483852f0613e0e",
+                "summary.json": "ff62813b024aa9a4781eb0511978ec1d8fe4c70449875981a39a08e15bf7164c",
+                "final_params": "da2a16abf336a9ac4a507189a51e1b0e90947d5b870a3f3f1f4ce17d542d8636",
+            },
+            {1: "8c4bd1a8", 2: "e1ea6680", 3: "f71474e4", 4: "ef1e6693"},
+            {
+                1: "6be98a8ad0d28aa38a0792f3",
+                2: "d492d08aa319613a00b5f71d",
+                3: "4e18d04252f2c16579779aec",
+                4: "4b0742cea3f24691e236e73f",
+            },
+        ),
+        "dirichlet_fedprox_mixed": (
+            {
+                "rounds.csv": "7ec92ee959d3cfe7aa8ab1d4d1a6d262db724e932701df6fa3ee442197ad15d1",
+                "summary.json": "e851eb820a28d4cd57227132bbbae268fe186cecba19201e3bf009f09500f6a0",
+                "final_params": "58e14f4dff0f49517c192bbe082b09c766979cab4e4433ac84337cdddfbebac1",
+            },
+            {1: "0370000b", 2: "6adb8bb0", 3: "4f41967c", 4: "87127427"},
+            {
+                1: "6ba3e98ae9e98fe76f86d9e089",
+                2: "d448d2cfcfe954c28fe1aecf7b",
+                3: "4e95d2cfcf7b7e160143d30270",
+                4: "4b48cf8a7be92098a0ba913db5",
+            },
+        ),
+        "dirichlet_fedntd_mse_stride": (
+            {
+                "rounds.csv": "9c08f2b80f82fb8a8f1ddcaf216e66f014c97f075f214290511b421d5f9ce01b",
+                "summary.json": "f91f5e31d51593db12aaf39d34b1a71e25b384c1658882e3a5f15120568b5ead",
+                "final_params": "d320e826aaa21918ace2523fc0c2ecf936b5489721091f71f8b65505ecc33155",
+            },
+            {3: "eb5f5072", 5: "f62064dd"},
+            {3: "4ea38ae98a7bef50de261412b5", 5: "efa38ae98a7b51ff439594ffb9"},
+        ),
+        "sharding_fedntd_unit": (
+            {
+                "rounds.csv": "8b0953bdbc9b6b1f363258f6760d52209444fe4a984ad0139c49f7630cceaf0c",
+                "summary.json": "19922ad725658cc9fb5ffdb39a5abb43f2596b7124408608690c0e4b39627187",
+                "final_params": "941a1c89322b0c4c641c949db4dbd996ecb9e93a637ea2c24ef5b9e108c58e20",
+            },
+            {1: "0b3b5a85", 2: "e78b4d9f", 3: "b2f8845a", 4: "2ab60046"},
+            {
+                1: "6b828ad2ce8a0686cf581fd2ad",
+                2: "d4408a8ad052b51d69aecd9c7f",
+                3: "4e408a52d08a590e6af47ed013",
+                4: "4b408a52d08ae998cf5866fa17",
+            },
+        ),
+    },
+    "Haswell": {
+        "iid_fedntd_stride": (
+            {
+                "rounds.csv": "0ea4a493091455686e6171058813f13d860a43a507014e2840dc51c55ace8819",
+                "summary.json": "ccac6702ca30df1a22095ccaab90ff369596c77decd3eba0f28d1ebecf704a48",
+                "final_params": "4dfa3848929ec863c6f11a3e2c429ad27a03b225f90ae5270802fada5b769732",
+            },
+            {2: "31e1e135", 4: "e20e782d", 5: "384a39cc"},
+            {
+                2: "d4bf8a81f3d28f1526ebf8c814",
+                4: "4bc48a8181d2ac421cd2e1f92b",
+                5: "efe0228181b448206ce5fe45f2",
+            },
+        ),
+        "sharding_kd_ntd_interp": (
+            {
+                "rounds.csv": "6c90e6cd7cf6b83e476c5b0c7060b64e6681717fe880fb29aa8898b573097fbb",
+                "summary.json": "ff62813b024aa9a4781eb0511978ec1d8fe4c70449875981a39a08e15bf7164c",
+                "final_params": "e62a9425f498869dfea2c1af99aca0a6f442242f2e53dbf6a276abcda7072ef4",
+            },
+            {1: "8c4bd1a8", 2: "e1ea6680", 3: "3efa2588", 4: "ef1e6693"},
+            {
+                1: "6be98a8ad0d28aa38a0792f3",
+                2: "d492d08aa319613a00b5f71d",
+                3: "4e18d04252f2c165792f9aec",
+                4: "4b0742cea3f24691e236e73f",
+            },
+        ),
+        "dirichlet_fedprox_mixed": (
+            {
+                "rounds.csv": "e71196c117ae28271be28ad908c5b4239846915dad1bd071345bb92402a8bf58",
+                "summary.json": "e851eb820a28d4cd57227132bbbae268fe186cecba19201e3bf009f09500f6a0",
+                "final_params": "77b881a9e1144192d95d963d50b25a53ac69a6cca2d0fe3664ea4b279f6b4ed7",
+            },
+            {1: "0370000b", 2: "6adb8bb0", 3: "a169db33", 4: "b96bd2ff"},
+            {
+                1: "6ba3e98ae9e98fe76f86d9e089",
+                2: "d448d2cfcfe954c28fe1aecf7b",
+                3: "4e95d2cfcf7b7e1601434f0229",
+                4: "4b48cf8a7be92098a0baa93db5",
+            },
+        ),
+        "dirichlet_fedntd_mse_stride": (
+            {
+                "rounds.csv": "9c08f2b80f82fb8a8f1ddcaf216e66f014c97f075f214290511b421d5f9ce01b",
+                "summary.json": "f91f5e31d51593db12aaf39d34b1a71e25b384c1658882e3a5f15120568b5ead",
+                "final_params": "9b1821a17a5f5403f712f62a5af90ea7c968a105d4a25111f9397588a957110d",
+            },
+            {3: "eb5f5072", 5: "f62064dd"},
+            {3: "4ea38ae98a7bef50de261412b5", 5: "efa38ae98a7b51ff439594ffb9"},
+        ),
+        "sharding_fedntd_unit": (
+            {
+                "rounds.csv": "0996722499cfee0f2ad46ea2b780911c0b2bb5e06a9632a3bc6083be02b44b16",
+                "summary.json": "19922ad725658cc9fb5ffdb39a5abb43f2596b7124408608690c0e4b39627187",
+                "final_params": "60fb966e647d694d4ddffb816ada97d6758c952d309dd3998f4161b4d6a1262e",
+            },
+            {1: "0b3b5a85", 2: "e78b4d9f", 3: "b2f8845a", 4: "0111f3ff"},
+            {
+                1: "6b828ad2ce8a0686cf581fd2ad",
+                2: "d4408a8ad052b51d69aecd9c7f",
+                3: "4e408a52d08a590e6af47ed013",
+                4: "4b408a52d08ae998cf586ffa17",
+            },
+        ),
+    },
+}
 
 def _config(name):
-    return replace(parse_config_text(_COMMON + CASES[name][0], name), out_dir="golden")
+    return replace(parse_config_text(_COMMON + CASES[name], name), out_dir="golden")
 
 
 def run_digests(name, out_dir) -> dict[str, str]:
@@ -200,34 +304,95 @@ def row_digests(csv_path) -> dict[int, str]:
     return {int(row.split(",", 1)[0]): hashlib.sha256(row.encode()).hexdigest()[:8] for row in rows}
 
 
-def first_difference(name, rows: dict[int, str], got: dict[str, str]) -> str:
-    """Where case `name`'s outputs first leave its pins: the first round whose
-    rounds.csv row differs, else the outputs whose digests differ."""
-    _, digests, pinned_rows = CASES[name]
+def cell_digests(csv_path) -> dict[int, str]:
+    """The 2-hex sha256 prefixes of each rounds.csv data row's cells, joined, by its round."""
+    rows = Path(csv_path).read_text().splitlines()[1:]
+    return {int(row.split(",", 1)[0]): "".join(hashlib.sha256(cell.encode()).hexdigest()[:2]
+                                               for cell in row.split(",")) for row in rows}
+
+
+def run_pins(name, out_dir) -> tuple[dict, dict, dict]:
+    """Case `name`'s outputs under `out_dir`, in the shape of its pins:
+    (output digests, row digests, cell digests)."""
+    digests = run_digests(name, out_dir)
+    return digests, row_digests(out_dir / "rounds.csv"), cell_digests(out_dir / "rounds.csv")
+
+
+def first_difference(pins, got, header: list[str]) -> str:
+    """Where a case's outputs `got` first leave its `pins`, both as `run_pins`
+    returns them: the first round whose rounds.csv row differs and, when both
+    hold that row, the first of its `header` columns whose cell differs; else
+    the outputs whose digests differ."""
+    (digests, pinned_rows, pinned_cells), (got_digests, rows, cells) = pins, got
     for t in sorted(rows.keys() | pinned_rows.keys()):
-        if rows.get(t) != pinned_rows.get(t):
-            return f"rounds.csv first differs at round {t}"
+        if rows.get(t) == pinned_rows.get(t):
+            continue
+        where = f"rounds.csv first differs at round {t}"
+        if t in cells and t in pinned_cells:
+            pairs = zip(header, zip(*[iter(cells[t])] * 2), zip(*[iter(pinned_cells[t])] * 2))
+            where += next((f", column {column}" for column, a, b in pairs if a != b), "")
+        return where
     return "every rounds.csv row matches; " + ", ".join(
-        key for key in digests if got[key] != digests[key]) + " differ"
+        key for key in digests if got_digests[key] != digests[key]) + " differ"
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_outputs_match_golden_digests(name, tmp_path):
-    got = run_digests(name, tmp_path)
-    rows = row_digests(tmp_path / "rounds.csv")
-    assert (got, rows) == CASES[name][1:], (
-        f"{name}: {first_difference(name, rows, got)} "
-        f"(ran on {_blas_build()}; pinned on numpy 2.4, OpenBLAS 0.3.31, OpenBLAS core SkylakeX)"
+    core = blas_core()
+    assert core in PINS, (f"{name}: no pins for OpenBLAS core {core} (ran on {_blas_build()}; "
+                          f"pinned cores: {', '.join(PINS)})")
+    got = run_pins(name, tmp_path)
+    header = (tmp_path / "rounds.csv").read_text().split("\n", 1)[0].split(",")
+    assert got == PINS[core][name], (
+        f"{name}: {first_difference(PINS[core][name], got, header)} "
+        f"(ran on {_blas_build()}; pinned on numpy 2.4, OpenBLAS 0.3.31, OpenBLAS core {core})"
     )
 
 
-def test_a_failure_names_the_first_round_that_differs():
-    _, digests, rows = CASES["iid_fedntd_stride"]
-    assert first_difference("iid_fedntd_stride", {**rows, 4: "00000000", 5: "00000000"},
-                            digests) == "rounds.csv first differs at round 4"
-    assert first_difference("iid_fedntd_stride", {2: rows[2]}, digests) == (
+_KERNEL_CHILD = """\
+import json, pathlib, sys
+sys.path.insert(0, sys.argv[1])
+from test_golden import CASES, blas_core, run_pins
+out = {}
+for name in CASES:
+    (case_dir := pathlib.Path(sys.argv[2], name)).mkdir()
+    out[name] = run_pins(name, case_dir)
+print(json.dumps([blas_core(), out]))
+"""
+
+
+def test_the_pins_of_every_kernel_after_this_one_hold_in_a_child(tmp_path):
+    """PINS lists kernels newest instruction set first, so a machine that runs
+    one kernel can also run each listed after it; each of those runs every
+    case in a child process with `OPENBLAS_CORETYPE` set."""
+    cores = list(PINS)
+    for core in cores[cores.index(blas_core()) + 1:] if blas_core() in cores else []:
+        (out := tmp_path / core).mkdir()
+        child = subprocess.run(
+            [sys.executable, "-c", _KERNEL_CHILD, str(Path(__file__).parent), str(out)],
+            capture_output=True, text=True, check=False, timeout=120,
+            env={**os.environ, "OPENBLAS_CORETYPE": core})
+        assert child.returncode == 0, child.stderr
+        ran_on, got = json.loads(child.stdout)
+        assert ran_on == core
+        for name, (digests, rows, cells) in got.items():
+            keyed = ({int(t): d for t, d in rows.items()}, {int(t): d for t, d in cells.items()})
+            assert (digests, *keyed) == PINS[core][name], (core, name)
+
+
+def test_a_failure_names_the_first_round_and_column_that_differ():
+    pins = PINS["SkylakeX"]["iid_fedntd_stride"]
+    digests, rows, cells = pins
+    header = ["round", "global_acc", "acc_class_0"]
+    changed = {**cells, 4: cells[4][:2] + "xx" + cells[4][4:]}
+    assert first_difference(pins, (digests, {**rows, 4: "0", 5: "0"}, changed), header) == (
+        "rounds.csv first differs at round 4, column global_acc")
+    assert first_difference(pins, (digests, {2: rows[2]}, {2: cells[2]}), header) == (
         "rounds.csv first differs at round 4")
-    assert first_difference("iid_fedntd_stride", rows, {**digests, "final_params": "0"}) == (
+    assert first_difference(pins, (digests, {**rows, 4: "0"}, cells), header) == (
+        "rounds.csv first differs at round 4")
+    assert first_difference(pins, (
+        {**digests, "final_params": "0"}, rows, cells), header) == (
         "every rounds.csv row matches; final_params differ")
 
 

@@ -106,8 +106,7 @@ def load_run(cfg: ExperimentConfig) -> tuple:
     return cfg.federation_config(), mlp, train, make_partition(train, cfg.partition_spec()), test
 
 
-def _cmd_run(args) -> int:
-    cfg = parse_config(args.config)
+def _cmd_run(args, cfg: ExperimentConfig) -> int:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     if args.out is not None:
@@ -148,8 +147,7 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_partition(args) -> int:
-    cfg = parse_config(args.config)
+def _cmd_partition(args, cfg: ExperimentConfig) -> int:
     _, _, train, partition, _ = load_run(cfg)  # rejects what `run` rejects
 
     if args.stats:
@@ -176,11 +174,11 @@ def _cmd_partition(args) -> int:
         )
     if args.out is not None:
         export_partition_json(args.out, train, partition)
-        print(f"wrote partition to {args.out}")
+        print(f"wrote partition to {args.out}", file=sys.stderr)  # stdout may be the JSON
     return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, _) -> int:
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     results = run_all(
@@ -191,7 +189,7 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 2
 
 
-def _cmd_metrics(args) -> int:
+def _cmd_metrics(args, _) -> int:
     logs = read_round_csv(args.round_csv)
     if not logs:
         raise RoundCsvError(f"{args.round_csv}: no rounds logged")
@@ -221,12 +219,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage/help
         return 0 if exc.code in (0, None) else 1
+    cfg = None  # run and partition take a config, which is parsed once, here
     try:
-        code = _COMMANDS[args.command](args)
+        if "config" in args:
+            cfg = parse_config(args.config)
+        code = _COMMANDS[args.command](args, cfg)
         sys.stdout.flush()  # a closed stdout pipe fails here, not at exit
         return code
-    except (ConfigError, IdxFormatError, PartitionError, RoundCsvError, FileNotFoundError,
-            WorkerError, OutputError) as exc:
+    except (ConfigError, IdxFormatError, PartitionError, RoundCsvError, WorkerError,
+            OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError as exc:  # stdout's reader has gone; what stdout still holds
@@ -240,11 +241,10 @@ def main(argv=None) -> int:
         return 2
     except Exception as exc:
         if isinstance(exc, MemoryError) or getattr(exc, "errno", None) == errno.ENOMEM:
-            config = getattr(args, "config", None)  # run and partition take one, and parsed it
-            keys = SIZE_KEYS[parse_config(config).data if config else "synth"]
             detail = f" ({exc})" if str(exc) else ""
-            print(f"error: out of memory{detail}; the array sizes are set by {', '.join(keys)}",
-                  file=sys.stderr)
+            if cfg is not None:
+                detail += f"; the array sizes are set by {', '.join(SIZE_KEYS[cfg.data])}"
+            print(f"error: out of memory{detail}", file=sys.stderr)
             return 1
         print(f"internal error: {exc}", file=sys.stderr)  # pragma: no cover - safety net
         return 2

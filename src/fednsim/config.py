@@ -19,7 +19,7 @@ from typing import get_type_hints
 from .data import PartitionSpec, _check_separation, _check_synth_counts
 from .federation import FederationConfig
 from .losses import LossConfig
-from .model import MlpConfig, open_file
+from .model import MlpConfig, read_file
 
 DATA_SOURCES = ("synth", "idx")
 IDX_KEYS = ("idx_train_images", "idx_train_labels", "idx_test_images", "idx_test_labels")
@@ -170,12 +170,7 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
 
 
 def parse_config(path) -> ExperimentConfig:
-    try:
-        with open_file(path, "r", encoding="utf-8") as f:
-            text = f.read()
-    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    return parse_config_text(text, source=str(path))
+    return parse_config_text(read_file(path, "config", ConfigError, "utf-8"), source=str(path))
 
 
 def _format_value(value) -> str:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import _check_labels
-from .model import MAX_FLOATS, open_file, read_sized, write_file
+from .model import MAX_FLOATS, read_file, sized_part, write_file
 from .rng import NS_PARTITION, NS_SYNTH_MEANS, NS_SYNTH_SAMPLES, stream
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -99,8 +99,8 @@ class PartitionSpec:
             raise ValueError(
                 f"unknown strategy {self.strategy!r}, expected one of {PARTITION_STRATEGIES}"
             )
-        if self.clients < 1:
-            raise ValueError(f"clients must be >= 1, got {self.clients}")
+        if not 1 <= self.clients <= MAX_FLOATS:  # one array holds a client per element
+            raise ValueError(f"clients must be >= 1 and <= {MAX_FLOATS}, got {self.clients}")
         if self.shards_per_client < 1:
             raise ValueError(f"shards_per_client must be >= 1, got {self.shards_per_client}")
         if not (0.0 < self.alpha < np.inf):
@@ -155,31 +155,27 @@ def synth_dataset(
     return Dataset(feats.reshape(-1, dim), labels, num_classes)
 
 
-def _idx_payload(path, magic: int, ndims: int) -> tuple[list[int], bytes]:
+def _idx_payload(path, magic: int, ndims: int) -> tuple[list[int], memoryview]:
     """The dimensions and payload bytes of the IDX file at `path`."""
-    with open_file(path) as f:
-        head = read_sized(f, path, "IDX header", 4 * (1 + ndims), IdxTruncatedError)
-        found, *dims = struct.unpack(f">{1 + ndims}I", head)
-        if found != magic:
-            raise IdxBadMagicError(f"{path}: magic 0x{found:08x}, expected 0x{magic:08x}")
-        return dims, read_sized(f, path, "IDX payload", math.prod(dims), IdxTruncatedError)
+    data = read_file(path, "IDX file", IdxFormatError)
+    head = sized_part(data, 0, 4 * (1 + ndims), path, "IDX header", IdxTruncatedError)
+    found, *dims = struct.unpack(f">{1 + ndims}I", head)
+    if found != magic:
+        raise IdxBadMagicError(f"{path}: magic 0x{found:08x}, expected 0x{magic:08x}")
+    return dims, sized_part(data, len(head), math.prod(dims), path, "IDX payload", IdxTruncatedError)
 
 
 def read_idx(images_path, labels_path) -> Dataset:
     """Parse the big-endian IDX image/label file pair.
 
     Pixels are scaled to [0, 1] by dividing by 255.  Raises a distinct
-    error for a wrong magic number, a truncated file (checked before the
-    payload is read; bytes past it are ignored), and an image/label count
-    mismatch, and IdxFormatError naming the path for a file that cannot be
-    opened or read (missing, a directory) or holds no images.
+    error for a wrong magic number, a truncated file (checked before any
+    array is made; bytes past the payload are ignored), and an image/label
+    count mismatch, and IdxFormatError naming the path for a file that
+    cannot be opened or read (missing, a directory) or holds no images.
     """
-    try:
-        (n, rows, cols), pixels = _idx_payload(images_path, IDX_IMAGES_MAGIC, 3)
-        (n_labels,), label_bytes = _idx_payload(labels_path, IDX_LABELS_MAGIC, 1)
-    except OSError as exc:
-        raise IdxFormatError(f"cannot read IDX file {exc.filename}: {exc.strerror}") from None
-
+    (n, rows, cols), pixels = _idx_payload(images_path, IDX_IMAGES_MAGIC, 3)
+    (n_labels,), label_bytes = _idx_payload(labels_path, IDX_LABELS_MAGIC, 1)
     if n != n_labels:
         raise IdxCountMismatchError(f"{images_path}: {n} images, but {labels_path}: "
                                     f"{n_labels} labels")

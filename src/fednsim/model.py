@@ -242,20 +242,20 @@ class OutputError(Exception):
     """An output that cannot be written; the message names its path."""
 
 
-def open_file(path, mode: str = "rb", **text):
-    """`open(path, mode, **text)` to read ("r", "rb") or to create or truncate
-    ("wb"), which does not wait on a FIFO with no peer where the OS has
-    O_NONBLOCK: one with no writer reads as empty, one with no reader fails."""
+def open_file(path, mode: str = "rb"):
+    """`open(path, mode)` to read ("rb") or to create or truncate ("wb"), which
+    does not wait on a FIFO with no peer where the OS has O_NONBLOCK: one with
+    no writer reads as empty, one with no reader fails."""
     if not hasattr(os, "O_NONBLOCK"):
-        return open(path, mode, **text)
-    flags = os.O_RDONLY if mode.startswith("r") else os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+        return open(path, mode)
+    flags = os.O_RDONLY if mode == "rb" else os.O_WRONLY | os.O_CREAT | os.O_TRUNC
     fd = os.open(path, flags | os.O_NONBLOCK, 0o666)
     try:
         os.set_blocking(fd, True)
-        return open(fd, mode, **text)
-    except OSError as exc:  # a directory, which the error must name by its path
+        return open(fd, mode)
+    except OSError:  # a directory
         os.close(fd)
-        raise OSError(exc.errno, exc.strerror, str(path)) from None
+        raise
 
 
 def write_file(path, *chunks) -> None:
@@ -269,14 +269,26 @@ def write_file(path, *chunks) -> None:
         raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def read_sized(f, path, part: str, size: int, error=ValueError) -> bytes:
-    """The next `size` bytes of the file `f`; when fewer are left (a pipe, which
-    cannot seek, has none), raises `error` naming `path`, `part` and both sizes,
-    before reading.  Sizes compare as Python ints, so any declared size does."""
-    left = os.fstat(f.fileno()).st_size - f.tell() if f.seekable() else 0
-    if size > left:
+def read_file(path, what: str, error, encoding=None):
+    """The bytes of the file at `path`, or their text in `encoding`.  What can
+    seek is read up to the size `fstat` gives it, so a device (/dev/zero)
+    reads as empty, as /dev/null does; a pipe or FIFO to its end.  An OSError
+    or UnicodeDecodeError is `error` naming `what` and `path`."""
+    try:
+        with open_file(path) as f:
+            data = f.read(os.fstat(f.fileno()).st_size if f.seekable() else -1)
+        return data if encoding is None else data.decode(encoding)
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not in `encoding`
+        reason = getattr(exc, "strerror", None) or exc
+        raise error(f"cannot read {what} {path}: {reason}") from None
+
+
+def sized_part(data: bytes, start: int, size: int, path, part: str, error=ValueError):
+    """A view of the `size` bytes of `data` from `start`; fewer left is `error` naming
+    `path`, `part` and both sizes (Python ints, so any declared size compares)."""
+    if size > (left := len(data) - start):
         raise error(f"{path}: truncated {part}: needs {size} bytes, {left} are left")
-    return f.read(size)
+    return memoryview(data)[start:start + size]
 
 
 def save_params(path, params: np.ndarray) -> None:
@@ -287,13 +299,13 @@ def save_params(path, params: np.ndarray) -> None:
 
 
 def load_params(path) -> np.ndarray:
-    """The vector `save_params` wrote; a bad header or short file is a ValueError naming `path`."""
-    with open_file(path) as f:
-        head = read_sized(f, path, "checkpoint header", _CHECKPOINT_HEADER.size)
-        magic, version, length = _CHECKPOINT_HEADER.unpack(head)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        data = read_sized(f, path, "checkpoint parameters", 8 * length)
-        return np.frombuffer(data, dtype="<f8").astype(np.float64)
+    """The vector `save_params` wrote; an unreadable, bad or short file is a ValueError."""
+    data = read_file(path, "checkpoint", ValueError)
+    head = sized_part(data, 0, _CHECKPOINT_HEADER.size, path, "checkpoint header")
+    magic, version, length = _CHECKPOINT_HEADER.unpack(head)
+    if magic != CHECKPOINT_MAGIC:
+        raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    params = sized_part(data, len(head), 8 * length, path, "checkpoint parameters")
+    return np.frombuffer(params, dtype="<f8").astype(np.float64)

@@ -14,7 +14,7 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig, config_dict, config_hash
 from .metrics import RoundLog, forgetting_measure
-from .model import open_file, write_file
+from .model import read_file, write_file
 
 
 class RoundCsvError(ValueError):
@@ -45,11 +45,8 @@ def write_round_csv(logs: list[RoundLog], path, num_classes: int) -> None:
 
 
 def read_round_csv(path) -> list[RoundLog]:
-    try:
-        with open_file(path, "r", encoding="utf-8") as f:
-            lines = [line.rstrip("\n") for line in f if line.strip()]
-    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
-        raise RoundCsvError(f"cannot read round CSV {path}: {exc}") from None
+    text = read_file(path, "round CSV", RoundCsvError, "utf-8")
+    lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise RoundCsvError(f"{path}: empty round CSV")
     header = lines[0].split(",")

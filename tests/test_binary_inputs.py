@@ -1,11 +1,14 @@
-"""Hostile inputs and outputs, and the one opener and sized reader that meet them.
+"""Hostile inputs and outputs, and the one opener and reader that meet them.
 
-Every read whose length a file declares (IDX headers and payloads,
-checkpoint headers and parameters) goes through `model.read_sized`, which
-compares the length with what is left of the file before it reads or
-allocates anything.  The hostile cases run in one child process under an
+Every input (config, round CSV, IDX file, checkpoint) is read by
+`model.read_file`: a file that can seek up to the size it has, so that a
+device such as /dev/zero reads as empty, and a pipe to its end.  Every
+length a file declares (IDX headers and payloads, checkpoint headers and
+parameters) is compared with the bytes read, by `model.sized_part`, before
+any array is made.  The hostile cases run in one child process under an
 address-space limit and a timeout, so that a reader that allocates what a
-header claims fails the test, not the machine.
+header claims, or reads a device without end, fails the test, not the
+machine.
 
 Every file the package opens, to read or to write, is opened by
 `model.open_file`, which does not wait on a FIFO that has no peer.  The
@@ -20,11 +23,20 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
+
+from fednsim.config import ExperimentConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 ADDRESS_SPACE = 2 << 30  # bytes; a hostile header claims far more
 TIMEOUT_S = 60
+
+
+def _child_env() -> dict:
+    """This environment, with one BLAS thread and the package's source on the path."""
+    return {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
 
 
 def _images(n, magic=0x00000803):
@@ -50,6 +62,14 @@ HOSTILE_IDX = {
     "payload_one_byte_short": ({"test-images": _images(12)[:-1]}, "test-images", 1),
     "zero_images": ({"train-images": _images(0), "train-labels": _labels(0)}, "train-images", 1),
     "trailing_bytes_ignored": ({"train-images": _images(30) + bytes(7)}, None, 0),
+    "images_from_dev_zero": ({"train-images": "/dev/zero"}, "/dev/zero", 1),
+}
+
+# case -> (argv, exit code, text its stderr holds, or for an exit 0 its stdout)
+HOSTILE_COMMANDS = {
+    "config_from_dev_zero": (["partition", "/dev/zero", "--stats"], 0,
+                             "strategy=iid clients=10 dataset_size=1000\n"),
+    "round_csv_from_dev_zero": (["metrics", "/dev/zero"], 1, "/dev/zero: empty round CSV"),
 }
 
 # case -> checkpoint bytes, each a ValueError naming the file
@@ -66,19 +86,22 @@ HOSTILE_CHECKPOINTS = {
 _CHILD = """\
 import contextlib, io, json, resource, sys
 resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))
-from fednsim import cli, model
-configs, checkpoints = json.loads(sys.argv[1])
+from fednsim import cli, data, model
+commands, checkpoints, idx_pairs = json.loads(sys.argv[1])
 out = {{}}
-for name, cfg in configs.items():
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        out[name] = [cli.main(["partition", cfg]), err.getvalue()]
+for name, argv in commands.items():
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        out[name] = [cli.main(argv), stdout.getvalue(), stderr.getvalue()]
 for name, path in checkpoints.items():
     try:
         model.load_params(path)
         out[name] = "loaded"
     except Exception as exc:
         out[name] = [type(exc).__name__, isinstance(exc, ValueError), str(exc)]
+for name, pair in idx_pairs.items():
+    ds = data.read_idx(*pair)
+    out[name] = [ds.features.tolist(), ds.labels.tolist(), ds.num_classes]
 print(json.dumps(out))
 """
 
@@ -89,45 +112,110 @@ def _idx_case(tmp_path, name):
     case_dir.mkdir()
     files = {"train-images": _images(30), "train-labels": _labels(30),
              "test-images": _images(12), "test-labels": _labels(12), **HOSTILE_IDX[name][0]}
-    for file, data in files.items():
-        (case_dir / file).write_bytes(data)
+    paths = {}
+    for file, data in files.items():  # a str is the path of a file to read instead
+        paths[file] = case_dir / file if isinstance(data, bytes) else Path(data)
+        if isinstance(data, bytes):
+            paths[file].write_bytes(data)
     config = case_dir / "idx.cfg"
     config.write_text("data = idx\npartition = iid\nclients = 2\nhidden_dims = 4\n" + "".join(
-        f"idx_{file.replace('-', '_')} = {case_dir / file}\n" for file in files))
+        f"idx_{file.replace('-', '_')} = {path}\n" for file, path in paths.items()))
     return config
 
 
 def test_hostile_binary_inputs_end_in_named_errors(tmp_path):
-    configs = {name: str(_idx_case(tmp_path, name)) for name in HOSTILE_IDX}
+    commands = {name: ["partition", str(_idx_case(tmp_path, name))] for name in HOSTILE_IDX}
+    commands |= {name: argv for name, (argv, _, _) in HOSTILE_COMMANDS.items()}
     checkpoints = {}
     for name, data in HOSTILE_CHECKPOINTS.items():
         checkpoints[name] = str(tmp_path / f"{name}.fntd")
         Path(checkpoints[name]).write_bytes(data)
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    # one IDX pair from files and the same bytes through pipes the child reads to their end
+    pair, pipes = (_images(30), _labels(30)), []
+    for i, data in enumerate(pair):
+        (tmp_path / f"pair-{i}").write_bytes(data)
+        read_end, write_end = os.pipe()  # the bytes fit the pipe's buffer
+        os.write(write_end, data)
+        os.close(write_end)
+        pipes.append(read_end)
+    idx_pairs = {"idx_files": [str(tmp_path / f"pair-{i}") for i in range(2)],
+                 "idx_pipes": [f"/dev/fd/{fd}" for fd in pipes]}
     argv = [sys.executable, "-c", _CHILD.format(limit=ADDRESS_SPACE),
-            json.dumps([configs, checkpoints])]
-    child = subprocess.run(argv, capture_output=True, text=True, timeout=TIMEOUT_S, env=env,
-                           check=False)
+            json.dumps([commands, checkpoints, idx_pairs])]
+    try:
+        child = subprocess.run(argv, capture_output=True, text=True, timeout=TIMEOUT_S,
+                               env=_child_env(), pass_fds=pipes, check=False)
+    finally:
+        for fd in pipes:
+            os.close(fd)
     assert child.returncode == 0, child.stderr
     got = json.loads(child.stdout)
 
     for name, (_, named, code) in HOSTILE_IDX.items():
-        exit_code, err = got[name]
-        assert exit_code == code, (name, err)
+        exit_code, out, err = got[name]
+        assert (exit_code, out) == (code, ""), (name, err)
         if named is None:
             assert err == "", name
         else:
             assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
             assert str(tmp_path / name / named) in err, (name, err)
             assert "out of memory" not in err, (name, err)
+    for name, (_, code, text) in HOSTILE_COMMANDS.items():
+        exit_code, out, err = got[name]
+        assert exit_code == code, (name, err)
+        if code == 0:
+            assert out.startswith(text) and err == "", (name, out, err)
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1 and text in err, (name, err)
     for name, path in checkpoints.items():
         kind, is_value_error, message = got[name]
         assert is_value_error and path in message, (name, kind, message)
     # a truncation names the part and both sizes
-    assert "truncated IDX payload: needs 48 bytes, 47 are left" in got["payload_one_byte_short"][1]
+    assert "truncated IDX payload: needs 48 bytes, 47 are left" in got["payload_one_byte_short"][2]
+    assert "/dev/zero: truncated IDX header: needs 16 bytes, 0 are left" in (
+        got["images_from_dev_zero"][2])
     assert (f"truncated checkpoint parameters: needs {8 * (2**64 - 1)} bytes, 0 are left"
             in got["length_2_64_minus_1"][2])
+    # a pipe reads as the file does
+    assert got["idx_pipes"] == got["idx_files"] and len(got["idx_files"][1]) == 30
+
+
+# Every config key takes each of these values in turn, on the defaults
+HOSTILE_VALUES = ("0", "-1", str(2**63), str(10**21), "-0.0", "5e-324", "1e308", "nan", "inf",
+                  "-inf", "", "x", "1,2")
+
+_SWEEP_CHILD = """\
+import contextlib, io, json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))
+from fednsim import cli
+keys, values, path = json.loads(sys.argv[1])
+out = []
+for key in keys:
+    for value in values:
+        with open(path, "w") as f:
+            f.write(f"{{key}} = {{value}}\\n")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            out.append([key, value, cli.main(["partition", path]), stderr.getvalue()])
+print(json.dumps(out))
+"""
+
+
+def test_every_config_key_takes_every_hostile_value_to_a_result_or_a_named_error(tmp_path):
+    keys = [field.name for field in fields(ExperimentConfig)]
+    argv = [sys.executable, "-c", _SWEEP_CHILD.format(limit=ADDRESS_SPACE),
+            json.dumps([keys, HOSTILE_VALUES, str(tmp_path / "hostile.cfg")])]
+    child = subprocess.run(argv, capture_output=True, text=True, timeout=TIMEOUT_S,
+                           env=_child_env(), check=False)
+    assert child.returncode == 0, child.stderr
+    got = json.loads(child.stdout)
+    assert len(got) == len(keys) * len(HOSTILE_VALUES)
+    for key, value, code, err in got:
+        if code == 0:
+            assert err == "", (key, value, err)
+        else:  # a bad value names its key and line
+            assert (code, err.count("\n")) == (1, 1), (key, value, code, err)
+            assert err.startswith(f"error: {tmp_path / 'hostile.cfg'}:1: {key}: "), (key, value, err)
 
 
 def _inside(tree, name: str) -> set[int]:
@@ -136,14 +224,13 @@ def _inside(tree, name: str) -> set[int]:
             for node in ast.walk(fn)}
 
 
-def _unsized_reads(source: str) -> list[int]:
-    """Lines of `.read(...)` calls with an argument outside `read_sized`."""
+def _own_reads(source: str) -> list[int]:
+    """Lines of `.read(...)` calls outside `read_file`."""
     tree = ast.parse(source)
-    sized = _inside(tree, "read_sized")
+    allowed = _inside(tree, "read_file")
     return [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "read" and (node.args or node.keywords)
-            and id(node) not in sized]
+            and node.func.attr == "read" and id(node) not in allowed]
 
 
 def _own_opens(source: str) -> list[int]:
@@ -174,13 +261,13 @@ def test_every_open_goes_through_open_file():
     assert _own_opens("def _openblas(p):\n    return open(p)\n") == [2]
 
 
-def test_every_sized_read_goes_through_read_sized():
+def test_every_read_goes_through_read_file():
     sources = {path.name: path.read_text() for path in sorted((SRC / "fednsim").glob("*.py"))}
-    assert {name: lines for name, source in sources.items()
-            if (lines := _unsized_reads(source))} == {}
-    assert "def read_sized(" in sources["model.py"]  # the guard is not vacuous
-    assert _unsized_reads("def load(f, n):\n    return f.read(n)\n") == [2]
-    assert _unsized_reads("def load(f):\n    return f.read()\n") == []
+    assert {name: lines for name, source in sources.items() if (lines := _own_reads(source))} == {}
+    assert "def read_file(" in sources["model.py"]  # the guard is not vacuous
+    assert _own_reads("def load(f, n):\n    return f.read(n)\n") == [2]
+    assert _own_reads("def load(f):\n    return f.read()\n") == [2]
+    assert _own_reads("def read_file(f):\n    return f.read()\n") == []
 
 
 # case -> (argv, with {fifo}, {cfg}, {idx_cfg}, {out}, {closed} and {live} filled in;
@@ -202,8 +289,8 @@ PEERLESS = {
                                   "error: cannot write /dev/fd/{closed}: "),
     "config_from_stdin": (["partition", "/dev/stdin", "--stats"], 0,
                           "strategy=iid clients=3 dataset_size=1000\n"),
-    "partition_out_live_pipe": (["partition", "{cfg}", "--out", "/dev/fd/{live}"], 0,
-                                "wrote partition to /dev/fd/{live}\n"),
+    # the confirmation goes to stderr, so that stdout can take the JSON
+    "partition_out_live_pipe": (["partition", "{cfg}", "--out", "/dev/fd/{live}"], 0, ""),
     # the child's own stdout is a pipe whose read end is closed; this case runs last
     "stats_to_closed_stdout": (["partition", "{cfg}", "--stats"], 1,
                                "error: cannot write standard output: Broken pipe"),
@@ -269,9 +356,7 @@ def test_no_open_waits_on_a_fifo_and_a_closed_pipe_exits_1(tmp_path):
             "live": live}
     cases = {name: [arg.format(**fill) for arg in argv] for name, (argv, _, _) in PEERLESS.items()}
     # stdout block-buffered, as it is on a pipe by default, so that a flush can fail at exit
-    env = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
-           "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    env = {k: v for k, v in _child_env().items() if k != "PYTHONUNBUFFERED"}
     argv = [sys.executable, "-c", _PEERLESS_CHILD.format(timeout=CASE_TIMEOUT_S),
             json.dumps(cases), str(tmp_path / "results.json")]
     try:
@@ -297,3 +382,4 @@ def test_no_open_waits_on_a_fifo_and_a_closed_pipe_exits_1(tmp_path):
             assert got_out.startswith(text), (name, got_out)
         else:
             assert got_err.count("\n") == 1 and text in got_err, (name, got_err)
+    assert got["partition_out_live_pipe"][1:] == ["", f"wrote partition to /dev/fd/{live}\n"]

@@ -13,7 +13,7 @@ import pytest
 
 from fednsim import cli, federation
 from fednsim.cli import main
-from fednsim.config import IDX_KEYS, ExperimentConfig
+from fednsim.config import IDX_KEYS, ExperimentConfig, parse_config
 from fednsim.model import MAX_FLOATS, load_params
 
 TINY_CONFIG = """\
@@ -204,6 +204,30 @@ class TestRunCommand:
                     "sampling_ratio\n"),
         }[data]
 
+    @pytest.mark.parametrize("failing", ["load_run", "parse_config", "read_round_csv"])
+    def test_out_of_memory_names_the_keys_of_the_parsed_config(self, failing, tiny_config,
+                                                              monkeypatch, capsys):
+        parsed = []
+
+        def parse_once(path):
+            parsed.append(path)
+            return parse_config(path)
+
+        def no_memory(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "parse_config", parse_once)
+        monkeypatch.setattr(cli, failing, no_memory)
+        argv = ["metrics", tiny_config] if failing == "read_round_csv" else [
+            "partition", tiny_config]
+        assert run_cli(*argv) == 1
+        # only a config that was parsed names keys; metrics takes none
+        keys = ("; the array sizes are set by synth_classes, synth_per_class, "
+                "synth_test_per_class, synth_dim, hidden_dims, clients, sampling_ratio")
+        assert capsys.readouterr().err == (
+            f"error: out of memory{keys if failing == 'load_run' else ''}\n")
+        assert len(parsed) == (1 if failing == "load_run" else 0)
+
     @pytest.mark.parametrize("key,value", [("synth_dim", "4611686018427387904"),
                                            ("synth_dim", "1000000000000000000000"),
                                            ("hidden_dims", "4611686018427387904")])
@@ -379,6 +403,13 @@ class TestPartitionCommand:
         obj = json.loads(target.read_text())
         assert len(obj) == 4
         assert all("p_tilde" in entry for entry in obj.values())
+
+    def test_json_to_stdout_is_the_json_alone(self, tiny_config, capfd):
+        # the confirmation goes to stderr, so that stdout parses
+        assert run_cli("partition", tiny_config, "--out", "/dev/stdout") == 0
+        out, err = capfd.readouterr()
+        assert len(json.loads(out)) == 4
+        assert err == "wrote partition to /dev/stdout\n"
 
 
 class TestVerifyCommand:

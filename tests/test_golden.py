@@ -12,8 +12,10 @@ the outputs that differ.
 The pins were taken with numpy 2.4 on OpenBLAS 0.3.31 (x86-64) and are kept
 per kernel, the one OpenBLAS selects at runtime (`federation.blas_core()`):
 kernels may round matrix products differently.  `SkylakeX` (AVX-512) is
-the kernel this machine picks; the `Haswell` (AVX2) pins were taken in a
-child process with `OPENBLAS_CORETYPE=Haswell`.  A kernel without pins, or
+the kernel an AVX-512 machine picks; the `Haswell` (AVX2), `Sandybridge`
+(AVX) and `Katmai` (SSE, what `OPENBLAS_CORETYPE=Prescott` selects) pins
+were taken in a child process with `OPENBLAS_CORETYPE` set to the kernel's
+name.  A kernel without pins, or
 another BLAS build, fails every case with a message naming the kernel and
 the build.
 """
@@ -262,6 +264,138 @@ PINS = {
             {1: "0b3b5a85", 2: "e78b4d9f", 3: "b2f8845a", 4: "0111f3ff"},
             {
                 1: "6b828ad2ce8a0686cf581fd2ad",
+                2: "d4408a8ad052b51d69aecd9c7f",
+                3: "4e408a52d08a590e6af47ed013",
+                4: "4b408a52d08ae998cf586ffa17",
+            },
+        ),
+    },
+    "Sandybridge": {
+        "iid_fedntd_stride": (
+            {
+                "rounds.csv": "9f840c561cd47a3fe07a7cede72874e35d1dfb67d58a7ede63d5152e9d3618b7",
+                "summary.json": "ccac6702ca30df1a22095ccaab90ff369596c77decd3eba0f28d1ebecf704a48",
+                "final_params": "acc39584749c1995c208e38617fb03b8de1f39bf5d5474039a373d7c3cf3f9b9",
+            },
+            {2: "96c00a97", 4: "e20e782d", 5: "b6f37286"},
+            {
+                2: "d4bf8a81f3d28f1526eb87c814",
+                4: "4bc48a8181d2ac421cd2e1f92b",
+                5: "efe0228181b448206ce5fe4551",
+            },
+        ),
+        "sharding_kd_ntd_interp": (
+            {
+                "rounds.csv": "b368cd868976a811a9dddaea777618ce750d2898c6621a8670306c32a8532b24",
+                "summary.json": "ff62813b024aa9a4781eb0511978ec1d8fe4c70449875981a39a08e15bf7164c",
+                "final_params": "8e1ef275c443db509a91a634ce13fe0d590f5145766b19396334f983e7792089",
+            },
+            {1: "8c4bd1a8", 2: "e1ea6680", 3: "5be91d74", 4: "ee49dd42"},
+            {
+                1: "6be98a8ad0d28aa38a0792f3",
+                2: "d492d08aa319613a00b5f71d",
+                3: "4e18d04252f2c16579029aec",
+                4: "4b0742cea3f24691e287e767",
+            },
+        ),
+        "dirichlet_fedprox_mixed": (
+            {
+                "rounds.csv": "7ec92ee959d3cfe7aa8ab1d4d1a6d262db724e932701df6fa3ee442197ad15d1",
+                "summary.json": "e851eb820a28d4cd57227132bbbae268fe186cecba19201e3bf009f09500f6a0",
+                "final_params": "0eee9e1cfb5c72f65ada1eba662c2e64f3f103c2041e7dac840a7896246f1d76",
+            },
+            {1: "0370000b", 2: "6adb8bb0", 3: "4f41967c", 4: "87127427"},
+            {
+                1: "6ba3e98ae9e98fe76f86d9e089",
+                2: "d448d2cfcfe954c28fe1aecf7b",
+                3: "4e95d2cfcf7b7e160143d30270",
+                4: "4b48cf8a7be92098a0ba913db5",
+            },
+        ),
+        "dirichlet_fedntd_mse_stride": (
+            {
+                "rounds.csv": "ccac4e9219352ad867ad0d7992ba9098bd349ca34cbf549189925dd44cf29b08",
+                "summary.json": "f91f5e31d51593db12aaf39d34b1a71e25b384c1658882e3a5f15120568b5ead",
+                "final_params": "5c510f09f7784d358087a591893fe51a14d4431327a3c0dc641b4be081bf551e",
+            },
+            {3: "b7be0206", 5: "f62064dd"},
+            {3: "4ea38ae98a7bef50de26a712b5", 5: "efa38ae98a7b51ff439594ffb9"},
+        ),
+        "sharding_fedntd_unit": (
+            {
+                "rounds.csv": "2198ad31c80d7e951c9f316a462620a766113ac38ba261e299cc36e36c6961b7",
+                "summary.json": "19922ad725658cc9fb5ffdb39a5abb43f2596b7124408608690c0e4b39627187",
+                "final_params": "d055928a14d2b4a562787a3fc6efeeddbabdb1e0722ee8e586d1b82f4a938f3a",
+            },
+            {1: "15191d6b", 2: "e78b4d9f", 3: "b2f8845a", 4: "0111f3ff"},
+            {
+                1: "6b828ad2ce8a0686cf5868d2ad",
+                2: "d4408a8ad052b51d69aecd9c7f",
+                3: "4e408a52d08a590e6af47ed013",
+                4: "4b408a52d08ae998cf586ffa17",
+            },
+        ),
+    },
+    "Katmai": {
+        "iid_fedntd_stride": (
+            {
+                "rounds.csv": "51bdd5a1b7e2258b8b3b2444fa283eb3b6d619f52c70e13f5b7dbb112cbf090e",
+                "summary.json": "ccac6702ca30df1a22095ccaab90ff369596c77decd3eba0f28d1ebecf704a48",
+                "final_params": "aa9ffd8c33f4779fefca2d96400240f046f3ecc8c8600fe172a6ff50bac76679",
+            },
+            {2: "96c00a97", 4: "373c3850", 5: "b6f37286"},
+            {
+                2: "d4bf8a81f3d28f1526eb87c814",
+                4: "4bc48a8181d2ac421cd2cff92b",
+                5: "efe0228181b448206ce5fe4551",
+            },
+        ),
+        "sharding_kd_ntd_interp": (
+            {
+                "rounds.csv": "c1ec5767e1b91b4d7398ce9bb2d0f3f68d42ca182dbb9c6fae7e4e86a5da8a83",
+                "summary.json": "ff62813b024aa9a4781eb0511978ec1d8fe4c70449875981a39a08e15bf7164c",
+                "final_params": "b3820f79795f9ba84ceb4541ae2b26b96a38af0e77fea979dcb03d4047dc835c",
+            },
+            {1: "8c4bd1a8", 2: "e1ea6680", 3: "3efa2588", 4: "af477a20"},
+            {
+                1: "6be98a8ad0d28aa38a0792f3",
+                2: "d492d08aa319613a00b5f71d",
+                3: "4e18d04252f2c165792f9aec",
+                4: "4b0742cea3f24691e287e73f",
+            },
+        ),
+        "dirichlet_fedprox_mixed": (
+            {
+                "rounds.csv": "eb87a3ace9bf58478f280704555816ecf8aa25fa2b2094c35a2afe52f08878a3",
+                "summary.json": "e851eb820a28d4cd57227132bbbae268fe186cecba19201e3bf009f09500f6a0",
+                "final_params": "75449661e19c817ec39f2d61031184254e63c39d5884495f78dbbf5f146ba4f4",
+            },
+            {1: "0370000b", 2: "6adb8bb0", 3: "4f41967c", 4: "a7ade63e"},
+            {
+                1: "6ba3e98ae9e98fe76f86d9e089",
+                2: "d448d2cfcfe954c28fe1aecf7b",
+                3: "4e95d2cfcf7b7e160143d30270",
+                4: "4b48cf8a7be92098a0ba913dad",
+            },
+        ),
+        "dirichlet_fedntd_mse_stride": (
+            {
+                "rounds.csv": "ccac4e9219352ad867ad0d7992ba9098bd349ca34cbf549189925dd44cf29b08",
+                "summary.json": "f91f5e31d51593db12aaf39d34b1a71e25b384c1658882e3a5f15120568b5ead",
+                "final_params": "d9cc1a451abe79fb708d8199acb4e07d2ae9f9da46dac6f0b7e5b6c753bad3de",
+            },
+            {3: "b7be0206", 5: "f62064dd"},
+            {3: "4ea38ae98a7bef50de26a712b5", 5: "efa38ae98a7b51ff439594ffb9"},
+        ),
+        "sharding_fedntd_unit": (
+            {
+                "rounds.csv": "2198ad31c80d7e951c9f316a462620a766113ac38ba261e299cc36e36c6961b7",
+                "summary.json": "19922ad725658cc9fb5ffdb39a5abb43f2596b7124408608690c0e4b39627187",
+                "final_params": "c8a0fe5d436bd94e96d5dc03d0520afb75277601bcda536a8af292da308dd5c7",
+            },
+            {1: "15191d6b", 2: "e78b4d9f", 3: "b2f8845a", 4: "0111f3ff"},
+            {
+                1: "6b828ad2ce8a0686cf5868d2ad",
                 2: "d4408a8ad052b51d69aecd9c7f",
                 3: "4e408a52d08a590e6af47ed013",
                 4: "4b408a52d08ae998cf586ffa17",

@@ -99,7 +99,8 @@ TABLE = [
         "LossConfig": lambda v: LossConfig(mu=v),
         "fedprox_penalty": lambda v: fedprox_penalty(Z_L, Z_G, v),
     }),
-    ("clients", r"\bclients must", [0, -1], [1], {
+    # 2**62 and 10**21 are more clients than one array can hold
+    ("clients", r"\bclients must", [0, -1, 2**62, 10**21], [1], {
         "PartitionSpec": lambda v: PartitionSpec(clients=v),
         "shard_partition": lambda v: shard_partition(DS, v, 2, 0),
         "dirichlet_partition": lambda v: dirichlet_partition(DS, v, 0.5, 0),

@@ -17,7 +17,7 @@ import numpy as np
 
 from .losses import _check_labels
 from .model import MAX_FLOATS, read_file, sized_part, write_file
-from .rng import NS_PARTITION, NS_SYNTH_MEANS, NS_SYNTH_SAMPLES, stream
+from .rng import NS_PARTITION, NS_SYNTH_MEANS, NS_SYNTH_SAMPLES, standard_normal, stream
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -145,12 +145,13 @@ def synth_dataset(
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     means = separation * dirs
 
-    # The classes' draws, one after another from one stream, as one call.
-    # Each element is means[c] + (0.0 + z), as `normal()` would give: its
-    # loc add of 0.0 turns a -0.0 draw into 0.0.
-    feats = stream(seed, NS_SYNTH_SAMPLES, split).standard_normal((num_classes, per_class_n, dim))
-    feats += 0.0
-    feats += means[:, None, :]
+    # The classes' draws, one after another from one stream, as one call
+    # would give them, drawn on every CPU.  Each element is means[c] +
+    # (0.0 + z), as `normal()` would give: its loc add of 0.0 turns a -0.0
+    # draw into 0.0.  z + (means[c] + 0.0) gives the same bits in one pass:
+    # where z and means[c] are zeros, both sums are 0.0 whatever their signs.
+    feats = standard_normal((num_classes, per_class_n, dim), seed, NS_SYNTH_SAMPLES, split)
+    feats += means[:, None, :] + 0.0
     labels = np.repeat(np.arange(num_classes), per_class_n)
     return Dataset(feats.reshape(-1, dim), labels, num_classes)
 

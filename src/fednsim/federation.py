@@ -44,6 +44,7 @@ from .metrics import (
     weight_divergence,
 )
 from .model import (
+    MAX_FLOATS,
     MlpConfig,
     _check_sgd,
     _column_blocks,
@@ -54,7 +55,7 @@ from .model import (
     sgd_momentum_step,
     unpack_params,
 )
-from .rng import NS_CLIENT_SHUFFLE, NS_ROUND_SAMPLE, stream
+from .rng import NS_CLIENT_SHUFFLE, NS_ROUND_SAMPLE, cpus, stream
 
 AGGREGATION_MODES = ("size_weighted", "uniform")
 
@@ -109,6 +110,9 @@ class FederationConfig:
     def __post_init__(self):
         if min(self.rounds, self.local_epochs, self.batch_size, self.eval_stride) < 1:
             raise ValueError("rounds, local_epochs, batch_size and eval_stride must be >= 1")
+        for name in ("rounds", "local_epochs"):  # as many as one array could count, at most
+            if (count := getattr(self, name)) > MAX_FLOATS:
+                raise ValueError(f"{name} must be <= {MAX_FLOATS}, got {count}")
         _check_sampling(self.sampling_ratio)
         _check_aggregation(self.aggregation)
         _check_sgd(self.lr0, self.momentum, self.weight_decay, self.lr_decay, lr_name="lr0")
@@ -323,11 +327,7 @@ def _workers(clients: int) -> int:
     """
     if not hasattr(os, "fork") or threading.active_count() > 1 or _blas_threads() is None:
         return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        cpus = os.cpu_count() or 1
-    return min(clients, cpus)
+    return min(clients, cpus())
 
 
 class _Pool:

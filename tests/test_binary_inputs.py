@@ -383,3 +383,26 @@ def test_no_open_waits_on_a_fifo_and_a_closed_pipe_exits_1(tmp_path):
         else:
             assert got_err.count("\n") == 1 and text in got_err, (name, got_err)
     assert got["partition_out_live_pipe"][1:] == ["", f"wrote partition to /dev/fd/{live}\n"]
+
+
+def test_endless_rounds_and_epochs_through_run_exit_1(tmp_path):
+    # each case runs under its own alarm, so that a count that is accepted trains until it
+    # fails its case
+    cases = {}
+    for key in ("rounds", "local_epochs"):
+        for value in (str(2**63), str(10**21)):
+            cfg = tmp_path / f"{key}-{value}.cfg"
+            cfg.write_text(f"{key} = {value}\nsynth_classes = 3\nsynth_per_class = 10\n"
+                           "synth_test_per_class = 5\nclients = 2\nhidden_dims = 4\n")
+            cases[cfg.name] = ["run", str(cfg), "--out", str(tmp_path / "out")]
+    argv = [sys.executable, "-c", _PEERLESS_CHILD.format(timeout=CASE_TIMEOUT_S),
+            json.dumps(cases), str(tmp_path / "results.json")]
+    child = subprocess.run(argv, capture_output=True, text=True, env=_child_env(), check=False,
+                           timeout=CASE_TIMEOUT_S * (len(cases) + 1))
+    assert child.returncode == 0, child.stderr
+    got = json.loads((tmp_path / "results.json").read_text())
+    for name, argv in cases.items():
+        code, _, err = got[name]
+        key = name.split("-")[0]
+        assert code == 1 and err.count("\n") == 1, (name, code, err)
+        assert err.startswith(f"error: {argv[1]}:1: {key}: {key} must be <= "), (name, err)

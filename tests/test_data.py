@@ -27,6 +27,7 @@ from fednsim.data import (
     shard_partition,
     synth_dataset,
 )
+from fednsim import rng
 from fednsim.rng import NS_SYNTH_MEANS, NS_SYNTH_SAMPLES, stream
 
 
@@ -63,9 +64,19 @@ class TestSynthDataset:
             m_test = test.features[test.labels == c].mean(axis=0)
             assert np.linalg.norm(m_train - m_test) < 0.2
 
-    @pytest.mark.parametrize("shape", [(2, 1, 2), (3, 10, 5), (10, 7, 32), (4, 200, 6)])
+    def test_one_pass_mean_add_is_the_loc_add(self):
+        # synth_dataset adds means[c] + 0.0 to each draw z, where normal() gives
+        # means[c] + (0.0 + z): the same bits for zeros of either sign, too
+        values = np.array([-0.0, 0.0, 1.5, -2.0, 5e-324])
+        z, m = np.meshgrid(values, values)
+        assert ((0.0 + z) + m).tobytes() == (z + (m + 0.0)).tobytes()
+
+    # (2, 2**18, 2) is drawn in four parts, on four threads
+    @pytest.mark.parametrize("shape", [(2, 1, 2), (3, 10, 5), (10, 7, 32), (4, 200, 6),
+                                       (2, 2**18, 2)])
     @pytest.mark.parametrize("seed,split,separation", [(0, 0, 2.5), (5, 1, 0.0), (2**40, 3, 9.0)])
-    def test_same_bits_as_concatenated_blocks(self, shape, seed, split, separation):
+    def test_same_bits_as_concatenated_blocks(self, shape, seed, split, separation, monkeypatch):
+        monkeypatch.setattr(rng, "cpus", lambda: 4)
         # the features as once written: one normal() block per class, then one concatenate
         classes, per_class, dim = shape
         dirs = stream(seed, NS_SYNTH_MEANS).normal(size=(classes, dim))
@@ -73,8 +84,9 @@ class TestSynthDataset:
         means = separation * dirs
         if separation == 0.0 and means.size > 1:  # 0.0 times a negative direction is -0.0
             assert np.signbit(means).any()
-        rng = stream(seed, NS_SYNTH_SAMPLES, split)
-        ref = np.concatenate([means[c] + rng.normal(size=(per_class, dim)) for c in range(classes)])
+        samples = stream(seed, NS_SYNTH_SAMPLES, split)
+        ref = np.concatenate([means[c] + samples.normal(size=(per_class, dim))
+                              for c in range(classes)])
         ds = synth_dataset(classes, per_class, dim, separation, seed, split=split)
         assert ds.features.shape == ref.shape
         assert ds.features.tobytes() == ref.tobytes()

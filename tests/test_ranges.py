@@ -37,7 +37,7 @@ from fednsim.losses import (
     ntd_mse_loss_and_grad,
     softmax_temp,
 )
-from fednsim.model import lr_at_round, sgd_momentum_step
+from fednsim.model import MAX_FLOATS, lr_at_round, sgd_momentum_step
 from fednsim.verify import SplitInstance, run_all, smoothness_violation
 
 NAN, INF = float("nan"), float("inf")
@@ -79,6 +79,13 @@ TABLE = [
     ("aggregation", "unknown aggregation", ["mean", ""], ["uniform", "size_weighted"], {
         "FederationConfig": lambda v: FederationConfig(aggregation=v),
         "aggregate": lambda v: aggregate([ClientUpdate(0, np.ones(2), 1, 0.0)], v),
+    }),
+    # 2**63 and 10**21 are more rounds and epochs than one array could count
+    ("rounds", r"\brounds(, local_epochs,.*)? must", [0, -1, 2**63, 10**21], [1, MAX_FLOATS], {
+        "FederationConfig": lambda v: FederationConfig(rounds=v),
+    }),
+    ("local_epochs", r"\blocal_epochs.* must", [0, -1, 2**63, 10**21], [1, MAX_FLOATS], {
+        "FederationConfig": lambda v: FederationConfig(local_epochs=v),
     }),
     ("sampling_ratio", "sampling_ratio", [0.0, -0.1, 1.5, NAN, INF], [1.0, 1e-3], {
         "FederationConfig": lambda v: FederationConfig(sampling_ratio=v),

@@ -27,18 +27,17 @@ from .data import (
     Dataset,
     IdxFormatError,
     PartitionError,
+    client_distributions,
     export_partition_json,
-    in_local_distribution,
     make_partition,
-    out_local_distribution,
     read_idx,
     synth_dataset,
 )
-from .federation import DivergenceError, WorkerError, run_federation
+from .federation import DivergenceError, WorkerError, _check_threads, run_federation
 from .metrics import accuracy_cosine_similarity, forgetting_measure
 from .model import OutputError, open_file, save_params
 from .runio import RoundCsvError, read_round_csv, write_round_csv, write_summary_json
-from .verify import run_all
+from .verify import _check_trials, run_all
 
 
 # Above this magnitude a product of two parameters overflows float64.
@@ -106,13 +105,21 @@ def load_run(cfg: ExperimentConfig) -> tuple:
     return cfg.federation_config(), mlp, train, make_partition(train, cfg.partition_spec()), test
 
 
+def _check_flag(check, value) -> None:
+    """Runs the owner's range `check` on a flag's value; its ValueError, which
+    starts with the option's name, becomes a ConfigError naming the flag."""
+    try:
+        check(value)
+    except ValueError as exc:
+        raise ConfigError(f"--{exc}") from None
+
+
 def _cmd_run(args, cfg: ExperimentConfig) -> int:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     if args.out is not None:
         cfg = replace(cfg, out_dir=args.out)
-    if args.threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+    _check_flag(_check_threads, args.threads)
 
     fed, mlp, train, partition, test = load_run(cfg)
 
@@ -149,6 +156,7 @@ def _cmd_run(args, cfg: ExperimentConfig) -> int:
 
 def _cmd_partition(args, cfg: ExperimentConfig) -> int:
     _, _, train, partition, _ = load_run(cfg)  # rejects what `run` rejects
+    dists = client_distributions(train, partition)
 
     if args.stats:
         print(f"strategy={cfg.partition} clients={cfg.clients} dataset_size={len(train)}")
@@ -157,11 +165,10 @@ def _cmd_partition(args, cfg: ExperimentConfig) -> int:
         l1_from_uniform = []
         uniform = np.full(train.num_classes, 1.0 / train.num_classes)
         for client in partition:
-            if len(client) == 0:
+            if client.client_id not in dists:
                 print(f"client {client.client_id}: size=0")
                 continue
-            p = in_local_distribution(client, train)
-            p_t = out_local_distribution(p)
+            p, p_t = dists[client.client_id]
             classes_per_client.append(int(np.count_nonzero(p)))
             l1_from_uniform.append(float(np.abs(p - uniform).sum()))
             p_str = " ".join(f"{v:.3f}" for v in p)
@@ -173,14 +180,13 @@ def _cmd_partition(args, cfg: ExperimentConfig) -> int:
             f", mean L1 distance from uniform = {np.mean(l1_from_uniform):.4f}"
         )
     if args.out is not None:
-        export_partition_json(args.out, train, partition)
+        export_partition_json(args.out, partition, dists, train.num_classes)
         print(f"wrote partition to {args.out}", file=sys.stderr)  # stdout may be the JSON
     return 0
 
 
 def _cmd_verify(args, _) -> int:
-    if args.trials < 1:
-        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    _check_flag(_check_trials, args.trials)
     results = run_all(
         trials=args.trials, seed=args.seed, diversity_instances=max(1, args.trials // 2)
     )

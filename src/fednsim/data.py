@@ -296,16 +296,23 @@ def out_local_distribution(p: np.ndarray) -> np.ndarray:
     return (1.0 - p) / (p.shape[-1] - 1)
 
 
-def export_partition_json(path, dataset: Dataset, partition: list[ClientData]) -> None:
-    """Client id -> {indices, p, p_tilde, size}; empty clients keep empty vectors."""
-    obj = {}
+def client_distributions(dataset: Dataset, partition: list[ClientData]) -> dict:
+    """Client id -> (p, p_tilde) of each client with samples, in partition order."""
+    dists = {}
     for client in partition:
         if len(client) > 0:
             p = in_local_distribution(client, dataset)
-            p_tilde = out_local_distribution(p)
-        else:
-            p = np.zeros(dataset.num_classes)
-            p_tilde = np.zeros(dataset.num_classes)
+            dists[client.client_id] = (p, out_local_distribution(p))
+    return dists
+
+
+def export_partition_json(path, partition: list[ClientData], dists: dict, classes: int) -> None:
+    """Client id -> {indices, p, p_tilde, size}, from the partition's
+    `client_distributions`; empty clients get zero vectors."""
+    zeros = np.zeros(classes)
+    obj = {}
+    for client in partition:
+        p, p_tilde = dists.get(client.client_id, (zeros, zeros))
         obj[str(client.client_id)] = {
             "size": len(client),
             "indices": client.indices.tolist(),

@@ -25,13 +25,14 @@ import multiprocessing
 import os
 import pickle
 import signal
+import sys
 import threading
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .data import ClientData, Dataset, in_local_distribution, out_local_distribution
+from .data import ClientData, Dataset, client_distributions
 from .losses import LossConfig, batch_loss_and_grad, fedprox_penalty
 from .metrics import (
     RoundLog,
@@ -70,6 +71,12 @@ def _check_sampling(ratio: float) -> None:
     """The one valid range of the client sampling ratio."""
     if not (0.0 < ratio <= 1.0):
         raise ValueError(f"sampling_ratio must be in (0, 1], got {ratio}")
+
+
+def _check_threads(threads: int) -> None:
+    """The one valid range of `run_federation`'s `threads`."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
 
 
 class DivergenceError(RuntimeError):
@@ -270,62 +277,44 @@ def aggregate(updates: list[ClientUpdate], mode: str = "size_weighted") -> np.nd
 
 
 @functools.cache
-def _openblas():
-    """`lookup(name)`, the ctypes function `name` of the OpenBLAS that numpy
-    calls (None if it has none), or None where no OpenBLAS is found.
-
-    The library is looked up among the files this process has mapped, by
-    the names OpenBLAS builds give its thread-count functions; `lookup`
-    gives `name` their prefix and suffix: `scipy_openblas_{name}64_` in
-    scipy-openblas, `openblas_{name}` in a plain build.
-    """
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as maps:
-            lines = [line.split(maxsplit=5) for line in maps]
-    except OSError:  # no /proc on this platform
-        return None
-    for path in sorted({p[5].strip() for p in lines if len(p) == 6 and "openblas" in p[5].lower()}):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for form in ("scipy_openblas_{}64_", "scipy_openblas_{}", "openblas_{}64_", "openblas_{}"):
-            if all(hasattr(lib, form.format(f)) for f in ("get_num_threads", "set_num_threads")):
-                return lambda name: getattr(lib, form.format(name), None)
+def _numpy_blas() -> tuple | None:
+    """(get_num_threads, set_num_threads, kernel name or None) of the OpenBLAS
+    that numpy calls, or None where it calls none.  A lookup on the handle of
+    the extension module that runs numpy's matrix products searches it and the
+    libraries it links alone, never another OpenBLAS loaded, such as scipy's.
+    Builds give the names a prefix and suffix: `scipy_openblas_{name}64_`, say."""
+    package = "numpy._core" if int(np.__version__.split(".")[0]) >= 2 else "numpy.core"
+    lib = ctypes.CDLL(sys.modules[f"{package}._multiarray_umath"].__file__)
+    for form in ("scipy_openblas_{}64_", "scipy_openblas_{}", "openblas_{}64_", "openblas_{}"):
+        get, put, core = (getattr(lib, form.format(name), None)
+                          for name in ("get_num_threads", "set_num_threads", "get_corename"))
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            if core is not None:
+                core.argtypes, core.restype = [], ctypes.c_char_p
+            return get, put, None if core is None else core().decode()
     return None
-
-
-@functools.cache
-def _blas_threads():
-    """(get, set) of the thread count of the OpenBLAS that numpy calls, or None."""
-    if (lookup := _openblas()) is None:
-        return None
-    get, put = lookup("get_num_threads"), lookup("set_num_threads")
-    get.argtypes, get.restype = [], ctypes.c_int
-    put.argtypes, put.restype = [ctypes.c_int], None
-    return get, put
 
 
 def blas_core() -> str | None:
     """The kernel numpy's OpenBLAS picked at runtime (`SkylakeX`, say), or None."""
-    corename = None if (lookup := _openblas()) is None else lookup("get_corename")
-    if corename is None:
-        return None
-    corename.argtypes, corename.restype = [], ctypes.c_char_p
-    return corename().decode()
+    return None if (blas := _numpy_blas()) is None else blas[2]
 
 
 def _workers(clients: int) -> int:
     """Processes to train a run on whose rounds each sample `clients`
     clients: one per client, at most one per CPU this process may run on.
 
-    1, the calling process alone, where the OS cannot fork; where this
-    process runs other threads, since a fork copies none of them and a lock
-    one of them holds would stay held in the helper; or where numpy's BLAS
-    thread count cannot be set, since each process would run BLAS on as
-    many threads as there are CPUs and they would contend for them.
+    1, the calling process alone, off Linux, the one platform the pool is
+    tested on; where the OS cannot fork; where this process runs other
+    threads, since a fork copies none of them and a lock one of them holds
+    would stay held in the helper; or where numpy's BLAS thread count cannot
+    be set, since each process would run BLAS on as many threads as there
+    are CPUs and they would contend for them.
     """
-    if not hasattr(os, "fork") or threading.active_count() > 1 or _blas_threads() is None:
+    if (sys.platform != "linux" or not hasattr(os, "fork") or threading.active_count() > 1
+            or _numpy_blas() is None):
         return 1
     return min(clients, cpus())
 
@@ -358,7 +347,7 @@ class _Pool:
     def __enter__(self) -> "_Pool":
         if self.workers == 1:
             return self
-        blas = _blas_threads()
+        blas = _numpy_blas()
         if blas is not None:
             self._blas_count = blas[0]()
             blas[1](1)
@@ -395,7 +384,7 @@ class _Pool:
             helper.join()
             helper.close()
         if self._blas_count is not None:
-            _blas_threads()[1](self._blas_count)
+            _numpy_blas()[1](self._blas_count)
 
     def _serve(self, conn, inherited) -> None:
         """A helper's loop: runs its share of each round's tasks and sends back their outcomes."""
@@ -595,8 +584,7 @@ def run_federation(
     models class by class; one that lacks a class is rejected before any
     training.  Raises WorkerError when a helper process dies.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    _check_threads(threads)
     if dataset.dim != mlp.input_dim or testset.dim != mlp.input_dim:
         raise ValueError("dataset feature width does not match the model input_dim")
     if dataset.num_classes != mlp.num_classes or testset.num_classes != mlp.num_classes:
@@ -605,13 +593,10 @@ def run_federation(
         raise ValueError(f"testset has no samples for classes {missing}")
 
     clients = {c.client_id: c for c in partition}
-    eligible = [c.client_id for c in partition if len(c) > 0]
+    dists = client_distributions(dataset, partition)
+    eligible = list(dists)
     if not eligible:
         raise ValueError("every client is empty")
-    dists = {}
-    for cid in eligible:
-        p = in_local_distribution(clients[cid], dataset)
-        dists[cid] = (p, out_local_distribution(p))
 
     w = init_params(mlp, fed.master_seed)
     sampled = sample_count(len(partition), fed.sampling_ratio, len(eligible))

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: subcommands, exit codes, determinism."""
 
 import errno
+import hashlib
 import json
 import multiprocessing
 import os
@@ -83,8 +84,7 @@ class TestRunCommand:
 
     def test_nonpositive_threads_flag_exit_1(self, tiny_config, tmp_path, capsys):
         assert run_cli("run", tiny_config, "--out", tmp_path / "o", "--threads", -5) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "--threads" in err
+        assert capsys.readouterr().err == "error: --threads must be >= 1, got -5\n"
         assert not (tmp_path / "o").exists()
 
     def test_indivisible_sharding_exit_1(self, tmp_path, capsys):
@@ -404,6 +404,27 @@ class TestPartitionCommand:
         assert len(obj) == 4
         assert all("p_tilde" in entry for entry in obj.values())
 
+    def test_stats_and_export_bytes_pinned(self, tmp_path, capsys):
+        # two empty clients among them: their stats line and their zero vectors
+        config = tmp_path / "dirichlet.cfg"
+        config.write_text("synth_classes = 3\nsynth_per_class = 10\nsynth_test_per_class = 5\n"
+                          "synth_dim = 4\npartition = dirichlet\ndirichlet_alpha = 0.05\n"
+                          "clients = 6\nseed = 2\n")
+        target = tmp_path / "partition.json"
+        assert run_cli("partition", config, "--stats", "--out", target) == 0
+        assert capsys.readouterr().out == (
+            "strategy=dirichlet clients=6 dataset_size=30\n"
+            "client 0: size=2 p=[0.000 0.000 1.000] p_tilde=[0.500 0.500 0.000]\n"
+            "client 1: size=6 p=[0.667 0.000 0.333] p_tilde=[0.167 0.500 0.333]\n"
+            "client 2: size=16 p=[0.000 0.625 0.375] p_tilde=[0.500 0.188 0.312]\n"
+            "client 3: size=6 p=[1.000 0.000 0.000] p_tilde=[0.000 0.500 0.500]\n"
+            "client 4: size=0\n"
+            "client 5: size=0\n"
+            "summary: sizes min/median/max = 0/4/16, median classes per client = 1, "
+            "mean L1 distance from uniform = 1.0000\n")
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+            "ff09a2093012e1ebb705d9d11949efd4a62ee13e597817f4339accaf06b2f22c")
+
     def test_json_to_stdout_is_the_json_alone(self, tiny_config, capfd):
         # the confirmation goes to stderr, so that stdout parses
         assert run_cli("partition", tiny_config, "--out", "/dev/stdout") == 0
@@ -421,8 +442,7 @@ class TestVerifyCommand:
 
     def test_zero_trials_exit_1(self, capsys):
         assert run_cli("verify", "--trials", 0) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "--trials" in err
+        assert capsys.readouterr().err == "error: --trials must be >= 1, got 0\n"
 
 
 class TestMetricsCommand:
@@ -464,38 +484,51 @@ class TestMetricsCommand:
 
 
 class TestFileBoundaries:
-    @pytest.mark.parametrize("case", [
-        "metrics_not_utf8", "metrics_directory", "config_not_utf8",
-        "idx_directory", "out_is_file", "out_under_file",
-        "partition_out_directory", "partition_out_under_file",
-    ])
+    # case -> (what `bad` is: a directory, a file of text or bytes, or nothing; argv, with
+    # {bad}, {cfg} and {idx}, a config of IDX files at `bad`, filled in; the whole error
+    # line, or None for any naming `bad`)
+    CASES = {
+        "metrics_not_utf8": (b"rounds = 3\n\xff\xfe\n", ["metrics", "{bad}"], None),
+        "metrics_directory": ("dir", ["metrics", "{bad}"], None),
+        "config_not_utf8": (b"rounds = 3\n\xff\xfe\n", ["run", "{bad}"], None),
+        "idx_directory": ("dir", ["run", "{idx}"], None),
+        "out_is_file": ("a file\n", ["run", "{cfg}", "--out", "{bad}"],
+                        "error: cannot create output directory {bad}: File exists"),
+        "out_under_file": ("a file\n", ["run", "{cfg}", "--out", "{bad}/sub"],
+                           "error: cannot create output directory {bad}/sub: Not a directory"),
+        "out_dev_full": (None, ["run", "{cfg}", "--out", "/dev/full"],
+                         "error: cannot create output directory /dev/full: File exists"),
+        "partition_out_directory": ("dir", ["partition", "{cfg}", "--out", "{bad}"],
+                                    "error: cannot write {bad}: Is a directory"),
+        "partition_out_under_file": ("a file\n", ["partition", "{cfg}", "--out", "{bad}/p.json"],
+                                     "error: cannot write {bad}/p.json: Not a directory"),
+        "partition_out_missing_parent": (
+            None, ["partition", "{cfg}", "--out", "{bad}/p.json"],
+            "error: cannot write {bad}/p.json: No such file or directory"),
+        "partition_out_dev_full": (None, ["partition", "{cfg}", "--out", "/dev/full"],
+                                   "error: cannot write /dev/full: No space left on device"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
     def test_unreadable_or_uncreatable_path_exit_1(self, case, tiny_config, tmp_path, capsys):
+        kind, argv, line = self.CASES[case]
         bad = tmp_path / "bad"
-        if case in ("metrics_directory", "idx_directory", "partition_out_directory"):
+        if kind == "dir":
             bad.mkdir()
-        elif case in ("metrics_not_utf8", "config_not_utf8"):
-            bad.write_bytes(b"rounds = 3\n\xff\xfe\n")
-        else:
-            bad.write_text("a file\n")
-        if case.startswith("metrics"):
-            argv = ("metrics", bad)
-        elif case == "config_not_utf8":
-            argv = ("run", bad)
-        elif case == "idx_directory":
-            config = tmp_path / "idx.cfg"
-            config.write_text("data = idx\n" + "".join(
-                f"idx_{k} = {bad}\n"
-                for k in ("train_images", "train_labels", "test_images", "test_labels")
-            ))
-            argv = ("run", config)
-        elif case.startswith("partition"):
-            argv = ("partition", tiny_config, "--out",
-                    bad if case == "partition_out_directory" else bad / "p.json")
-        else:
-            argv = ("run", tiny_config, "--out", bad if case == "out_is_file" else bad / "sub")
-        assert run_cli(*argv) == 1
+        elif isinstance(kind, bytes):
+            bad.write_bytes(kind)
+        elif kind is not None:
+            bad.write_text(kind)
+        idx = tmp_path / "idx.cfg"
+        idx.write_text("data = idx\n" + "".join(
+            f"idx_{k} = {bad}\n" for k in ("train_images", "train_labels", "test_images",
+                                            "test_labels")))
+        assert run_cli(*(arg.format(bad=bad, cfg=tiny_config, idx=idx) for arg in argv)) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and str(bad) in err, err
+        if line is None:
+            assert err.startswith("error:") and str(bad) in err, err
+        else:
+            assert err == line.format(bad=bad) + "\n"
 
     @pytest.mark.parametrize("name", ["checkpoint_round_00001.fntd", "rounds.csv", "summary.json"])
     def test_unwritable_output_exit_1(self, name, tmp_path, capsys):

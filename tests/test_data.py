@@ -17,6 +17,7 @@ from fednsim.data import (
     IdxTruncatedError,
     PartitionError,
     PartitionSpec,
+    client_distributions,
     dirichlet_partition,
     export_partition_json,
     iid_partition,
@@ -318,7 +319,7 @@ class TestPartitionExport:
         ds = synth_dataset(3, 10, 2, 1.0, seed=0)
         parts = shard_partition(ds, 3, 2, seed=0)
         path = tmp_path / "partition.json"
-        export_partition_json(path, ds, parts)
+        export_partition_json(path, parts, client_distributions(ds, parts), ds.num_classes)
         obj = json.loads(path.read_text())
         assert set(obj) == {"0", "1", "2"}
         for client in parts:

@@ -9,14 +9,17 @@ import multiprocessing.connection
 import os
 import pickle
 import signal
+import subprocess
+import sys
 import threading
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fednsim import federation, model
+from fednsim import data, federation, model
 from fednsim.cli import load_run
 from fednsim.config import parse_config_text
 from fednsim.data import (
@@ -126,18 +129,45 @@ def set_workers(monkeypatch, n):
 
 
 def blas_count() -> int:
-    return federation._blas_threads()[0]()
+    return federation._numpy_blas()[0]()
 
 
 @pytest.fixture
 def blas_two():
     """Sets numpy's BLAS to two threads for the test, so that a pool's pin to
     one shows; the test may check that the count is 2 again after a run."""
-    get, put = federation._blas_threads()
+    get, put, _ = federation._numpy_blas()
     saved = get()
     put(2)
     yield
     put(saved)
+
+
+# Loads numpy, then a copy of numpy's OpenBLAS, under its own name in directory sys.argv[1]
+# and with another kernel; sets numpy's library to 2 threads and the copy to 3; only then
+# asks fednsim for numpy's BLAS.  Prints the kernel fednsim reads, and each library's thread
+# count before, inside and after a pool of two processes.
+SECOND_BLAS_CHILD = """\
+import ctypes, json, os, shutil, sys
+import numpy
+[path] = {line.split()[-1] for line in open("/proc/self/maps") if "openblas" in line.lower()}
+os.environ["OPENBLAS_CORETYPE"] = "Prescott"  # read when the copy loads: Katmai
+numpy_lib, copy = ctypes.CDLL(path), ctypes.CDLL(shutil.copy(path, sys.argv[1]))
+form = next(form for form in ("scipy_openblas_{}64_", "scipy_openblas_{}", "openblas_{}64_",
+                              "openblas_{}") if hasattr(numpy_lib, form.format("get_num_threads")))
+call = lambda lib, name: getattr(lib, form.format(name))
+counts = lambda: [call(numpy_lib, "get_num_threads")(), call(copy, "get_num_threads")()]
+call(numpy_lib, "set_num_threads")(2)
+call(copy, "set_num_threads")(3)
+call(numpy_lib, "get_corename").restype = ctypes.c_char_p
+from fednsim import federation
+out = {"numpy_core": call(numpy_lib, "get_corename")().decode(),
+       "blas_core": federation.blas_core(), "before": counts()}
+with federation._Pool(2, lambda task: counts()) as pool:
+    out["in_pool"] = pool.run(1, [0, 1, 2, 3])
+out["after"] = counts()
+print(json.dumps(out))
+"""
 
 
 class CallLog:
@@ -752,7 +782,7 @@ class TestGroupPool:
         assert federation._workers(10**6) == cpus
 
     def test_one_worker_without_fork_blas_control_or_a_single_thread(self, monkeypatch):
-        monkeypatch.setattr(federation, "_blas_threads", lambda: None)
+        monkeypatch.setattr(federation, "_numpy_blas", lambda: None)
         assert federation._workers(10**6) == 1
         monkeypatch.undo()
         monkeypatch.delattr(os, "fork")
@@ -770,12 +800,32 @@ class TestGroupPool:
         assert federation._workers(10**6) == len(os.sched_getaffinity(0))
 
     def test_blas_core_read_from_the_thread_count_library(self, monkeypatch):
-        lookup = federation._openblas()
-        assert lookup("get_num_threads") is federation._blas_threads()[0]
-        assert lookup("no_such_function") is None
-        assert federation.blas_core()  # a kernel name, such as SkylakeX
-        monkeypatch.setattr(federation, "_openblas", lambda: None)
+        blas = federation._numpy_blas()
+        assert federation._numpy_blas() is blas  # one lookup, cached
+        assert federation.blas_core() == blas[2]  # a kernel name, such as SkylakeX
+        assert federation.blas_core()
+        monkeypatch.setattr(federation, "_numpy_blas", lambda: None)
         assert federation.blas_core() is None
+
+    def test_one_worker_off_linux(self, monkeypatch):
+        monkeypatch.setattr(sys, "platform", "darwin")
+        assert federation._workers(10**6) == 1
+
+    def test_numpy_blas_found_beside_a_second_openblas(self, tmp_path):
+        # a copy of numpy's OpenBLAS, loaded from another path with another kernel and
+        # thread count, is neither read nor set
+        src = str(Path(federation.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("OPENBLAS_CORETYPE", None)
+        child = subprocess.run([sys.executable, "-c", SECOND_BLAS_CHILD, str(tmp_path)],
+                               capture_output=True, text=True, env=env, timeout=60, check=False)
+        assert child.returncode == 0, child.stderr
+        got = json.loads(child.stdout)
+        assert got["blas_core"] == got["numpy_core"]  # not the copy's Katmai
+        assert got["before"] == [2, 3]
+        assert got["in_pool"] == [[1, 3]] * 4  # numpy's pinned to one thread in each process
+        assert got["after"] == [2, 3]
 
     @pytest.mark.parametrize("method", ["fedprox", "fedntd"])
     def test_outputs_identical_at_1_2_3_workers(self, method, monkeypatch, tmp_path, blas_two):
@@ -1067,13 +1117,13 @@ class TestGroupPool:
 
     def test_out_local_distribution_once_per_eligible_client(self, monkeypatch):
         fed, mlp, dataset, partition, testset = tiny_setup(rounds=4, sampling_ratio=0.75)
-        real, seen = federation.out_local_distribution, []
+        real, seen = data.out_local_distribution, []
 
         def counted(p):
             seen.append(p.tobytes())
             return real(p)
 
-        monkeypatch.setattr(federation, "out_local_distribution", counted)
+        monkeypatch.setattr(data, "out_local_distribution", counted)
         run_federation(fed, mlp, dataset, partition, testset)
         assert len(seen) == len(partition) == 4
         assert sorted(seen) == sorted(in_local_distribution(c, dataset).tobytes()

@@ -320,56 +320,60 @@ def _workers(clients: int) -> int:
 
 
 class _Pool:
-    """The calling process and `workers - 1` helper processes forked from it.
+    """The calling process and `workers - 1` helper processes forked from it,
+    none at one worker.
 
     `run` hands out a round's tasks from one counter all workers share, and
     `do_task(task)` runs one.  Only tasks and their outcomes, results or
     exceptions, cross the pipes, so both must be small and picklable.
 
-    While the helpers live, numpy's BLAS runs on one thread in every
-    process, so that the processes do not contend for the CPUs; the
+    While the pool is open, numpy's BLAS runs on one thread in every
+    process, at every worker count: so that the processes do not contend
+    for the CPUs, and so that a run's bits do not depend on the BLAS thread
+    count, which changes how OpenBLAS splits a large product's sums.  The
     calling process gets its count back when the pool closes.  Helpers
     ignore SIGINT, so a KeyboardInterrupt reaches the calling process
     alone.  Leaving the context closes the pool: a helper waiting for work
     reads end-of-file and exits, and when an exception is leaving too every
-    helper is terminated at once, whatever it is doing.  With one worker
-    no process is started and the calling process runs every task in order.
+    helper is terminated at once, whatever it is doing.
     """
 
     def __init__(self, workers: int, do_task):
         self.workers = workers
         self._do_task = do_task
-        self._next = None  # the task counter all workers share, made with the helpers
+        self._next = None  # the task counter all workers share, made when the pool opens
         self._helpers: list[multiprocessing.process.BaseProcess] = []
         self._conns = []
         self._blas_count = None
 
     def __enter__(self) -> "_Pool":
-        if self.workers == 1:
-            return self
-        blas = _numpy_blas()
-        if blas is not None:
-            self._blas_count = blas[0]()
-            blas[1](1)
-        ctx = multiprocessing.get_context("fork")
-        self._next = ctx.Value("q", 0)
-        # a helper starts with SIGINT blocked, and unblocks it once it ignores it
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
+            blas = _numpy_blas()
+            if blas is not None:
+                self._blas_count = blas[0]()
+                blas[1](1)
+            # where the OS cannot fork, `_workers` gives one worker, and the counter needs no fork
+            ctx = multiprocessing.get_context("fork" if hasattr(os, "fork") else None)
+            self._next = ctx.Value("q", 0)
             for _ in range(self.workers - 1):
-                conn, helper_end = ctx.Pipe()
-                self._conns.append(conn)
-                helper = ctx.Process(target=self._serve, args=(helper_end, self._conns[:]),
-                                     daemon=True)
-                helper.start()
-                self._helpers.append(helper)
-                helper_end.close()
+                self._start_helper(ctx)
         except BaseException:
             self._close(abort=True)
             raise
+        return self
+
+    def _start_helper(self, ctx) -> None:
+        """Forks one helper, which starts with SIGINT blocked and unblocks it once it ignores it."""
+        conn, helper_end = ctx.Pipe()
+        self._conns.append(conn)
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            helper = ctx.Process(target=self._serve, args=(helper_end, self._conns[:]), daemon=True)
+            helper.start()
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        return self
+        self._helpers.append(helper)
+        helper_end.close()
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self._close(abort=exc_type is not None)
@@ -409,14 +413,10 @@ class _Pool:
                 self._next.value = i + 1
             if i >= len(tasks):
                 return done
-            done[i] = self._attempt(tasks[i], caught)
-
-    def _attempt(self, task, caught: type[BaseException]):
-        """The task's result, or the `caught` exception it raised."""
-        try:
-            return self._do_task(task)
-        except caught as err:
-            return err
+            try:
+                done[i] = self._do_task(tasks[i])
+            except caught as err:
+                done[i] = err
 
     def run(self, round_t: int, tasks: list) -> list:
         """Every task's outcome, in task order: its result or the Exception it raised.
@@ -427,8 +427,6 @@ class _Pool:
         terminates the helpers.  Raises WorkerError, naming the round, when
         a helper has died.
         """
-        if not self._helpers:
-            return [self._attempt(task, Exception) for task in tasks]
         self._next.value = 0
         for helper, conn in zip(self._helpers, self._conns):
             try:
@@ -575,6 +573,8 @@ def run_federation(
     of `_workers(clients a round)` processes: the calling process and
     helpers forked from it once, here, and ended before this returns
     (`_Pool`, `_train_groups`), with the same bits at every worker count.
+    numpy's BLAS runs on one thread for the whole run, at every worker
+    count, so the bits do not depend on its thread setting either.
     In a logged round each worker scores the updates it trained, right
     after training them, and one of them scores the incoming model, so a
     round's log depends on that round's models alone.  `threads` must be

@@ -27,6 +27,8 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from fednsim import federation
+
 settings.register_profile("fednsim", derandomize=True, database=None)
 settings.load_profile("fednsim")
 
@@ -67,3 +69,14 @@ def _leaves_no_process_or_thread():
     new_threads = [t.name for t in threading.enumerate() if t not in threads]
     assert not children and not new_threads, (
         f"left running: processes {[c.pid for c in children]}, threads {new_threads}")
+
+
+@pytest.fixture
+def blas_two():
+    """Sets numpy's BLAS to two threads for the test, so that a pool's pin to
+    one shows; the test may check that the count is 2 again after a run."""
+    get, put, _ = federation._numpy_blas()
+    saved = get()
+    put(2)
+    yield
+    put(saved)

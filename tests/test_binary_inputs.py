@@ -6,14 +6,14 @@ device such as /dev/zero reads as empty, and a pipe to its end.  Every
 length a file declares (IDX headers and payloads, checkpoint headers and
 parameters) is compared with the bytes read, by `model.sized_part`, before
 any array is made.  The hostile cases run in one child process under an
-address-space limit and a timeout, so that a reader that allocates what a
-header claims, or reads a device without end, fails the test, not the
-machine.
+address-space limit, each case under its own alarm (`children.run_child`),
+so that a reader that allocates what a header claims, or reads a device
+without end, fails the test, not the machine.
 
 Every file the package opens, to read or to write, is opened by
 `model.open_file`, which does not wait on a FIFO that has no peer.  The
-FIFO and closed-pipe cases run in one child process, each under its own
-alarm, so that an open that waits fails its case instead of stalling the
+FIFO and closed-pipe cases run in one child process too, each under its
+own alarm, so that an open that waits fails its case instead of stalling the
 suite.
 """
 
@@ -21,22 +21,12 @@ import ast
 import json
 import os
 import struct
-import subprocess
-import sys
 from dataclasses import fields
 from pathlib import Path
 
+from children import SRC, run_child
+
 from fednsim.config import ExperimentConfig
-
-SRC = Path(__file__).resolve().parent.parent / "src"
-ADDRESS_SPACE = 2 << 30  # bytes; a hostile header claims far more
-TIMEOUT_S = 60
-
-
-def _child_env() -> dict:
-    """This environment, with one BLAS thread and the package's source on the path."""
-    return {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
 
 
 def _images(n, magic=0x00000803):
@@ -84,24 +74,26 @@ HOSTILE_CHECKPOINTS = {
 }
 
 _CHILD = """\
-import contextlib, io, json, resource, sys
-resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))
 from fednsim import cli, data, model
 commands, checkpoints, idx_pairs = json.loads(sys.argv[1])
-out = {{}}
-for name, argv in commands.items():
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        out[name] = [cli.main(argv), stdout.getvalue(), stderr.getvalue()]
-for name, path in checkpoints.items():
+
+
+def load(path):
     try:
         model.load_params(path)
-        out[name] = "loaded"
+        return "loaded"
     except Exception as exc:
-        out[name] = [type(exc).__name__, isinstance(exc, ValueError), str(exc)]
-for name, pair in idx_pairs.items():
+        return [type(exc).__name__, isinstance(exc, ValueError), str(exc)]
+
+
+def read(pair):
     ds = data.read_idx(*pair)
-    out[name] = [ds.features.tolist(), ds.labels.tolist(), ds.num_classes]
+    return [ds.features.tolist(), ds.labels.tolist(), ds.num_classes]
+
+
+out = {name: case(lambda: cli.main(argv)) for name, argv in commands.items()}
+out |= {name: case(lambda: load(path))[0] for name, path in checkpoints.items()}
+out |= {name: case(lambda: read(pair))[0] for name, pair in idx_pairs.items()}
 print(json.dumps(out))
 """
 
@@ -140,11 +132,8 @@ def test_hostile_binary_inputs_end_in_named_errors(tmp_path):
         pipes.append(read_end)
     idx_pairs = {"idx_files": [str(tmp_path / f"pair-{i}") for i in range(2)],
                  "idx_pipes": [f"/dev/fd/{fd}" for fd in pipes]}
-    argv = [sys.executable, "-c", _CHILD.format(limit=ADDRESS_SPACE),
-            json.dumps([commands, checkpoints, idx_pairs])]
     try:
-        child = subprocess.run(argv, capture_output=True, text=True, timeout=TIMEOUT_S,
-                               env=_child_env(), pass_fds=pipes, check=False)
+        child = run_child(_CHILD, json.dumps([commands, checkpoints, idx_pairs]), pass_fds=pipes)
     finally:
         for fd in pipes:
             os.close(fd)
@@ -189,18 +178,10 @@ RUN_BASE = {"synth_classes": "3", "synth_per_class": "10", "synth_test_per_class
             "synth_dim": "4", "clients": "2", "hidden_dims": "4", "rounds": "1",
             "local_epochs": "1", "sampling_ratio": "0.5", "out_dir": "out"}
 
+# Each case runs under its own alarm, so that a count that is accepted trains until it
+# fails its case
 _SWEEP_CHILD = """\
-import contextlib, io, json, os, resource, signal, sys
-resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))
 from fednsim import cli
-
-class Hung(BaseException):  # past cli.main's `except Exception`
-    pass
-
-def hung(signum, frame):
-    raise Hung
-
-signal.signal(signal.SIGALRM, hung)
 commands, keys, values, path, workdir = json.loads(sys.argv[1])
 os.chdir(workdir)  # where a run's relative out_dir goes
 out = []
@@ -208,20 +189,15 @@ for command, base in commands:
     for key in keys:
         for value in values:
             with open(path, "w") as f:
-                f.write(f"{{key}} = {{value}}\\n" + "".join(
-                    f"{{k}} = {{v}}\\n" for k, v in base.items() if k != key))
-            stdout, stderr = io.StringIO(), io.StringIO()
-            signal.alarm({timeout})
-            try:
-                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                    code = cli.main([command, path])
-            except Hung:
-                code = "hung"
-            finally:
-                signal.alarm(0)
-            out.append([command, key, value, code, stderr.getvalue()])
+                f.write(f"{key} = {value}\\n" + "".join(
+                    f"{k} = {v}\\n" for k, v in base.items() if k != key))
+            code, _, err = case(lambda: cli.main([command, path]))
+            out.append([command, key, value, code, err])
 print(json.dumps(out))
 """
+# (key, value) cases that would train without end if accepted: each names its bound
+ENDLESS = {(key, value) for key in ("rounds", "local_epochs")
+           for value in (str(2**63), str(10**21))}
 
 
 def test_every_config_key_takes_every_hostile_value_to_a_result_or_a_named_error(tmp_path):
@@ -229,10 +205,8 @@ def test_every_config_key_takes_every_hostile_value_to_a_result_or_a_named_error
     commands = [["partition", {}], ["run", RUN_BASE]]
     path = tmp_path / "hostile.cfg"
     (tmp_path / "work").mkdir()
-    argv = [sys.executable, "-c", _SWEEP_CHILD.format(limit=ADDRESS_SPACE, timeout=CASE_TIMEOUT_S),
-            json.dumps([commands, keys, HOSTILE_VALUES, str(path), str(tmp_path / "work")])]
-    child = subprocess.run(argv, capture_output=True, text=True, timeout=TIMEOUT_S,
-                           env=_child_env(), check=False)
+    child = run_child(_SWEEP_CHILD, json.dumps(
+        [commands, keys, HOSTILE_VALUES, str(path), str(tmp_path / "work")]))
     assert child.returncode == 0, child.stderr
     got = json.loads(child.stdout)
     assert len(got) == len(commands) * len(keys) * len(HOSTILE_VALUES)
@@ -247,6 +221,8 @@ def test_every_config_key_takes_every_hostile_value_to_a_result_or_a_named_error
         else:  # a bad value names its key and line
             assert (code, err.count("\n")) == (1, 1), case
             assert err.startswith(f"error: {path}:1: {key}: "), case
+            assert (key, value) not in ENDLESS or err.startswith(
+                f"error: {path}:1: {key}: {key} must be <= "), case
 
 
 def _inside(tree, name: str) -> set[int]:
@@ -319,42 +295,24 @@ PEERLESS = {
     "stats_to_closed_stdout": (["partition", "{cfg}", "--stats"], 1,
                                "error: cannot write standard output: Broken pipe"),
 }
-CASE_TIMEOUT_S = 10
 
 _PEERLESS_CHILD = """\
-import contextlib, io, json, signal, sys
 from fednsim import cli, model
 
-class Hung(BaseException):  # past cli.main's `except Exception`
-    pass
 
-def hung(signum, frame):
-    raise Hung
-
-signal.signal(signal.SIGALRM, hung)
-cases, results = json.loads(sys.argv[1]), {{}}
-for name, argv in cases.items():
-    out, err = io.StringIO(), io.StringIO()
-    signal.alarm({timeout})
+def load(path):
     try:
-        with contextlib.redirect_stderr(err):
-            if argv[0] == "load_params":
-                try:
-                    model.load_params(argv[1])
-                    code = "loaded"
-                except ValueError as exc:
-                    code = type(exc).__name__
-                    print(exc, file=sys.stderr)
-            elif name == "stats_to_closed_stdout":
-                code = cli.main(argv)
-            else:
-                with contextlib.redirect_stdout(out):
-                    code = cli.main(argv)
-    except Hung:
-        code = "hung"
-    finally:
-        signal.alarm(0)
-    results[name] = [code, out.getvalue(), err.getvalue()]
+        model.load_params(path)
+        return "loaded"
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return type(exc).__name__
+
+
+results = {}
+for name, argv in json.loads(sys.argv[1]).items():
+    call = (lambda: load(argv[1])) if argv[0] == "load_params" else (lambda: cli.main(argv))
+    results[name] = case(call, stdout=name != "stats_to_closed_stdout")
 with open(sys.argv[2], "w") as f:
     json.dump(results, f)
 """
@@ -379,14 +337,9 @@ def test_no_open_waits_on_a_fifo_and_a_closed_pipe_exits_1(tmp_path):
     fill = {"fifo": fifo, "cfg": cfg, "idx_cfg": idx_cfg, "out": out, "closed": closed,
             "live": live}
     cases = {name: [arg.format(**fill) for arg in argv] for name, (argv, _, _) in PEERLESS.items()}
-    # stdout block-buffered, as it is on a pipe by default, so that a flush can fail at exit
-    env = {k: v for k, v in _child_env().items() if k != "PYTHONUNBUFFERED"}
-    argv = [sys.executable, "-c", _PEERLESS_CHILD.format(timeout=CASE_TIMEOUT_S),
-            json.dumps(cases), str(tmp_path / "results.json")]
-    try:
-        child = subprocess.run(argv, input="clients = 3\n", stdout=stdout, stderr=subprocess.PIPE,
-                               text=True, pass_fds=(closed, live), env=env, check=False,
-                               timeout=CASE_TIMEOUT_S * (len(cases) + 1))
+    try:  # the child's stdout is block-buffered, so that a flush can fail at exit
+        child = run_child(_PEERLESS_CHILD, json.dumps(cases), str(tmp_path / "results.json"),
+                          input="clients = 3\n", stdout=stdout, pass_fds=(closed, live))
     finally:
         os.close(closed)
         os.close(stdout)
@@ -408,25 +361,3 @@ def test_no_open_waits_on_a_fifo_and_a_closed_pipe_exits_1(tmp_path):
             assert got_err.count("\n") == 1 and text in got_err, (name, got_err)
     assert got["partition_out_live_pipe"][1:] == ["", f"wrote partition to /dev/fd/{live}\n"]
 
-
-def test_endless_rounds_and_epochs_through_run_exit_1(tmp_path):
-    # each case runs under its own alarm, so that a count that is accepted trains until it
-    # fails its case
-    cases = {}
-    for key in ("rounds", "local_epochs"):
-        for value in (str(2**63), str(10**21)):
-            cfg = tmp_path / f"{key}-{value}.cfg"
-            cfg.write_text(f"{key} = {value}\nsynth_classes = 3\nsynth_per_class = 10\n"
-                           "synth_test_per_class = 5\nclients = 2\nhidden_dims = 4\n")
-            cases[cfg.name] = ["run", str(cfg), "--out", str(tmp_path / "out")]
-    argv = [sys.executable, "-c", _PEERLESS_CHILD.format(timeout=CASE_TIMEOUT_S),
-            json.dumps(cases), str(tmp_path / "results.json")]
-    child = subprocess.run(argv, capture_output=True, text=True, env=_child_env(), check=False,
-                           timeout=CASE_TIMEOUT_S * (len(cases) + 1))
-    assert child.returncode == 0, child.stderr
-    got = json.loads((tmp_path / "results.json").read_text())
-    for name, argv in cases.items():
-        code, _, err = got[name]
-        key = name.split("-")[0]
-        assert code == 1 and err.count("\n") == 1, (name, code, err)
-        assert err.startswith(f"error: {argv[1]}:1: {key}: {key} must be <= "), (name, err)

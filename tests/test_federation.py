@@ -52,7 +52,6 @@ from fednsim.metrics import (
     weight_divergence,
 )
 from fednsim.model import MlpConfig, init_params, unpack_params
-from fednsim.runio import write_round_csv, write_summary_json
 
 
 def logs_bit_identical(a, b) -> bool:
@@ -130,17 +129,6 @@ def set_workers(monkeypatch, n):
 
 def blas_count() -> int:
     return federation._numpy_blas()[0]()
-
-
-@pytest.fixture
-def blas_two():
-    """Sets numpy's BLAS to two threads for the test, so that a pool's pin to
-    one shows; the test may check that the count is 2 again after a run."""
-    get, put, _ = federation._numpy_blas()
-    saved = get()
-    put(2)
-    yield
-    put(saved)
 
 
 # Loads numpy, then a copy of numpy's OpenBLAS, under its own name in directory sys.argv[1]
@@ -827,36 +815,28 @@ class TestGroupPool:
         assert got["in_pool"] == [[1, 3]] * 4  # numpy's pinned to one thread in each process
         assert got["after"] == [2, 3]
 
-    @pytest.mark.parametrize("method", ["fedprox", "fedntd"])
-    def test_outputs_identical_at_1_2_3_workers(self, method, monkeypatch, tmp_path, blas_two):
-        cfg, train, test, partition, mlp = pool_setup(method)
+    def test_sessions_at_1_2_3_workers(self, monkeypatch, tmp_path, blas_two):
+        # tests/test_invariance.py compares the outputs at 1, 2 and 3 workers
+        cfg, train, test, partition, mlp = pool_setup("fedprox")
         rounds = round_groups(cfg, partition)
         assert min(map(len, rounds)) >= 2 and max(map(len, rounds)) == 3
         assert all(max(map(len, groups)) >= 2 for groups in rounds)
         log = CallLog(tmp_path / "sessions")
         record_sessions(monkeypatch, log)
-        outputs = []
         for n in (1, 2, 3):
             set_workers(monkeypatch, n)
             log.clear()
-            result = run_federation(cfg.federation_config(), mlp, train, partition, test)
+            run_federation(cfg.federation_config(), mlp, train, partition, test)
             assert multiprocessing.active_children() == []  # the pool is ended
             assert blas_count() == 2  # and the calling process's BLAS count restored
             calls = log.read()
             # one call per session, every one training into rows of the shared block
-            # with BLAS on one thread; at 3 workers two-group rounds split a group
+            # with BLAS on one thread at every worker count; at 3 workers two-group
+            # rounds split a group
             assert len(calls) == sum(session_count(groups, n) for groups in rounds)
             assert all(call["out"] for call in calls)
-            assert all(call["blas"] == (2 if n == 1 else 1) for call in calls)
+            assert all(call["blas"] == 1 for call in calls)
             assert n >= 2 or {call["pid"] for call in calls} == {os.getpid()}
-            out = tmp_path / str(n)
-            out.mkdir()
-            write_round_csv(result.logs, out / "rounds.csv", mlp.num_classes)
-            write_summary_json(result.logs, cfg, out / "summary.json", "rounds.csv")
-            outputs.append(((out / "rounds.csv").read_bytes(),
-                            (out / "summary.json").read_bytes(),
-                            result.final_params.tobytes()))
-        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_single_group_splits_over_the_workers(self, monkeypatch, tmp_path):
         # 3 equal clients a round form one lockstep group, which two workers

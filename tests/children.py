@@ -4,7 +4,8 @@ A test runs code in a child when the code may allocate what a hostile
 header claims, wait on a FIFO or train without end, or when it needs an
 environment that is read once, when numpy loads, such as the BLAS thread
 count.  `run_child` gives every child the same argv, environment,
-address-space limit, per-case alarm and timeout.
+address-space limit, per-case alarm and timeout; a test that needs another
+environment lays its variables over that one.
 """
 
 import os
@@ -12,7 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 ADDRESS_SPACE = 2 << 30  # bytes; a hostile header claims far more
 CASE_TIMEOUT_S = 10
 TIMEOUT_S = 120
@@ -53,19 +55,23 @@ def case(call, stdout=True):
 """
 
 
-def run_child(script: str, *args: str, blas_threads: int = 1, **run) -> subprocess.CompletedProcess:
+def run_child(script: str, *args: str, env: dict[str, str | None] | None = None,
+              **run) -> subprocess.CompletedProcess:
     """Runs PREAMBLE and then `script` in a child Python, with `args` after
     them in its argv, and waits up to TIMEOUT_S for it to end.
 
-    The child has the package's source on its path, numpy's BLAS on
-    `blas_threads` threads, and stdout block-buffered, as it is on a pipe
-    by default.  Its stdout and stderr are captured as text unless `run`,
-    passed on to `subprocess.run`, says where they go.
+    The child has the package's source and the tests on its path, numpy's
+    BLAS on one thread, and stdout block-buffered, as it is on a pipe by
+    default.  `env` is laid over all that: each of its variables is set to
+    its str, or dropped when None.  The child's stdout and stderr are
+    captured as text unless `run`, passed on to `subprocess.run`, says
+    where they go.
     """
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env |= {"OPENBLAS_NUM_THREADS": str(blas_threads),
-            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    paths = [str(SRC), str(TESTS), os.environ.get("PYTHONPATH")]
+    overlay = {"OPENBLAS_NUM_THREADS": "1", "PYTHONUNBUFFERED": None,
+               "PYTHONPATH": os.pathsep.join(filter(None, paths))} | (env or {})
     run.setdefault("stdout", subprocess.PIPE)
     run.setdefault("stderr", subprocess.PIPE)
-    return subprocess.run([sys.executable, "-c", PREAMBLE + script, *args], text=True, env=env,
+    return subprocess.run([sys.executable, "-c", PREAMBLE + script, *args], text=True,
+                          env={k: v for k, v in (os.environ | overlay).items() if v is not None},
                           timeout=TIMEOUT_S, check=False, **run)

@@ -5,27 +5,33 @@ Every input (config, round CSV, IDX file, checkpoint) is read by
 device such as /dev/zero reads as empty, and a pipe to its end.  Every
 length a file declares (IDX headers and payloads, checkpoint headers and
 parameters) is compared with the bytes read, by `model.sized_part`, before
-any array is made.  The hostile cases run in one child process under an
-address-space limit, each case under its own alarm (`children.run_child`),
-so that a reader that allocates what a header claims, or reads a device
-without end, fails the test, not the machine.
+any array is made.  The hostile cases, fixed ones and IDX headers drawn by
+hypothesis, run in child processes under an address-space limit, each case
+under its own alarm (`children.run_child`), so that a reader that allocates
+what a header claims, or reads a device without end, fails the test, not
+the machine.
 
 Every file the package opens, to read or to write, is opened by
 `model.open_file`, which does not wait on a FIFO that has no peer.  The
 FIFO and closed-pipe cases run in one child process too, each under its
 own alarm, so that an open that waits fails its case instead of stalling the
-suite.
+suite.  AST guards keep every open, every read and, in the tests, every
+child process on its one path.
 """
 
 import ast
 import json
+import math
 import os
 import struct
 from dataclasses import fields
 from pathlib import Path
 
 from children import SRC, run_child
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fednsim import cli
 from fednsim.config import ExperimentConfig
 
 
@@ -98,12 +104,13 @@ print(json.dumps(out))
 """
 
 
-def _idx_case(tmp_path, name):
-    """Writes case `name`'s four IDX files and config; returns the config path."""
-    case_dir = tmp_path / name
-    case_dir.mkdir()
+def _idx_case(case_dir, hostile):
+    """Writes a good case's four IDX files into `case_dir`, with `hostile`
+    (file -> its bytes or the path of a file to read instead) in place of good
+    ones, and their config; returns the config path."""
+    case_dir.mkdir(exist_ok=True)
     files = {"train-images": _images(30), "train-labels": _labels(30),
-             "test-images": _images(12), "test-labels": _labels(12), **HOSTILE_IDX[name][0]}
+             "test-images": _images(12), "test-labels": _labels(12), **hostile}
     paths = {}
     for file, data in files.items():  # a str is the path of a file to read instead
         paths[file] = case_dir / file if isinstance(data, bytes) else Path(data)
@@ -116,7 +123,8 @@ def _idx_case(tmp_path, name):
 
 
 def test_hostile_binary_inputs_end_in_named_errors(tmp_path):
-    commands = {name: ["partition", str(_idx_case(tmp_path, name))] for name in HOSTILE_IDX}
+    commands = {name: ["partition", str(_idx_case(tmp_path / name, files))]
+                for name, (files, _, _) in HOSTILE_IDX.items()}
     commands |= {name: argv for name, (argv, _, _) in HOSTILE_COMMANDS.items()}
     checkpoints = {}
     for name, data in HOSTILE_CHECKPOINTS.items():
@@ -167,6 +175,66 @@ def test_hostile_binary_inputs_end_in_named_errors(tmp_path):
             in got["length_2_64_minus_1"][2])
     # a pipe reads as the file does
     assert got["idx_pipes"] == got["idx_files"] and len(got["idx_files"][1]) == 30
+
+
+# The header of each of a good case's four IDX files: its magic, then its dimensions
+IDX_HEADERS = {"train-images": (0x803, 30, 2, 2), "train-labels": (0x801, 30),
+               "test-images": (0x803, 12, 2, 2), "test-labels": (0x801, 12)}
+
+
+@st.composite
+def hostile_idx_files(draw):
+    """(one of a good case's IDX files, hostile bytes in its place): a wrong
+    magic, the other kind's or 0; or a header cut short; or each dimension 0,
+    near its good value or any u32, so that the payload it declares is above,
+    at, below or far above the bytes that follow."""
+    name = draw(st.sampled_from(sorted(IDX_HEADERS)))
+    magic, *dims = IDX_HEADERS[name]
+    fault = draw(st.sampled_from(["sizes", "magic", "short header"]))
+    if fault == "magic":
+        magic = draw(st.sampled_from([magic ^ 0x801 ^ 0x803, 0]))
+    if fault == "sizes":
+        dims = [draw(st.sampled_from([0, d - 1, d, d + 1]) | st.integers(0, 2**32 - 1))
+                for d in dims]
+    near = min(math.prod(dims), 4096)  # the declared payload, at most 4 KB
+    length = draw(st.sampled_from([max(near - 1, 0), near, near + 7]) | st.integers(0, near + 8))
+    whole = struct.pack(f">{1 + len(dims)}I", magic, *dims) + bytes(i % 3 for i in range(length))
+    if fault == "short header":
+        return name, whole[:draw(st.integers(0, 4 * len(dims) + 3))]
+    return name, whole
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(hostile=hostile_idx_files())
+def hostile_idx_property(case, case_dir, hostile):
+    """`partition` on a good IDX case with one file drawn hostile, run by the
+    child's `case`, exits 0, or 1 with one `error:` line naming that file.
+
+    One error names another file: training images whose width is not the
+    test images' are reported against `idx_test_images` alone."""
+    name, data = hostile
+    config = _idx_case(case_dir, {name: data})
+    code, _, err = case(lambda: cli.main(["partition", str(config)]))
+    if code == 0:
+        assert err == "", err
+    else:
+        assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, (code, err)
+        width = f"error: idx_test_images {case_dir / 'test-images'}: images of 4 pixels, "
+        assert str(case_dir / name) in err or name == "train-images" and err.startswith(width), err
+
+
+_IDX_PROPERTY_CHILD = """\
+import pathlib
+from test_binary_inputs import hostile_idx_property
+hostile_idx_property(case, pathlib.Path(sys.argv[1]))
+"""
+
+
+def test_hostile_idx_headers_end_in_a_result_or_an_error_naming_the_file(tmp_path):
+    # every drawn case runs in one child, each under its own alarm; hypothesis keeps
+    # its files in the child's working directory
+    child = run_child(_IDX_PROPERTY_CHILD, str(tmp_path / "case"), cwd=tmp_path)
+    assert child.returncode == 0, child.stdout + child.stderr
 
 
 # Every config key takes each of these values in turn: through `partition` on the defaults,
@@ -270,6 +338,34 @@ def test_every_read_goes_through_read_file():
     assert _own_reads("def read_file(f):\n    return f.read()\n") == []
 
 
+def _subprocess_calls(source: str) -> list[int]:
+    """Lines of calls into `subprocess`: through the module, by any name it is
+    imported as, or through a name imported from it."""
+    tree = ast.parse(source)
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    modules = {alias.asname or alias.name for node in imports if isinstance(node, ast.Import)
+               for alias in node.names if alias.name == "subprocess"}
+    names = {alias.asname or alias.name for node in imports
+             if isinstance(node, ast.ImportFrom) and node.module == "subprocess"
+             for alias in node.names}
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Attribute) and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in modules
+        or isinstance(node.func, ast.Name) and node.func.id in names)]
+
+
+def test_every_child_process_starts_through_run_child():
+    tests = Path(__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(tests.glob("*.py"))}
+    assert _subprocess_calls(sources.pop("children.py"))  # the guard is not vacuous
+    assert {name: lines for name, source in sources.items()
+            if (lines := _subprocess_calls(source))} == {}
+    assert _subprocess_calls("import subprocess\nsubprocess.run(['ls'])\n") == [2]
+    assert _subprocess_calls("import subprocess as sp\nsp.Popen(['ls'])\n") == [2]
+    assert _subprocess_calls("from subprocess import run as go\ngo(['ls'])\n") == [2]
+    assert _subprocess_calls("def run(argv):\n    return argv\nrun(['ls'])\n") == []
+
+
 # case -> (argv, with {fifo}, {cfg}, {idx_cfg}, {out}, {closed} and {live} filled in;
 # exit code; text its stderr holds, or for an exit 0 its stdout).  `load_params` calls
 # the function.  Every FIFO has no peer; {closed} is the write end of a pipe whose read
@@ -326,9 +422,7 @@ def test_no_open_waits_on_a_fifo_and_a_closed_pipe_exits_1(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("synth_per_class = 10\nsynth_test_per_class = 5\nclients = 3\n"
                    "hidden_dims = 4\nrounds = 2\n")
-    idx_cfg = _idx_case(tmp_path, "trailing_bytes_ignored")  # good files, but for the FIFO
-    idx_cfg.write_text(idx_cfg.read_text().replace(
-        str(tmp_path / "trailing_bytes_ignored" / "train-images"), str(fifo)))
+    idx_cfg = _idx_case(tmp_path / "idx", {"train-images": str(fifo)})
     closed_read, closed = os.pipe()
     stdout_read, stdout = os.pipe()
     live_read, live = os.pipe()  # the partition JSON of 100 samples fits its buffer

@@ -70,12 +70,6 @@ class TestRunCommand:
         sa["config_hash"] = sb["config_hash"] = ""
         assert sa == sb
 
-    def test_thread_counts_byte_identical(self, tiny_config, tmp_path):
-        out_a, out_b = tmp_path / "t1", tmp_path / "t2"
-        assert run_cli("run", tiny_config, "--out", out_a, "--threads", 1) == 0
-        assert run_cli("run", tiny_config, "--out", out_b, "--threads", 4) == 0
-        assert (out_a / "rounds.csv").read_bytes() == (out_b / "rounds.csv").read_bytes()
-
     def test_seed_override_changes_results(self, tiny_config, tmp_path):
         out_a, out_b = tmp_path / "s1", tmp_path / "s2"
         assert run_cli("run", tiny_config, "--out", out_a) == 0

@@ -9,15 +9,14 @@ import multiprocessing.connection
 import os
 import pickle
 import signal
-import subprocess
 import sys
 import threading
 import time
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
+from children import run_child
 
 from fednsim import data, federation, model
 from fednsim.cli import load_run
@@ -136,7 +135,7 @@ def blas_count() -> int:
 # asks fednsim for numpy's BLAS.  Prints the kernel fednsim reads, and each library's thread
 # count before, inside and after a pool of two processes.
 SECOND_BLAS_CHILD = """\
-import ctypes, json, os, shutil, sys
+import ctypes, shutil
 import numpy
 [path] = {line.split()[-1] for line in open("/proc/self/maps") if "openblas" in line.lower()}
 os.environ["OPENBLAS_CORETYPE"] = "Prescott"  # read when the copy loads: Katmai
@@ -545,24 +544,6 @@ class TestRunFederation:
         result = run_federation(fed, mlp, dataset, partition, testset)
         assert np.array_equal(result.final_params, init_params(mlp, fed.master_seed))
 
-    def test_bit_identical_reruns(self):
-        fed, mlp, dataset, partition, testset = tiny_setup(method="fedntd")
-        a = run_federation(fed, mlp, dataset, partition, testset)
-        b = run_federation(fed, mlp, dataset, partition, testset)
-        assert a.final_params.tobytes() == b.final_params.tobytes()
-        assert len(a.logs) == len(b.logs)
-        for la, lb in zip(a.logs, b.logs):
-            assert logs_bit_identical(la, lb)
-
-    def test_threads_do_not_change_results(self):
-        fed, mlp, dataset, partition, testset = tiny_setup(method="fedntd", sampling_ratio=0.75)
-        seq = run_federation(fed, mlp, dataset, partition, testset, threads=1)
-        par = run_federation(fed, mlp, dataset, partition, testset, threads=4)
-        assert seq.final_params.tobytes() == par.final_params.tobytes()
-        assert [l.train_loss for l in seq.logs] == [l.train_loss for l in par.logs]
-        with pytest.raises(ValueError, match="threads"):
-            run_federation(fed, mlp, dataset, partition, testset, threads=0)
-
     def test_beta_zero_trajectory_equals_fedavg(self):
         fed_a, mlp, dataset, partition, testset = tiny_setup(method="fedavg", sampling_ratio=0.5)
         fed_b = dataclasses.replace(fed_a, loss=LossConfig(method="fedntd", beta=0.0))
@@ -802,12 +783,7 @@ class TestGroupPool:
     def test_numpy_blas_found_beside_a_second_openblas(self, tmp_path):
         # a copy of numpy's OpenBLAS, loaded from another path with another kernel and
         # thread count, is neither read nor set
-        src = str(Path(federation.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        env.pop("OPENBLAS_CORETYPE", None)
-        child = subprocess.run([sys.executable, "-c", SECOND_BLAS_CHILD, str(tmp_path)],
-                               capture_output=True, text=True, env=env, timeout=60, check=False)
+        child = run_child(SECOND_BLAS_CHILD, str(tmp_path), env={"OPENBLAS_CORETYPE": None})
         assert child.returncode == 0, child.stderr
         got = json.loads(child.stdout)
         assert got["blas_core"] == got["numpy_core"]  # not the copy's Katmai

@@ -20,17 +20,14 @@ another BLAS build, fails every case with a message naming the kernel and
 the build.
 """
 
-import hashlib
 import json
-import os
-import subprocess
-import sys
 from collections import Counter
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
+from children import run_child
+from runs import difference, first_difference
 
 from fednsim.cli import load_run
 from fednsim.config import parse_config_text
@@ -408,18 +405,17 @@ def _config(name):
     return replace(parse_config_text(_COMMON + CASES[name], name), out_dir="golden")
 
 
-def run_digests(name, out_dir) -> dict[str, str]:
-    """Runs case `name`, writes its outputs under `out_dir`, returns their sha256."""
+def golden_difference(core, name, out_dir) -> str | None:
+    """Runs case `name` into `out_dir`: None when its rounds.csv, summary.json
+    and float64 final parameters hold `core`'s pins, else where they first
+    differ (`runs.difference`)."""
     cfg = _config(name)
     fed, mlp, train, partition, test = load_run(cfg)
     result = run_federation(fed, mlp, train, partition, test)
     write_round_csv(result.logs, out_dir / "rounds.csv", mlp.num_classes)
     write_summary_json(result.logs, cfg, out_dir / "summary.json", "rounds.csv")
-    return {
-        "rounds.csv": hashlib.sha256((out_dir / "rounds.csv").read_bytes()).hexdigest(),
-        "summary.json": hashlib.sha256((out_dir / "summary.json").read_bytes()).hexdigest(),
-        "final_params": hashlib.sha256(result.final_params.astype("<f8").tobytes()).hexdigest(),
-    }
+    (out_dir / "final_params").write_bytes(result.final_params.astype("<f8").tobytes())
+    return difference(PINS[core][name], out_dir)
 
 
 def _blas_build() -> str:
@@ -432,66 +428,23 @@ def _blas_build() -> str:
     return f"{build}, OpenBLAS core {blas_core() or 'unknown'}"
 
 
-def row_digests(csv_path) -> dict[int, str]:
-    """The 8-hex sha256 prefix of each rounds.csv data row, by its round."""
-    rows = Path(csv_path).read_text().splitlines()[1:]
-    return {int(row.split(",", 1)[0]): hashlib.sha256(row.encode()).hexdigest()[:8] for row in rows}
-
-
-def cell_digests(csv_path) -> dict[int, str]:
-    """The 2-hex sha256 prefixes of each rounds.csv data row's cells, joined, by its round."""
-    rows = Path(csv_path).read_text().splitlines()[1:]
-    return {int(row.split(",", 1)[0]): "".join(hashlib.sha256(cell.encode()).hexdigest()[:2]
-                                               for cell in row.split(",")) for row in rows}
-
-
-def run_pins(name, out_dir) -> tuple[dict, dict, dict]:
-    """Case `name`'s outputs under `out_dir`, in the shape of its pins:
-    (output digests, row digests, cell digests)."""
-    digests = run_digests(name, out_dir)
-    return digests, row_digests(out_dir / "rounds.csv"), cell_digests(out_dir / "rounds.csv")
-
-
-def first_difference(pins, got, header: list[str]) -> str:
-    """Where a case's outputs `got` first leave its `pins`, both as `run_pins`
-    returns them: the first round whose rounds.csv row differs and, when both
-    hold that row, the first of its `header` columns whose cell differs; else
-    the outputs whose digests differ."""
-    (digests, pinned_rows, pinned_cells), (got_digests, rows, cells) = pins, got
-    for t in sorted(rows.keys() | pinned_rows.keys()):
-        if rows.get(t) == pinned_rows.get(t):
-            continue
-        where = f"rounds.csv first differs at round {t}"
-        if t in cells and t in pinned_cells:
-            pairs = zip(header, zip(*[iter(cells[t])] * 2), zip(*[iter(pinned_cells[t])] * 2))
-            where += next((f", column {column}" for column, a, b in pairs if a != b), "")
-        return where
-    return "every rounds.csv row matches; " + ", ".join(
-        key for key in digests if got_digests[key] != digests[key]) + " differ"
-
-
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_outputs_match_golden_digests(name, tmp_path):
     core = blas_core()
     assert core in PINS, (f"{name}: no pins for OpenBLAS core {core} (ran on {_blas_build()}; "
                           f"pinned cores: {', '.join(PINS)})")
-    got = run_pins(name, tmp_path)
-    header = (tmp_path / "rounds.csv").read_text().split("\n", 1)[0].split(",")
-    assert got == PINS[core][name], (
-        f"{name}: {first_difference(PINS[core][name], got, header)} "
-        f"(ran on {_blas_build()}; pinned on numpy 2.4, OpenBLAS 0.3.31, OpenBLAS core {core})"
+    assert (where := golden_difference(core, name, tmp_path)) is None, (
+        f"{name}: {where} (ran on {_blas_build()}; "
+        f"pinned on numpy 2.4, OpenBLAS 0.3.31, OpenBLAS core {core})"
     )
 
 
 _KERNEL_CHILD = """\
-import json, pathlib, sys
-sys.path.insert(0, sys.argv[1])
-from test_golden import CASES, blas_core, run_pins
-out = {}
-for name in CASES:
-    (case_dir := pathlib.Path(sys.argv[2], name)).mkdir()
-    out[name] = run_pins(name, case_dir)
-print(json.dumps([blas_core(), out]))
+import pathlib
+from test_golden import CASES, blas_core, golden_difference
+core = blas_core()
+print(json.dumps([core, {name: golden_difference(core, name, pathlib.Path(sys.argv[1], name))
+                         for name in CASES}]))
 """
 
 
@@ -501,17 +454,11 @@ def test_the_pins_of_every_kernel_after_this_one_hold_in_a_child(tmp_path):
     case in a child process with `OPENBLAS_CORETYPE` set."""
     cores = list(PINS)
     for core in cores[cores.index(blas_core()) + 1:] if blas_core() in cores else []:
-        (out := tmp_path / core).mkdir()
-        child = subprocess.run(
-            [sys.executable, "-c", _KERNEL_CHILD, str(Path(__file__).parent), str(out)],
-            capture_output=True, text=True, check=False, timeout=120,
-            env={**os.environ, "OPENBLAS_CORETYPE": core})
+        for name in CASES:
+            (tmp_path / core / name).mkdir(parents=True)
+        child = run_child(_KERNEL_CHILD, str(tmp_path / core), env={"OPENBLAS_CORETYPE": core})
         assert child.returncode == 0, child.stderr
-        ran_on, got = json.loads(child.stdout)
-        assert ran_on == core
-        for name, (digests, rows, cells) in got.items():
-            keyed = ({int(t): d for t, d in rows.items()}, {int(t): d for t, d in cells.items()})
-            assert (digests, *keyed) == PINS[core][name], (core, name)
+        assert json.loads(child.stdout) == [core, dict.fromkeys(CASES)], core
 
 
 def test_a_failure_names_the_first_round_and_column_that_differ():

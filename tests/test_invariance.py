@@ -4,6 +4,7 @@ One config runs through `fednsim run` along each axis that must not change
 a byte of its outputs (rounds.csv, summary.json and the final checkpoint):
 
 - a rerun;
+- `run --threads` 1 and 8;
 - the worker count, `federation._workers` 1, 2 and 3;
 - numpy's BLAS thread setting, `OPENBLAS_NUM_THREADS` 1 and 2, in child
   processes, since OpenBLAS reads it when it loads.  The children run at
@@ -18,15 +19,14 @@ split is large enough to be drawn in parts, and some of its rounds train
 two lockstep groups, one of three clients, which 2 and 3 workers split
 differently.  Each axis is one test: it compares each value's outputs with
 the first value's, and a failure names the axis, the value and the first
-round and column that differ (`test_golden.first_difference`).
+round and column that differ (`runs.difference`).
 """
 
-import hashlib
 from collections import Counter
 
 import pytest
 from children import run_child
-from test_golden import cell_digests, first_difference, row_digests
+from runs import difference, run_digests
 
 from fednsim import cli, federation, rng
 from fednsim.config import parse_config_text
@@ -53,7 +53,8 @@ seed = 3
 checkpoint_stride = 4
 """
 
-AXES = {"rerun": (1, 2), "workers": (1, 2, 3), "blas_threads": (1, 2), "cpus": (1, 2)}
+AXES = {"rerun": (1, 2), "threads": (1, 8), "workers": (1, 2, 3), "blas_threads": (1, 2),
+        "cpus": (1, 2)}
 
 _ONE_WORKER_RUN = """\
 from fednsim import cli, federation
@@ -68,7 +69,8 @@ def _run(axis: str, value: int, config, out, monkeypatch):
     `value`; returns the directory of its outputs."""
     out.mkdir()
     if axis == "blas_threads":
-        child = run_child(_ONE_WORKER_RUN, str(out), str(config), blas_threads=value)
+        child = run_child(_ONE_WORKER_RUN, str(out), str(config),
+                          env={"OPENBLAS_NUM_THREADS": str(value)})
         assert child.returncode == 0, child.stderr
         return out / "run"
     with monkeypatch.context() as patch:
@@ -77,16 +79,9 @@ def _run(axis: str, value: int, config, out, monkeypatch):
             patch.setattr(federation, "_workers", lambda clients: min(clients, value))
         elif axis == "cpus":
             patch.setattr(rng, "cpus", lambda: value)
-        assert cli.main(["run", str(config), "--out", "run"]) == 0
+        threads = ["--threads", str(value)] if axis == "threads" else []
+        assert cli.main(["run", str(config), "--out", "run", *threads]) == 0
     return out / "run"
-
-
-def _pins(run_dir) -> tuple[dict, dict, dict]:
-    """A run's outputs in the shape of `test_golden.run_pins`: (each file's
-    sha256, rounds.csv row digests, rounds.csv cell digests)."""
-    files = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-             for path in sorted(run_dir.iterdir())}
-    return files, row_digests(run_dir / "rounds.csv"), cell_digests(run_dir / "rounds.csv")
 
 
 @pytest.mark.parametrize("axis", AXES)
@@ -98,13 +93,11 @@ def test_a_run_is_the_same_bytes_along_each_axis(axis, tmp_path, monkeypatch, bl
     first, *others = AXES[axis]
     runs = {value: _run(axis, value, config, tmp_path / f"{axis}-{value}", monkeypatch)
             for value in AXES[axis]}
-    header = (runs[first] / "rounds.csv").read_text().split("\n", 1)[0].split(",")
-    pins = _pins(runs[first])
+    pins = run_digests(runs[first])
     assert len(pins[0]) == 3  # rounds.csv, summary.json and the final checkpoint
     for value in others:
-        got = _pins(runs[value])
-        assert got == pins, (f"{axis} {value} against {axis} {first}: "
-                             f"{first_difference(pins, got, header)}")
+        where = difference(pins, runs[value])
+        assert where is None, f"{axis} {value} against {axis} {first}: {where}"
 
 
 def test_the_config_splits_groups_and_draws_in_parts():

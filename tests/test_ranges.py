@@ -21,6 +21,7 @@ from fednsim.federation import (
     ClientUpdate,
     FederationConfig,
     aggregate,
+    run_federation,
     sample_clients,
     sample_count,
 )
@@ -37,7 +38,7 @@ from fednsim.losses import (
     ntd_mse_loss_and_grad,
     softmax_temp,
 )
-from fednsim.model import MAX_FLOATS, lr_at_round, sgd_momentum_step
+from fednsim.model import MAX_FLOATS, MlpConfig, lr_at_round, sgd_momentum_step
 from fednsim.verify import SplitInstance, run_all, smoothness_violation
 
 NAN, INF = float("nan"), float("inf")
@@ -50,6 +51,11 @@ def _sgd(**settings):
     step = dict(lr=0.1, momentum=0.9, weight_decay=1e-5) | settings
     params, grad, velocity = np.ones(4), np.full(4, 0.5), np.zeros(4)
     return sgd_momentum_step(params, grad, velocity, **step)
+
+
+def _run(threads):
+    fed = FederationConfig(rounds=1, local_epochs=1)  # one client, trained once
+    return run_federation(fed, MlpConfig(2, (2,), 2), DS, iid_partition(DS, 2, 0), DS, threads)
 
 
 def _split(tau):
@@ -91,6 +97,9 @@ TABLE = [
         "FederationConfig": lambda v: FederationConfig(sampling_ratio=v),
         "sample_count": lambda v: sample_count(10, v, 10),
         "sample_clients": lambda v: sample_clients(10, v, 1, 0),
+    }),
+    ("threads", r"\bthreads must be >= 1", [0, -1], [1], {
+        "run_federation": _run,
     }),
     ("tau", "tau", [NAN, 0.0, -1.0, INF, -INF], [1e6, 1e-3], {
         "LossConfig": lambda v: LossConfig(tau=v),

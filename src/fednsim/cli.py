@@ -87,8 +87,8 @@ def load_run(cfg: ExperimentConfig) -> tuple:
         # a run scores the model on every class of the test set, at the training width
         if test.dim != train.dim:
             raise ConfigError(
-                f"idx_test_images {cfg.idx_test_images}: images of {test.dim} pixels, "
-                f"the training images have {train.dim}"
+                f"idx_train_images {cfg.idx_train_images} and idx_test_images "
+                f"{cfg.idx_test_images}: images of {train.dim} and {test.dim} pixels"
             )
         classes = max(train.num_classes, test.num_classes)
         train = Dataset(train.features, train.labels, classes)
@@ -187,9 +187,7 @@ def _cmd_partition(args, cfg: ExperimentConfig) -> int:
 
 def _cmd_verify(args, _) -> int:
     _check_flag(_check_trials, args.trials)
-    results = run_all(
-        trials=args.trials, seed=args.seed, diversity_instances=max(1, args.trials // 2)
-    )
+    results = run_all(trials=args.trials, seed=args.seed)
     for result in results:
         print(result.line())
     return 0 if all(r.passed for r in results) else 2

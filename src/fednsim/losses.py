@@ -1,8 +1,9 @@
 """Loss functions and their logit gradients.
 
-All public single-sample functions take 1-D logit vectors and return
-(loss, grad_wrt_local_logits) from the row terms that local training's
-`batch_loss_and_grad` runs; every entry point checks tau, mu and labels
+Each objective is one list of weighted terms, and one evaluator sums a list
+over logit rows: for local training's `batch_loss_and_grad` and for the
+public single-sample functions, which take 1-D logit vectors and return
+(loss, grad_wrt_local_logits).  Every entry point checks tau, mu and labels
 once.  Teacher logits are constants: no gradient flows to them.
 
 Distillation terms use KL(teacher || student).  Softmaxes subtract the
@@ -30,16 +31,10 @@ def _log_softmax(z: np.ndarray, tau: float) -> np.ndarray:
     return s - np.log(np.exp(s).sum(axis=1, keepdims=True))
 
 
-class _Student(dict):
-    """Student logits `z`; student[tau] is their (log-softmax, softmax), made on first use."""
-
-    def __init__(self, z: np.ndarray):
-        super().__init__()
-        self.z = z
-
-    def __missing__(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
-        logp = _log_softmax(self.z, tau)
-        return self.setdefault(tau, (logp, np.exp(logp)))
+def _softmaxes(z: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (log-softmax, softmax) of each row of `z` at `tau`."""
+    logp = _log_softmax(z, tau)
+    return logp, np.exp(logp)
 
 
 def _check_loss(tau: float = 1.0, mu: float = 0.0) -> None:
@@ -61,12 +56,12 @@ def softmax_temp(z, tau: float):
     """Temperature softmax q(c) = exp(z_c/tau) / sum_i exp(z_i/tau)."""
     _check_loss(tau)
     z = np.asarray(z, dtype=np.float64)
-    q = np.exp(_log_softmax(_rows(z), tau))
+    q = _softmaxes(_rows(z), tau)[1]
     return q[0] if z.ndim == 1 else q
 
 
 def _ce_rows(soft, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cross-entropy per row; `soft` is `_Student(z)[1.0]`, which it leaves unchanged."""
+    """Cross-entropy per row from the student's tau = 1 `_softmaxes`, which it leaves unchanged."""
     logp, p = soft
     rows = np.arange(len(y))
     loss = -logp[rows, y]
@@ -78,13 +73,12 @@ def _ce_rows(soft, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _kl_terms(logp_l: np.ndarray, z_g: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """KL(teacher || student) per (row, class) at tau, from the student's
     log-softmax, and the teacher's softmax q_g."""
-    logp_g = _log_softmax(z_g, tau)
-    q_g = np.exp(logp_g)
+    logp_g, q_g = _softmaxes(z_g, tau)
     return np.where(q_g >= _KL_TEACHER_FLOOR, q_g * (logp_g - logp_l), 0.0), q_g
 
 
 def _kl_rows(soft_l, z_g: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """KL(teacher || student) per row at tau, soft_l = _Student(z_l)[tau]; grad wrt z_l."""
+    """KL(teacher || student) per row at tau, soft_l = _softmaxes(z_l, tau); grad wrt z_l."""
     logp_l, p_l = soft_l
     terms, q_g = _kl_terms(logp_l, z_g, tau)
     loss = terms.sum(axis=1)
@@ -92,10 +86,13 @@ def _kl_rows(soft_l, z_g: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarra
     return loss, grad
 
 
-def _not_true_mask(c: int, y: np.ndarray) -> np.ndarray:
+def _not_true(y: np.ndarray, c: int, *zs: np.ndarray):
+    """The mask of the classes other than each label of `y` among `c`, then each
+    array of `zs` gathered at them, (n, c - 1)."""
     if c < 2:
         raise ValueError("need at least 2 classes to exclude the true one")
-    return np.arange(c) != y[:, None]
+    mask = np.arange(c) != y[:, None]
+    return mask, *(z[mask].reshape(len(y), c - 1) for z in zs)
 
 
 def not_true_softmax(z, y: int, tau: float) -> np.ndarray:
@@ -107,10 +104,9 @@ def not_true_softmax(z, y: int, tau: float) -> np.ndarray:
     _check_loss(tau)
     z = _rows(z)
     n, c = z.shape
-    y = _check_labels(np.asarray([y]), c)
-    mask = _not_true_mask(c, y)
+    mask, z_nt = _not_true(_check_labels(np.asarray([y]), c), c, z)
     out = np.zeros((n, c))
-    out[mask] = np.exp(_log_softmax(z[mask].reshape(n, c - 1), tau)).ravel()
+    out[mask] = _softmaxes(z_nt, tau)[1].ravel()
     return out[0]
 
 
@@ -123,17 +119,16 @@ def _ntd_rows(
     logit never enters the expression.
     """
     n, c = z_l.shape
-    mask = _not_true_mask(c, y)
-    soft_l = _Student(z_l[mask].reshape(n, c - 1))[tau]
-    loss, grad_nt = _kl_rows(soft_l, z_g[mask].reshape(n, c - 1), tau)
+    mask, nt_l, nt_g = _not_true(y, c, z_l, z_g)
+    loss, grad_nt = _kl_rows(_softmaxes(nt_l, tau), nt_g, tau)
     grad = np.zeros((n, c))
     grad[mask] = grad_nt.ravel()
     return loss, grad
 
 
 def _ntd_mse_rows(z_l: np.ndarray, z_g: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n, c = z_l.shape
-    mask = _not_true_mask(c, y)
+    c = z_l.shape[1]
+    mask, = _not_true(y, c)
     diff = np.where(mask, z_l - z_g, 0.0)
     loss = (diff * diff).sum(axis=1) / (c - 1)
     grad = 2.0 * diff / (c - 1)
@@ -163,23 +158,23 @@ def fedprox_penalty(w, w_g, mu: float, out: np.ndarray | None = None):
     return penalty, diff
 
 
-# The local objectives as data: cfg -> (cross-entropy weight, ((weight, term), ...)),
-# where a term maps (student, z_g, y, tau) to per-row losses and logit gradients
-# and a batch's terms share one `_Student`, so at tau = 1 CE and KL read one log-softmax.
-# Terms are added in the order listed, and only where they count: fedntd with
-# beta = 0 is plain cross-entropy, bit for bit.  fedprox's proximal term acts
-# on parameters, not logits, so the trainer adds it (`LossConfig.proximal`).
-_CE = lambda s, z_g, y, tau: _ce_rows(s[1.0], y)
-_KL = lambda s, z_g, y, tau: _kl_rows(s[tau], z_g, tau)
-_NTD = lambda s, z_g, y, tau: _ntd_rows(s.z, z_g, y, tau)
-_NTD_MSE = lambda s, z_g, y, tau: _ntd_mse_rows(s.z, z_g, y)
+# The local objectives as data: cfg -> ((weight, term), ...), the terms added in
+# the order listed, and only where they count: fedntd with beta = 0 is plain
+# cross-entropy, bit for bit.  A term maps (z_l, soft, z_g, y, tau) to per-row
+# losses and logit gradients, where `soft` is the student's tau = 1 `_softmaxes`,
+# made once for cross-entropy and for a KL at tau = 1.  fedprox's proximal term
+# acts on parameters, not logits, so the trainer adds it (`LossConfig.proximal`).
+_CE = lambda z_l, soft, z_g, y, tau: _ce_rows(soft, y)
+_KL = lambda z_l, soft, z_g, y, tau: _kl_rows(soft if tau == 1.0 else _softmaxes(z_l, tau), z_g, tau)
+_NTD = lambda z_l, soft, z_g, y, tau: _ntd_rows(z_l, z_g, y, tau)
+_NTD_MSE = lambda z_l, soft, z_g, y, tau: _ntd_mse_rows(z_l, z_g, y)
 _OBJECTIVES = {
-    "fedavg": lambda c: (1.0, ()),
-    "fedprox": lambda c: (1.0, ()),
-    "fedntd": lambda c: (1.0, ((c.beta, _NTD),) if c.beta else ()),
-    "fedntd_mse": lambda c: (1.0, ((c.beta, _NTD_MSE),) if c.beta else ()),
-    "kd": lambda c: (1.0 - c.beta, ((c.beta * c.tau * c.tau, _KL),)),
-    "kd_ntd_interp": lambda c: (1.0, tuple(
+    "fedavg": lambda c: ((1.0, _CE),),
+    "fedprox": lambda c: ((1.0, _CE),),
+    "fedntd": lambda c: ((1.0, _CE), (c.beta, _NTD)) if c.beta else ((1.0, _CE),),
+    "fedntd_mse": lambda c: ((1.0, _CE), (c.beta, _NTD_MSE)) if c.beta else ((1.0, _CE),),
+    "kd": lambda c: ((1.0 - c.beta, _CE), (c.beta * c.tau * c.tau, _KL)),
+    "kd_ntd_interp": lambda c: ((1.0, _CE), *(
         (w, term) for w, term in ((1.0 - c.interp_lambda, _KL), (c.interp_lambda, _NTD)) if w
     )),
 }
@@ -205,7 +200,7 @@ class LossConfig:
 
     @property
     def needs_teacher(self) -> bool:
-        return bool(_OBJECTIVES[self.method](self)[1])
+        return any(term is not _CE for _, term in _OBJECTIVES[self.method](self))
 
     @property
     def proximal(self) -> bool:
@@ -213,49 +208,52 @@ class LossConfig:
         return self.method == "fedprox"
 
 
+def _sum_terms(method: str, terms, tau: float, z_l, y, z_g) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row losses and logit gradients of `terms`, `(weight, term)` pairs, summed over
+    logit rows in the order listed, after checking labels, teacher and shapes once."""
+    z_l = np.asarray(z_l, dtype=np.float64)
+    y = _check_labels(y, z_l.shape[1])
+    if any(term is not _CE for _, term in terms):
+        if z_g is None:
+            raise ValueError(f"method {method!r} requires teacher logits")
+        z_g = np.asarray(z_g, dtype=np.float64)
+        if z_g.shape != z_l.shape:
+            raise ValueError(f"logit shapes differ: {z_l.shape} vs {z_g.shape}")
+    soft = None  # the student's tau = 1 `_softmaxes`, for cross-entropy and a KL at tau = 1
+    if any(term is _CE or term is _KL and tau == 1.0 for _, term in terms):
+        soft = _softmaxes(z_l, 1.0)
+    loss = grad = None
+    for weight, term in terms:
+        term_loss, term_grad = term(z_l, soft, z_g, y, tau)
+        if weight != 1.0:  # a weight of 1.0 multiplies nothing: 1.0 * x == x
+            term_loss, term_grad = weight * term_loss, weight * term_grad
+        if loss is None:
+            loss, grad = term_loss, term_grad
+        else:
+            loss += term_loss
+            grad += term_grad
+    return loss, grad
+
+
 def batch_loss_and_grad(
     cfg: LossConfig, z_l: np.ndarray, y: np.ndarray, z_g: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample losses and logit gradients for a batch under `cfg`'s row of _OBJECTIVES."""
-    z_l = np.asarray(z_l, dtype=np.float64)
-    y = _check_labels(np.asarray(y, dtype=np.int64), z_l.shape[1])
-    ce_weight, terms = _OBJECTIVES[cfg.method](cfg)
-    if terms:
-        if z_g is None:
-            raise ValueError(f"method {cfg.method!r} requires teacher logits")
-        z_g = np.asarray(z_g, dtype=np.float64)
-        if z_g.shape != z_l.shape:
-            raise ValueError(f"logit shapes differ: {z_l.shape} vs {z_g.shape}")
-    student = _Student(z_l)
-    loss, grad = _CE(student, z_g, y, cfg.tau)
-    if ce_weight != 1.0:  # a weight of 1.0 multiplies nothing: 1.0 * x == x
-        loss, grad = ce_weight * loss, ce_weight * grad
-    for weight, term in terms:
-        term_loss, term_grad = term(student, z_g, y, cfg.tau)
-        loss += term_loss if weight == 1.0 else weight * term_loss
-        grad += term_grad if weight == 1.0 else weight * term_grad
-    return loss, grad
+    y = np.asarray(y, dtype=np.int64)
+    return _sum_terms(cfg.method, _OBJECTIVES[cfg.method](cfg), cfg.tau, z_l, y, z_g)
 
 
-def _one_row(cfg: LossConfig, z_l, z_g, y: int) -> tuple[float, np.ndarray]:
-    loss, grad = batch_loss_and_grad(cfg, _rows(z_l), np.asarray([y]), _rows(z_g))
-    return float(loss[0]), grad[0]
-
-
-def _one_sample(term, z_l, z_g, y: int, tau: float) -> tuple[float, np.ndarray]:
-    """A row term of _OBJECTIVES on one sample, after checking tau, shapes and label once."""
+def _one_sample(method: str, terms, tau: float, z_l, y: int, z_g=None) -> tuple[float, np.ndarray]:
+    """`terms` summed on one sample's 1-D logits, after checking tau."""
     _check_loss(tau)
-    z_l, z_g = _rows(z_l), _rows(z_l if z_g is None else z_g)  # CE takes no teacher
-    if z_l.shape != z_g.shape:
-        raise ValueError(f"logit shapes differ: {z_l.shape} vs {z_g.shape}")
-    y = _check_labels(np.asarray([y]), z_l.shape[1])
-    loss, grad = term(_Student(z_l), z_g, y, tau)
+    z_g = None if z_g is None else _rows(z_g)
+    loss, grad = _sum_terms(method, terms, tau, _rows(z_l), np.asarray([y]), z_g)
     return float(loss[0]), grad[0]
 
 
 def ce_loss_and_grad(z, y: int) -> tuple[float, np.ndarray]:
     """Cross-entropy against a one-hot label; grad = softmax(z) - onehot(y)."""
-    return _one_sample(_CE, z, None, y, 1.0)
+    return _one_sample("ce", ((1.0, _CE),), 1.0, z, y)
 
 
 def kd_loss_and_grad(z_l, z_g, tau: float) -> tuple[float, np.ndarray]:
@@ -263,17 +261,17 @@ def kd_loss_and_grad(z_l, z_g, tau: float) -> tuple[float, np.ndarray]:
 
     Returns the raw KL; any tau**2 rescaling is the caller's business.
     """
-    return _one_sample(_KL, z_l, z_g, 0, tau)  # KL takes no label; 0 is always in range
+    return _one_sample("kd", ((1.0, _KL),), tau, z_l, 0, z_g)  # KL takes no label; 0 is in range
 
 
 def ntd_loss_and_grad(z_l, z_g, y: int, tau: float) -> tuple[float, np.ndarray]:
     """Not-true distillation on one sample: KL over the classes other than y."""
-    return _one_sample(_NTD, z_l, z_g, y, tau)
+    return _one_sample("ntd", ((1.0, _NTD),), tau, z_l, y, z_g)
 
 
 def ntd_mse_loss_and_grad(z_l, z_g, y: int) -> tuple[float, np.ndarray]:
     """Mean squared logit mismatch over the not-true classes only."""
-    return _one_sample(_NTD_MSE, z_l, z_g, y, 1.0)
+    return _one_sample("ntd_mse", ((1.0, _NTD_MSE),), 1.0, z_l, y, z_g)
 
 
 def fedntd_objective(z_l, z_g, y: int, beta: float, tau: float) -> tuple[float, np.ndarray]:
@@ -281,7 +279,8 @@ def fedntd_objective(z_l, z_g, y: int, beta: float, tau: float) -> tuple[float, 
 
     beta == 0 short-circuits to plain cross-entropy, bit for bit.
     """
-    return _one_row(LossConfig("fedntd", beta=beta, tau=tau), z_l, z_g, y)
+    cfg = LossConfig("fedntd", beta=beta, tau=tau)
+    return _one_sample(cfg.method, _OBJECTIVES[cfg.method](cfg), tau, z_l, y, z_g)
 
 
 def kd_ntd_interp_objective(
@@ -292,4 +291,5 @@ def kd_ntd_interp_objective(
     lam = 0 keeps the full-class distillation; lam = 1 keeps only the
     not-true term.
     """
-    return _one_row(LossConfig("kd_ntd_interp", tau=tau, interp_lambda=lam), z_l, z_g, y)
+    cfg = LossConfig("kd_ntd_interp", tau=tau, interp_lambda=lam)
+    return _one_sample(cfg.method, _OBJECTIVES[cfg.method](cfg), tau, z_l, y, z_g)

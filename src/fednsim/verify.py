@@ -31,13 +31,14 @@ from .metrics import gradient_diversity
 from .rng import NS_VERIFY, stream
 
 COLUMN_SUM_TOL = 1e-9
+INCREASE_TOL = 1e-12  # how far the diversity may rise from one beta of the grid to the next
 SLOPE_TOL = 1e-6  # how far the diversity slope may rise above -M/(1+beta)^2
 
 
-def _check_trials(count: int, name: str = "trials") -> None:
+def _check_trials(count: int) -> None:
     """The one valid range of a check's count of random instances."""
     if count < 1:
-        raise ValueError(f"{name} must be >= 1, got {count}")
+        raise ValueError(f"trials must be >= 1, got {count}")
 
 
 # ---------------------------------------------------------------------------
@@ -127,10 +128,6 @@ def beta_grid(num_classes: int, points: int = 51) -> np.ndarray:
 
 @dataclass
 class DiversityReport:
-    betas: np.ndarray
-    lambdas: np.ndarray
-    monotone: bool
-    slope_ok: bool
     max_increase: float
     max_slope_excess: float
     max_closed_form_gap: float
@@ -139,10 +136,12 @@ class DiversityReport:
 def check_diversity_curve(
     instance: DiversityInstance, betas: np.ndarray | None = None
 ) -> DiversityReport:
-    """Evaluate the diversity curve and test monotonicity plus the rate bound.
+    """Measure the diversity curve's largest rise, its slope's largest excess
+    over the rate bound -M/(1+beta)^2, and its largest gap to the closed form.
 
-    The slope is measured by central differences at interior grid points
-    and must stay below -M/(1+beta)^2 up to `SLOPE_TOL`.
+    The slope is measured by central differences at interior grid points.
+    A curve that never increases has `max_increase <= INCREASE_TOL`, and
+    one that meets the bound has `max_slope_excess <= SLOPE_TOL`.
     """
     if betas is None:
         betas = beta_grid(instance.num_classes)
@@ -160,12 +159,8 @@ def check_diversity_curve(
     excess = slopes + m_const / (1.0 + betas[1:-1][wide]) ** 2
     max_excess = float(excess.max()) if excess.size else 0.0
     return DiversityReport(
-        betas=betas,
-        lambdas=lams,
-        monotone=bool(max_increase <= 1e-12),
-        slope_ok=bool(max_excess <= SLOPE_TOL),
         max_increase=max_increase,
-        max_slope_excess=float(max_excess),
+        max_slope_excess=max_excess,
         max_closed_form_gap=gap,
     )
 
@@ -374,10 +369,10 @@ class CheckResult:
         return f"{status:4s} {self.name:40s} measured={self.measured:.3e} tol={self.tolerance:.1e}{extra}"
 
 
-def run_all(trials: int = 100, seed: int = 0, diversity_instances: int = 50) -> list[CheckResult]:
-    """The full verification report; every entry must pass."""
+def run_all(trials: int = 100, seed: int = 0) -> list[CheckResult]:
+    """The full verification report; every entry must pass.  The diversity
+    checks draw half as many instances as `trials`, and at least one."""
     _check_trials(trials)
-    _check_trials(diversity_instances, "diversity_instances")
     results = []
 
     rng = stream(seed, NS_VERIFY, 0)
@@ -386,7 +381,7 @@ def run_all(trials: int = 100, seed: int = 0, diversity_instances: int = 50) -> 
         results.append(CheckResult(f"{name}_split_identity", worst < 1e-9, worst, 1e-9))
 
     gap_worst, inc_worst, excess_worst = -np.inf, -np.inf, -np.inf
-    for _ in range(diversity_instances):
+    for _ in range(max(1, trials // 2)):
         report = check_diversity_curve(random_diversity_instance(rng))
         gap_worst = max(gap_worst, report.max_closed_form_gap)
         inc_worst = max(inc_worst, report.max_increase)
@@ -395,7 +390,7 @@ def run_all(trials: int = 100, seed: int = 0, diversity_instances: int = 50) -> 
         CheckResult("diversity_closed_form", gap_worst < 1e-9, gap_worst, 1e-9)
     )
     results.append(
-        CheckResult("diversity_nonincreasing", inc_worst <= 1e-12, inc_worst, 1e-12)
+        CheckResult("diversity_nonincreasing", inc_worst <= INCREASE_TOL, inc_worst, INCREASE_TOL)
     )
     results.append(
         CheckResult("diversity_slope_bound", excess_worst <= SLOPE_TOL, excess_worst, SLOPE_TOL)

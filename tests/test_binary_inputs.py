@@ -208,10 +208,7 @@ def hostile_idx_files(draw):
 @given(hostile=hostile_idx_files())
 def hostile_idx_property(case, case_dir, hostile):
     """`partition` on a good IDX case with one file drawn hostile, run by the
-    child's `case`, exits 0, or 1 with one `error:` line naming that file.
-
-    One error names another file: training images whose width is not the
-    test images' are reported against `idx_test_images` alone."""
+    child's `case`, exits 0, or 1 with one `error:` line naming that file."""
     name, data = hostile
     config = _idx_case(case_dir, {name: data})
     code, _, err = case(lambda: cli.main(["partition", str(config)]))
@@ -219,8 +216,7 @@ def hostile_idx_property(case, case_dir, hostile):
         assert err == "", err
     else:
         assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, (code, err)
-        width = f"error: idx_test_images {case_dir / 'test-images'}: images of 4 pixels, "
-        assert str(case_dir / name) in err or name == "train-images" and err.startswith(width), err
+        assert str(case_dir / name) in err, err
 
 
 _IDX_PROPERTY_CHILD = """\

@@ -312,6 +312,7 @@ class TestConfigBoundaries:
 # through the classes.
 UNUSABLE_IDX = {
     "narrower_test_images": ((30, 2, 2), 3, (12, 2, 1), 3, "test-images"),
+    "zero_pixel_training_images": ((30, 0, 2), 3, (12, 2, 2), 3, "train-images"),
     "test_set_missing_a_class": ((30, 2, 2), 3, (12, 2, 2), 2, "test-labels"),
     "one_class": ((30, 2, 2), 1, (12, 2, 2), 1, "train-labels"),
     "zero_pixel_images": ((30, 0, 2), 3, (12, 0, 2), 3, "train-images"),

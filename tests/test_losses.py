@@ -24,8 +24,6 @@ from fednsim.losses import (
     softmax_temp,
 )
 
-from test_model import central_difference_grad, max_relative_error
-
 
 class TestSoftmax:
     def test_uniform_on_equal_logits(self):
@@ -277,36 +275,6 @@ class TestFedproxPenalty:
         assert grad is out
 
 
-def _loss_cases():
-    """Single-sample loss closures used for the finite-difference sweeps."""
-    return {
-        "ce": lambda z_l, z_g, y, tau: ce_loss_and_grad(z_l, y),
-        "kd": lambda z_l, z_g, y, tau: kd_loss_and_grad(z_l, z_g, tau),
-        "ntd": lambda z_l, z_g, y, tau: ntd_loss_and_grad(z_l, z_g, y, tau),
-        "ntd_mse": lambda z_l, z_g, y, tau: ntd_mse_loss_and_grad(z_l, z_g, y),
-        "fedntd": lambda z_l, z_g, y, tau: fedntd_objective(z_l, z_g, y, 0.7, tau),
-        "interp": lambda z_l, z_g, y, tau: kd_ntd_interp_objective(z_l, z_g, y, 0.3, tau),
-    }
-
-
-@pytest.mark.parametrize("name", sorted(_loss_cases()))
-def test_logit_gradients_match_finite_differences(name):
-    fn = _loss_cases()[name]
-    seed = {"ce": 1, "fedntd": 2, "interp": 3, "kd": 4, "ntd": 5, "ntd_mse": 6}[name]
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(50):
-        c = int(rng.integers(2, 9))
-        y = int(rng.integers(0, c))
-        tau = float(rng.uniform(0.5, 3.0))
-        z_l = rng.normal(scale=2.0, size=c)
-        z_g = rng.normal(scale=2.0, size=c)
-        _, analytic = fn(z_l, z_g, y, tau)
-        numeric = central_difference_grad(lambda z: fn(z, z_g, y, tau)[0], z_l)
-        worst = max(worst, max_relative_error(analytic, numeric))
-    assert worst < 1e-4
-
-
 class TestBatchApi:
     def test_matches_single_sample_functions(self):
         rng = np.random.default_rng(11)
@@ -412,15 +380,15 @@ class TestObjectiveStructure:
         z_l, z_g, y, _ = batch
         cfg = LossConfig(method, beta=beta, tau=tau, interp_lambda=lam)
         rows = np.arange(len(y))
-        _, terms = losses._OBJECTIVES[method](cfg)
+        terms = losses._OBJECTIVES[method](cfg)
         for _, term in terms:
             if term in _NTD_TERMS:
-                _, grad = term(losses._Student(z_l), z_g, y, tau)
+                _, grad = term(z_l, None, z_g, y, tau)
                 assert _bits(grad[rows, y]) == _bits(np.zeros(len(y)))
-        if all(term in _NTD_TERMS for _, term in terms):
+        if all(term in (losses._CE, *_NTD_TERMS) for _, term in terms):
             # adding beta * 0.0 leaves cross-entropy's true-class gradient bit for bit
             _, grad = batch_loss_and_grad(cfg, z_l, y, z_g)
-            _, ce_grad = losses._ce_rows(losses._Student(z_l)[1.0], y)
+            _, ce_grad = losses._ce_rows(losses._softmaxes(z_l, 1.0), y)
             assert _bits(grad[rows, y]) == _bits(ce_grad[rows, y])
 
     @settings(max_examples=30, deadline=None)
@@ -440,15 +408,16 @@ class TestObjectiveStructure:
         c = z_l.shape[1]
         eps = np.finfo(np.float64).eps
         # softmax minus one-hot, and softmax minus softmax over tau: each row sums to 0
-        _, ce_grad = losses._ce_rows(losses._Student(z_l)[1.0], y)
+        _, ce_grad = losses._ce_rows(losses._softmaxes(z_l, 1.0), y)
         assert np.all(np.abs(ce_grad.sum(axis=1)) <= 4 * c * eps)
-        _, kl_grad = losses._kl_rows(losses._Student(z_l)[tau], z_g, tau)
+        _, kl_grad = losses._kl_rows(losses._softmaxes(z_l, tau), z_g, tau)
         assert np.all(np.abs(kl_grad.sum(axis=1)) <= 4 * c * eps / tau)
-        ce_weight, terms = losses._OBJECTIVES[method](cfg)
+        terms = losses._OBJECTIVES[method](cfg)
         if not any(term is losses._NTD_MSE for _, term in terms):
             # the whole objective is CE, KL and not-true KL, each summing to 0
             _, grad = batch_loss_and_grad(cfg, z_l, y, z_g)
-            scale = abs(ce_weight) + sum(weight / tau for weight, _ in terms)  # kd: 1 - beta < 0
+            scale = sum(abs(weight) if term is losses._CE else weight / tau  # kd: 1 - beta < 0
+                        for weight, term in terms)
             assert np.all(np.abs(grad.sum(axis=1)) <= 8 * c * eps * (1 + scale))
 
 
@@ -456,9 +425,9 @@ class TestObjectiveStructure:
 @given(batch=_STRUCTURE["batch"], tau=_STRUCTURE["tau"])
 def test_interp_endpoints_compose_terms(batch, tau):
     z_l, z_g, y, _ = batch
-    ce_loss, ce_grad = losses._ce_rows(losses._Student(z_l)[1.0], y)
+    ce_loss, ce_grad = losses._ce_rows(losses._softmaxes(z_l, 1.0), y)
     for lam, term_loss, term_grad in (
-        (0.0, *losses._kl_rows(losses._Student(z_l)[tau], z_g, tau)),
+        (0.0, *losses._kl_rows(losses._softmaxes(z_l, tau), z_g, tau)),
         (1.0, *losses._ntd_rows(z_l, z_g, y, tau)),
     ):
         cfg = LossConfig("kd_ntd_interp", tau=tau, interp_lambda=lam)

@@ -148,11 +148,8 @@ TABLE = [
         "synth_dataset.dim": lambda v: synth_dataset(2, 3, v, 1.0, 0),
     }),
     ("trials", r"\btrials must be >= 1", [0, -1], [1], {
-        "run_all": lambda v: run_all(trials=v, diversity_instances=1),
+        "run_all": lambda v: run_all(trials=v),
         "smoothness_violation": lambda v: smoothness_violation(1.7, 5, v),
-    }),
-    ("diversity_instances", "diversity_instances must be >= 1", [0, -1], [1], {
-        "run_all": lambda v: run_all(trials=1, diversity_instances=v),
     }),
     ("labels", "labels out of range", [-1, 3], [0, 2], {
         "Dataset": lambda v: Dataset(np.zeros((1, 2)), [v], 3),

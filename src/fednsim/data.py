@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import _check_labels
+from .losses import _check_labels, _int64_labels
 from .model import MAX_FLOATS, read_file, sized_part, write_file
 from .rng import NS_PARTITION, NS_SYNTH_MEANS, NS_SYNTH_SAMPLES, standard_normal, stream
 
@@ -53,7 +53,7 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = _int64_labels(self.labels, self.num_classes)
         if self.features.ndim != 2 or self.labels.ndim != 1:
             raise ValueError("features must be 2-D and labels 1-D")
         if len(self.features) != len(self.labels) or len(self.labels) < 1:

@@ -52,6 +52,14 @@ def _check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return labels
 
 
+def _int64_labels(labels, num_classes: int) -> np.ndarray:
+    """`labels` as int64, where a label past int64's range is out of the label range too."""
+    try:
+        return np.asarray(labels, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"labels out of range [0, {num_classes})") from None
+
+
 def softmax_temp(z, tau: float):
     """Temperature softmax q(c) = exp(z_c/tau) / sum_i exp(z_i/tau)."""
     _check_loss(tau)
@@ -239,7 +247,7 @@ def batch_loss_and_grad(
     cfg: LossConfig, z_l: np.ndarray, y: np.ndarray, z_g: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample losses and logit gradients for a batch under `cfg`'s row of _OBJECTIVES."""
-    y = np.asarray(y, dtype=np.int64)
+    y = _int64_labels(y, np.shape(z_l)[-1])
     return _sum_terms(cfg.method, _OBJECTIVES[cfg.method](cfg), cfg.tau, z_l, y, z_g)
 
 

@@ -293,6 +293,22 @@ class TestBatchApi:
         with pytest.raises(ValueError, match="teacher"):
             batch_loss_and_grad(cfg, np.zeros((2, 3)), np.array([0, 1]))
 
+    @pytest.mark.parametrize("call", [
+        lambda z, y: kd_loss_and_grad(z, None, 2.0),
+        lambda z, y: ntd_loss_and_grad(z, None, y, 2.0),
+        lambda z, y: ntd_mse_loss_and_grad(z, None, y),
+        lambda z, y: fedntd_objective(z, None, y, 0.7, 2.0),
+        lambda z, y: kd_ntd_interp_objective(z, None, y, 0.0, 2.0),
+    ], ids=["kd", "ntd", "ntd_mse", "fedntd", "interp"])
+    def test_single_sample_teacher_required(self, call):
+        # kd used to return 0.0 here, the KL of the student against itself
+        with pytest.raises(ValueError, match="requires teacher logits"):
+            call(np.array([0.3, -1.2, 2.0]), 1)
+
+    def test_fedntd_at_beta_zero_needs_no_teacher(self):
+        z = np.array([0.3, -1.2, 2.0])
+        assert _bits(fedntd_objective(z, None, 1, 0.0, 2.0)[1]) == _bits(ce_loss_and_grad(z, 1)[1])
+
     def test_kd_method_scales_by_tau_squared(self):
         rng = np.random.default_rng(12)
         z_l, z_g = rng.normal(size=(1, 5)), rng.normal(size=(1, 5))

@@ -151,7 +151,7 @@ TABLE = [
         "run_all": lambda v: run_all(trials=v),
         "smoothness_violation": lambda v: smoothness_violation(1.7, 5, v),
     }),
-    ("labels", "labels out of range", [-1, 3], [0, 2], {
+    ("labels", "labels out of range", [-1, 3, 2**70], [0, 2], {
         "Dataset": lambda v: Dataset(np.zeros((1, 2)), [v], 3),
         "batch_loss_and_grad": lambda v: batch_loss_and_grad(
             LossConfig("fedntd"), Z_L[None], [v], Z_G[None]),

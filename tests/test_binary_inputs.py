@@ -173,6 +173,8 @@ def test_hostile_binary_inputs_end_in_named_errors(tmp_path):
         got["images_from_dev_zero"][2])
     assert (f"truncated checkpoint parameters: needs {8 * (2**64 - 1)} bytes, 0 are left"
             in got["length_2_64_minus_1"][2])
+    assert "bad checkpoint magic" in got["bad_magic"][2]
+    assert "truncated checkpoint parameters" in got["payload_4_bytes_short"][2]
     # a pipe reads as the file does
     assert got["idx_pipes"] == got["idx_files"] and len(got["idx_files"][1]) == 30
 
@@ -242,10 +244,45 @@ RUN_BASE = {"synth_classes": "3", "synth_per_class": "10", "synth_test_per_class
             "synth_dim": "4", "clients": "2", "hidden_dims": "4", "rounds": "1",
             "local_epochs": "1", "sampling_ratio": "0.5", "out_dir": "out"}
 
+# The hostile values each key accepts: `partition` and `run` exit 0 on them, except that
+# `run` takes lr0 or weight_decay = inf to a divergence (exit 2).  Every other value exits 1
+# with an error naming the key and its line.
+# _BIG holds the integers past int64, _HUGE those and the largest float value
+_ZERO, _TINY, _BIG = {"0", "-0.0"}, {"5e-324"}, {str(2**63), str(10**21)}
+_HUGE = _BIG | {"1e308"}
+ACCEPTED = {
+    **dict.fromkeys(("data", "synth_classes", "synth_per_class", "synth_test_per_class",
+                     "synth_dim", "partition", "clients", "method", "rounds", "local_epochs",
+                     "aggregation"), set()),
+    "synth_separation": _ZERO | _TINY | _HUGE,
+    # paths have no range, and with data = synth the idx paths go unread
+    **dict.fromkeys(("idx_train_images", "idx_train_labels", "idx_test_images",
+                     "idx_test_labels", "out_dir"), set(HOSTILE_VALUES)),
+    "shards_per_client": _BIG,
+    "dirichlet_alpha": _TINY | _HUGE,
+    "hidden_dims": {"", "1,2"},
+    "batch_size": _BIG,
+    "sampling_ratio": _TINY,
+    "lr0": _ZERO | _TINY | _HUGE | {"inf"},
+    "momentum": _ZERO | _TINY,
+    "weight_decay": _ZERO | _TINY | _HUGE | {"inf"},
+    "lr_decay": _TINY,
+    "beta": _ZERO | _TINY | _HUGE,
+    "tau": _TINY | _HUGE,
+    "mu": _ZERO | _TINY | _HUGE,
+    "interp_lambda": _ZERO | _TINY,
+    "seed": {"0", "-1"} | _BIG,
+    "eval_stride": _BIG,
+    "checkpoint_stride": {"0"} | _BIG,
+}
+DIVERGES = {("run", "lr0", "inf"), ("run", "weight_decay", "inf")}
+
 # Each case runs under its own alarm, so that a count that is accepted trains until it
 # fails its case
 _SWEEP_CHILD = """\
+import warnings
 from fednsim import cli
+warnings.simplefilter("error")  # a numpy warning fails its case, as an internal error
 commands, keys, values, path, workdir = json.loads(sys.argv[1])
 os.chdir(workdir)  # where a run's relative out_dir goes
 out = []
@@ -266,6 +303,7 @@ ENDLESS = {(key, value) for key in ("rounds", "local_epochs")
 
 def test_every_config_key_takes_every_hostile_value_to_a_result_or_a_named_error(tmp_path):
     keys = [field.name for field in fields(ExperimentConfig)]
+    assert set(ACCEPTED) == set(keys)
     commands = [["partition", {}], ["run", RUN_BASE]]
     path = tmp_path / "hostile.cfg"
     (tmp_path / "work").mkdir()
@@ -276,12 +314,13 @@ def test_every_config_key_takes_every_hostile_value_to_a_result_or_a_named_error
     assert len(got) == len(commands) * len(keys) * len(HOSTILE_VALUES)
     for command, key, value, code, err in got:
         case = (command, key, value, code, err)
-        if code == 0:  # a run may end blown up, with a warning
+        if (command, key, value) in DIVERGES:
+            assert code == 2 and err.startswith("error: non-finite "), case
+            assert err.count("\n") == 1, case
+        elif value in ACCEPTED[key]:  # a run may end blown up, with a warning
+            assert code == 0, case
             assert err == "" or err.startswith("warning: largest final parameter "), case
             assert err.count("\n") <= 1, case
-        elif code == 2:  # a run that diverges
-            assert command == "run" and err.startswith("error: non-finite "), case
-            assert err.count("\n") == 1, case
         else:  # a bad value names its key and line
             assert (code, err.count("\n")) == (1, 1), case
             assert err.startswith(f"error: {path}:1: {key}: "), case

@@ -7,14 +7,13 @@ import multiprocessing
 import os
 import re
 import warnings
-from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from fednsim import cli, federation
 from fednsim.cli import main
-from fednsim.config import IDX_KEYS, ExperimentConfig, parse_config
+from fednsim.config import IDX_KEYS, parse_config
 from fednsim.model import MAX_FLOATS, load_params
 
 TINY_CONFIG = """\
@@ -257,56 +256,6 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("internal error:")
 
 
-# Every config key fed each boundary value through `fednsim run`.  A value is
-# rejected (exit 1, naming the key and its line) unless listed here; a listed
-# value runs, and lr0 or weight_decay = inf diverges (exit 2).
-BOUNDARY_VALUES = ("0", "-1", "nan", "inf")
-BOUNDARY_ACCEPTED = {
-    "synth_separation": {"0"},
-    "lr0": {"0", "inf"},
-    "momentum": {"0"},
-    "weight_decay": {"0", "inf"},
-    "beta": {"0"},
-    "mu": {"0"},
-    "interp_lambda": {"0"},
-    "seed": {"0", "-1"},
-    "checkpoint_stride": {"0"},
-    # paths have no range; with data = synth the idx paths go unread
-    **{key: set(BOUNDARY_VALUES) for key in (
-        "idx_train_images", "idx_train_labels", "idx_test_images", "idx_test_labels", "out_dir",
-    )},
-}
-BOUNDARY_BASE = {
-    "synth_classes": "3", "synth_per_class": "4", "synth_test_per_class": "2", "synth_dim": "3",
-    "clients": "2", "hidden_dims": "4", "rounds": "2", "local_epochs": "1", "batch_size": "4",
-    "sampling_ratio": "1.0",
-}
-
-
-class TestConfigBoundaries:
-    @pytest.mark.parametrize(
-        "key,value", [(f.name, v) for f in fields(ExperimentConfig) for v in BOUNDARY_VALUES]
-    )
-    def test_boundary_value(self, key, value, tmp_path, monkeypatch, capsys):
-        lines = ["# boundary case", f"{key} = {value}"]
-        lines += [f"{k} = {v}" for k, v in BOUNDARY_BASE.items() if k != key]
-        path = tmp_path / "edge.cfg"
-        path.write_text("\n".join(lines) + "\n")
-        monkeypatch.chdir(tmp_path)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = run_cli("run", path)
-        err = capsys.readouterr().err
-        assert "internal error" not in err
-        if value not in BOUNDARY_ACCEPTED.get(key, ()):
-            assert code == 1
-            assert err.startswith(f"error: {path}:2: {key}: ")
-        elif (key, value) in {("lr0", "inf"), ("weight_decay", "inf")}:
-            assert code == 2 and err.startswith("error: non-finite")
-        else:
-            assert code == 0 and err == ""
-
-
 # IDX data that a run cannot use: (train images shape, train classes, test
 # images shape, test classes, the file the error names).  Labels cycle
 # through the classes.
@@ -462,7 +411,15 @@ class TestMetricsCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "rounds.csv" in err and "no rounds" in err
 
-    @pytest.mark.parametrize("edit", ["header", "cell"])
+    # edit -> the error it ends in
+    MALFORMED = {
+        "header": "unexpected CSV header",
+        "cell": "holds a non-number",
+        "no_class_columns": "the header has no acc_class_ column",
+        "round_repeated": "row 2 has round 1; rounds must be >= 1 and strictly increasing",
+    }
+
+    @pytest.mark.parametrize("edit", MALFORMED)
     def test_malformed_csv_exit_1(self, tiny_config, tmp_path, capsys, edit):
         out = tmp_path / "out"
         assert run_cli("run", tiny_config, "--out", out) == 0
@@ -470,12 +427,19 @@ class TestMetricsCommand:
         lines = path.read_text().splitlines()
         if edit == "header":
             lines[0] = lines[0].replace("global_acc", "global")
-        else:
+        elif edit == "cell":
             lines[1] = lines[1].replace(",", ",x", 1)
+        elif edit == "no_class_columns":  # a header and rows without the class columns
+            keep = [i for i, name in enumerate(lines[0].split(",")) if "acc_class_" not in name]
+            lines = [",".join(line.split(",")[i] for i in keep) for line in lines]
+        else:
+            lines[2] = "1," + lines[2].split(",", 1)[1]
         path.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert run_cli("metrics", path) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and self.MALFORMED[edit] in err, err
+        assert err.count("\n") == 1, err
 
 
 class TestFileBoundaries:

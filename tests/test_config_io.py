@@ -104,12 +104,6 @@ class TestParseConfig:
             with pytest.raises(ConfigError, match=where):
                 parse_config_text(text)
 
-    def test_direct_construction_checks_ranges(self):
-        with pytest.raises(ValueError, match="beta"):
-            ExperimentConfig(beta=float("inf"))
-        with pytest.raises(ValueError, match="checkpoint_stride"):
-            ExperimentConfig(checkpoint_stride=-1)
-
     def test_hidden_dims_list(self):
         assert parse_config_text("hidden_dims = 32,16,8").hidden_dims == (32, 16, 8)
         assert parse_config_text("hidden_dims = ").hidden_dims == ()

@@ -226,13 +226,6 @@ class TestDirichletPartition:
         assert all(1 <= m <= 10 for m in medians)
         assert np.mean(medians) < 6
 
-    def test_alpha_validation(self):
-        ds = synth_dataset(2, 5, 2, 1.0, seed=0)
-        with pytest.raises(ValueError):
-            dirichlet_partition(ds, 2, alpha=0.0, seed=0)
-        with pytest.raises(ValueError):
-            dirichlet_partition(ds, 2, alpha=np.inf, seed=0)
-
     def test_overflowing_alpha_raises_partition_error(self):
         # the gamma draws of alpha = 1.7e308 sum to inf: the proportions would
         # deal only 2 of the 10 samples

@@ -4,7 +4,6 @@ One config runs through `fednsim run` along each axis that must not change
 a byte of its outputs (rounds.csv, summary.json and the final checkpoint):
 
 - a rerun;
-- `run --threads` 1 and 8;
 - the worker count, `federation._workers` 1, 2 and 3;
 - numpy's BLAS thread setting, `OPENBLAS_NUM_THREADS` 1 and 2, in child
   processes, since OpenBLAS reads it when it loads.  The children run at
@@ -53,8 +52,7 @@ seed = 3
 checkpoint_stride = 4
 """
 
-AXES = {"rerun": (1, 2), "threads": (1, 8), "workers": (1, 2, 3), "blas_threads": (1, 2),
-        "cpus": (1, 2)}
+AXES = {"rerun": (1, 2), "workers": (1, 2, 3), "blas_threads": (1, 2), "cpus": (1, 2)}
 
 _ONE_WORKER_RUN = """\
 from fednsim import cli, federation
@@ -79,8 +77,7 @@ def _run(axis: str, value: int, config, out, monkeypatch):
             patch.setattr(federation, "_workers", lambda clients: min(clients, value))
         elif axis == "cpus":
             patch.setattr(rng, "cpus", lambda: value)
-        threads = ["--threads", str(value)] if axis == "threads" else []
-        assert cli.main(["run", str(config), "--out", "run", *threads]) == 0
+        assert cli.main(["run", str(config), "--out", "run"]) == 0
     return out / "run"
 
 

@@ -101,7 +101,19 @@ TABLE = [
     ("threads", r"\bthreads must be >= 1", [0, -1], [1], {
         "run_federation": _run,
     }),
-    ("tau", "tau", [NAN, 0.0, -1.0, INF, -INF], [1e6, 1e-3], {
+    ("method", "unknown method", ["nope", ""], ["fedavg", "kd_ntd_interp"], {
+        "LossConfig": lambda v: LossConfig(method=v),
+    }),
+    ("beta", "beta must be finite and >= 0", [NAN, -0.1, INF, -INF], [0.0, 1e6], {
+        "LossConfig": lambda v: LossConfig(beta=v),
+        "ExperimentConfig": lambda v: ExperimentConfig(beta=v),
+        "fedntd_objective": lambda v: fedntd_objective(Z_L, Z_G, 1, v, 1.0),
+    }),
+    ("interp_lambda", r"interp_lambda must be in \[0, 1\]", [NAN, -0.1, 1.5, INF], [0.0, 1.0], {
+        "LossConfig": lambda v: LossConfig(interp_lambda=v),
+        "kd_ntd_interp_objective": lambda v: kd_ntd_interp_objective(Z_L, Z_G, 1, v, 1.0),
+    }),
+    ("tau", "tau must be finite and > 0", [NAN, 0.0, -1.0, INF, -INF], [1e6, 1e-3], {
         "LossConfig": lambda v: LossConfig(tau=v),
         "softmax_temp": lambda v: softmax_temp(Z_L, v),
         "not_true_softmax": lambda v: not_true_softmax(Z_L, 1, v),
@@ -111,9 +123,22 @@ TABLE = [
         "kd_ntd_interp_objective": lambda v: kd_ntd_interp_objective(Z_L, Z_G, 1, 0.5, v),
         "SplitInstance": _split,
     }),
-    ("mu", r"\bmu must", [NAN, -0.1, INF], [0.0, 1e6], {
+    ("mu", r"\bmu must be finite and >= 0", [NAN, -0.1, INF], [0.0, 1e6], {
         "LossConfig": lambda v: LossConfig(mu=v),
         "fedprox_penalty": lambda v: fedprox_penalty(Z_L, Z_G, v),
+    }),
+    ("input_dim", "input_dim must be >= 1", [0, -1], [1], {
+        "MlpConfig": lambda v: MlpConfig(v, (), 2),
+    }),
+    ("hidden_dims", "hidden dims must be >= 1", [(0,), (4, -1)], [(), (1,)], {
+        "MlpConfig": lambda v: MlpConfig(2, v, 2),
+        "ExperimentConfig": lambda v: ExperimentConfig(hidden_dims=v),
+    }),
+    ("num_classes", "num_classes must be >= 2", [1, 0, -1], [2], {
+        "MlpConfig": lambda v: MlpConfig(2, (), v),
+    }),
+    ("checkpoint_stride", "checkpoint_stride must be >= 0", [-1], [0, 1], {
+        "ExperimentConfig": lambda v: ExperimentConfig(checkpoint_stride=v),
     }),
     # 2**62 and 10**21 are more clients than one array can hold
     ("clients", r"\bclients must", [0, -1, 2**62, 10**21], [1], {

@@ -27,6 +27,7 @@ import struct
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
 from children import SRC, run_child
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -301,18 +302,34 @@ ENDLESS = {(key, value) for key in ("rounds", "local_epochs")
            for value in (str(2**63), str(10**21))}
 
 
-def test_every_config_key_takes_every_hostile_value_to_a_result_or_a_named_error(tmp_path):
-    keys = [field.name for field in fields(ExperimentConfig)]
-    assert set(ACCEPTED) == set(keys)
-    commands = [["partition", {}], ["run", RUN_BASE]]
+SWEEP_KEYS = [field.name for field in fields(ExperimentConfig)]
+SWEEP_COMMANDS = [["partition", {}], ["run", RUN_BASE]]
+
+
+@pytest.fixture(scope="module")
+def sweep(tmp_path_factory):
+    """The config path and each (command, key, value) case's (exit code, stderr), from one
+    child process that runs every case."""
+    assert set(ACCEPTED) == set(SWEEP_KEYS)
+    tmp_path = tmp_path_factory.mktemp("sweep")
     path = tmp_path / "hostile.cfg"
     (tmp_path / "work").mkdir()
     child = run_child(_SWEEP_CHILD, json.dumps(
-        [commands, keys, HOSTILE_VALUES, str(path), str(tmp_path / "work")]))
+        [SWEEP_COMMANDS, SWEEP_KEYS, HOSTILE_VALUES, str(path), str(tmp_path / "work")]))
     assert child.returncode == 0, child.stderr
     got = json.loads(child.stdout)
-    assert len(got) == len(commands) * len(keys) * len(HOSTILE_VALUES)
-    for command, key, value, code, err in got:
+    assert len(got) == len(SWEEP_COMMANDS) * len(SWEEP_KEYS) * len(HOSTILE_VALUES)
+    return path, {(command, key, value): (code, err) for command, key, value, code, err in got}
+
+
+# Each (key, value) case reports on its own, through both commands
+@pytest.mark.parametrize("key,value", [(key, value) for key in SWEEP_KEYS
+                                       for value in HOSTILE_VALUES])
+def test_every_config_key_takes_every_hostile_value_to_a_result_or_a_named_error(
+        sweep, key, value):
+    path, got = sweep
+    for command, _ in SWEEP_COMMANDS:
+        code, err = got[command, key, value]
         case = (command, key, value, code, err)
         if (command, key, value) in DIVERGES:
             assert code == 2 and err.startswith("error: non-finite "), case

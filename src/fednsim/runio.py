@@ -52,12 +52,10 @@ def read_round_csv(path) -> list[RoundLog]:
     header = lines[0].split(",")
     class_cols = [i for i, name in enumerate(header) if name.startswith("acc_class_")]
     expected = csv_header(len(class_cols))
-    if header != expected:
+    if header != expected or not class_cols:
         raise RoundCsvError(f"{path}: unexpected CSV header")
-    if not class_cols:
-        raise RoundCsvError(f"{path}: the header has no acc_class_ column")
     logs = []
-    for row, line in enumerate(lines[1:], start=1):
+    for line in lines[1:]:
         cells = line.split(",")
         if len(cells) != len(header):
             raise RoundCsvError(f"{path}: row has {len(cells)} cells, expected {len(header)}")
@@ -66,7 +64,7 @@ def read_round_csv(path) -> list[RoundLog]:
         except ValueError:
             raise RoundCsvError(f"{path}: row {line!r} holds a non-number") from None
         if t <= (logs[-1].t if logs else 0):
-            raise RoundCsvError(f"{path}: row {row} has round {t}; rounds must be >= 1 "
+            raise RoundCsvError(f"{path}: row {line!r} has round {t}; rounds must be >= 1 "
                                 "and strictly increasing")
         n = len(class_cols)
         logs.append(RoundLog(t, values[0], np.array(values[1 : 1 + n]), *values[1 + n :]))

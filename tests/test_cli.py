@@ -415,8 +415,8 @@ class TestMetricsCommand:
     MALFORMED = {
         "header": "unexpected CSV header",
         "cell": "holds a non-number",
-        "no_class_columns": "the header has no acc_class_ column",
-        "round_repeated": "row 2 has round 1; rounds must be >= 1 and strictly increasing",
+        "no_class_columns": "unexpected CSV header",
+        "round_repeated": "has round 1; rounds must be >= 1 and strictly increasing",
     }
 
     @pytest.mark.parametrize("edit", MALFORMED)

@@ -33,11 +33,11 @@ from .data import (
     read_idx,
     synth_dataset,
 )
-from .federation import DivergenceError, WorkerError, _check_threads, run_federation
+from .federation import DivergenceError, WorkerError, run_federation
 from .metrics import accuracy_cosine_similarity, forgetting_measure
-from .model import OutputError, open_file, save_params
+from .model import OutputError, _check_count, open_file, save_params
 from .runio import RoundCsvError, read_round_csv, write_round_csv, write_summary_json
-from .verify import _check_trials, run_all
+from .verify import run_all
 
 
 # Above this magnitude a product of two parameters overflows float64.
@@ -105,11 +105,11 @@ def load_run(cfg: ExperimentConfig) -> tuple:
     return cfg.federation_config(), mlp, train, make_partition(train, cfg.partition_spec()), test
 
 
-def _check_flag(check, value) -> None:
-    """Runs the owner's range `check` on a flag's value; its ValueError, which
+def _check_flag(name: str, value) -> None:
+    """Checks the count a flag gives; the ValueError of the count rule, which
     starts with the option's name, becomes a ConfigError naming the flag."""
     try:
-        check(value)
+        _check_count(name, value)
     except ValueError as exc:
         raise ConfigError(f"--{exc}") from None
 
@@ -119,7 +119,7 @@ def _cmd_run(args, cfg: ExperimentConfig) -> int:
         cfg = replace(cfg, seed=args.seed)
     if args.out is not None:
         cfg = replace(cfg, out_dir=args.out)
-    _check_flag(_check_threads, args.threads)
+    _check_flag("threads", args.threads)
 
     fed, mlp, train, partition, test = load_run(cfg)
 
@@ -186,7 +186,7 @@ def _cmd_partition(args, cfg: ExperimentConfig) -> int:
 
 
 def _cmd_verify(args, _) -> int:
-    _check_flag(_check_trials, args.trials)
+    _check_flag("trials", args.trials)
     results = run_all(trials=args.trials, seed=args.seed)
     for result in results:
         print(result.line())

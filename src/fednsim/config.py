@@ -19,7 +19,7 @@ from typing import get_type_hints
 from .data import PartitionSpec, _check_separation, _check_synth_counts
 from .federation import FederationConfig
 from .losses import LossConfig
-from .model import MlpConfig, read_file
+from .model import MlpConfig, _check_count, read_file
 
 DATA_SOURCES = ("synth", "idx")
 IDX_KEYS = ("idx_train_images", "idx_train_labels", "idx_test_images", "idx_test_labels")
@@ -92,8 +92,7 @@ class ExperimentConfig:
         for per_class in (self.synth_per_class, self.synth_test_per_class):
             _check_synth_counts(self.synth_classes, per_class, self.synth_dim)
         _check_separation(self.synth_separation, "synth_separation")
-        if self.checkpoint_stride < 0:
-            raise ValueError(f"checkpoint_stride must be >= 0, got {self.checkpoint_stride}")
+        _check_count("checkpoint_stride", self.checkpoint_stride, 0)
         # the component configs check every other key
         self.federation_config()
         self.partition_spec()

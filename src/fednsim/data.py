@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import _check_labels, _int64_labels
-from .model import MAX_FLOATS, read_file, sized_part, write_file
+from .model import MAX_FLOATS, _check_count, read_file, sized_part, write_file
 from .rng import NS_PARTITION, NS_SYNTH_MEANS, NS_SYNTH_SAMPLES, standard_normal, stream
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -52,14 +52,13 @@ class Dataset:
     num_classes: int
 
     def __post_init__(self):
+        _check_count("num_classes", self.num_classes)
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = _int64_labels(self.labels, self.num_classes)
         if self.features.ndim != 2 or self.labels.ndim != 1:
             raise ValueError("features must be 2-D and labels 1-D")
         if len(self.features) != len(self.labels) or len(self.labels) < 1:
             raise ValueError("need equally many features and labels, at least one sample")
-        if self.num_classes < 1:
-            raise ValueError("num_classes must be >= 1")
         _check_labels(self.labels, self.num_classes)
 
     def __len__(self) -> int:
@@ -99,10 +98,9 @@ class PartitionSpec:
             raise ValueError(
                 f"unknown strategy {self.strategy!r}, expected one of {PARTITION_STRATEGIES}"
             )
-        if not 1 <= self.clients <= MAX_FLOATS:  # one array holds a client per element
-            raise ValueError(f"clients must be >= 1 and <= {MAX_FLOATS}, got {self.clients}")
-        if self.shards_per_client < 1:
-            raise ValueError(f"shards_per_client must be >= 1, got {self.shards_per_client}")
+        _check_count("clients", self.clients, high=MAX_FLOATS)  # one array holds a client each
+        _check_count("shards_per_client", self.shards_per_client)
+        _check_count("seed", self.seed, low=None)
         if not (0.0 < self.alpha < np.inf):
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
 
@@ -116,11 +114,13 @@ def _check_separation(separation: float, name: str = "separation") -> None:
 def _check_synth_counts(num_classes: int, per_class_n: int, dim: int) -> None:
     """The one valid range of a synthetic split's counts: >= 2 classes, the
     others >= 1, and no more features in all than one array can hold."""
+    _check_count("synthetic counts: classes", num_classes, 2)
+    _check_count("synthetic counts: per class", per_class_n)
+    _check_count("synthetic counts: dims", dim)
     features = int(num_classes) * int(per_class_n) * int(dim)  # Python ints do not overflow
-    if num_classes < 2 or min(per_class_n, dim) < 1 or features > MAX_FLOATS:
-        raise ValueError(f"synthetic counts must be >= 2 classes, >= 1 per class and >= 1 dims "
-                         f"and make at most {MAX_FLOATS} features, got {num_classes} classes x "
-                         f"{per_class_n} per class x {dim} dims")
+    if features > MAX_FLOATS:
+        raise ValueError(f"synthetic counts make {features} features, more than the "
+                         f"{MAX_FLOATS} one array can hold")
 
 
 def synth_dataset(
@@ -195,7 +195,7 @@ def shard_partition(dataset: Dataset, clients: int, shards_per_client: int, seed
     deals `shards_per_client` shards to each client.  A client can end up
     with two shards of the same class.
     """
-    PartitionSpec("sharding", clients, shards_per_client)  # checks the ranges
+    PartitionSpec("sharding", clients, shards_per_client, seed=seed)  # checks the ranges
     n = len(dataset)
     total_shards = clients * shards_per_client
     if n % total_shards != 0:
@@ -225,7 +225,7 @@ def dirichlet_partition(dataset: Dataset, clients: int, alpha: float, seed: int)
     An alpha so large that the draw overflows (near 1e308 / clients) gives
     proportions that do not sum to 1 and raises PartitionError.
     """
-    PartitionSpec("dirichlet", clients, alpha=alpha)  # checks the ranges
+    PartitionSpec("dirichlet", clients, alpha=alpha, seed=seed)  # checks the ranges
     assigned = [[] for _ in range(clients)]
     for c in range(dataset.num_classes):
         idx_c = np.flatnonzero(dataset.labels == c)
@@ -266,7 +266,7 @@ def _largest_remainder(proportions: np.ndarray, total: int) -> np.ndarray:
 
 def iid_partition(dataset: Dataset, clients: int, seed: int) -> list[ClientData]:
     """Random near-equal split (sizes differ by at most one)."""
-    PartitionSpec("iid", clients)  # checks the ranges
+    PartitionSpec("iid", clients, seed=seed)  # checks the ranges
     perm = stream(seed, NS_PARTITION).permutation(len(dataset))
     chunks = np.array_split(perm, clients)
     return [ClientData(k, np.sort(chunk)) for k, chunk in enumerate(chunks)]

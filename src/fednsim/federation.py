@@ -47,6 +47,7 @@ from .metrics import (
 from .model import (
     MAX_FLOATS,
     MlpConfig,
+    _check_count,
     _check_sgd,
     _column_blocks,
     backward,
@@ -71,12 +72,6 @@ def _check_sampling(ratio: float) -> None:
     """The one valid range of the client sampling ratio."""
     if not (0.0 < ratio <= 1.0):
         raise ValueError(f"sampling_ratio must be in (0, 1], got {ratio}")
-
-
-def _check_threads(threads: int) -> None:
-    """The one valid range of `run_federation`'s `threads`."""
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
 
 
 class DivergenceError(RuntimeError):
@@ -115,11 +110,11 @@ class FederationConfig:
     eval_stride: int = 1
 
     def __post_init__(self):
-        if min(self.rounds, self.local_epochs, self.batch_size, self.eval_stride) < 1:
-            raise ValueError("rounds, local_epochs, batch_size and eval_stride must be >= 1")
-        for name in ("rounds", "local_epochs"):  # as many as one array could count, at most
-            if (count := getattr(self, name)) > MAX_FLOATS:
-                raise ValueError(f"{name} must be <= {MAX_FLOATS}, got {count}")
+        _check_count("rounds", self.rounds, high=MAX_FLOATS)  # as many as one array could count
+        _check_count("local_epochs", self.local_epochs, high=MAX_FLOATS)
+        _check_count("batch_size", self.batch_size)
+        _check_count("eval_stride", self.eval_stride)
+        _check_count("master_seed", self.master_seed, low=None)
         _check_sampling(self.sampling_ratio)
         _check_aggregation(self.aggregation)
         _check_sgd(self.lr0, self.momentum, self.weight_decay, self.lr_decay, lr_name="lr0")
@@ -584,7 +579,7 @@ def run_federation(
     models class by class; one that lacks a class is rejected before any
     training.  Raises WorkerError when a helper process dies.
     """
-    _check_threads(threads)
+    _check_count("threads", threads)
     if dataset.dim != mlp.input_dim or testset.dim != mlp.input_dim:
         raise ValueError("dataset feature width does not match the model input_dim")
     if dataset.num_classes != mlp.num_classes or testset.num_classes != mlp.num_classes:

@@ -13,6 +13,7 @@ bias vector of length fan_out.  Layer l maps activations via
 from __future__ import annotations
 
 import functools
+import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -29,6 +30,17 @@ _BLOCK = 32768  # columns per cache block of an elementwise pass over a (K, P) s
 MAX_FLOATS = int(np.iinfo(np.intp).max) // 8
 
 
+def _check_count(name: str, value, low: int | None = 1, high: int | None = None) -> None:
+    """The one rule for a count or a seed: an integer (numpy's too), >= `low`
+    unless it is None and <= `high` when given.  The ValueError starts with `name`."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be <= {high}, got {value}")
+
+
 @dataclass(frozen=True)
 class MlpConfig:
     input_dim: int
@@ -36,12 +48,10 @@ class MlpConfig:
     num_classes: int
 
     def __post_init__(self):
-        if self.input_dim < 1:
-            raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
-        if any(h < 1 for h in self.hidden_dims):
-            raise ValueError(f"hidden dims must be >= 1, got {self.hidden_dims}")
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
+        _check_count("input_dim", self.input_dim)
+        for h in self.hidden_dims:
+            _check_count("hidden dims", h)
+        _check_count("num_classes", self.num_classes, 2)
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
         if (count := self.param_count()) > MAX_FLOATS:
             raise ValueError(f"the model has {count} parameters, more than the {MAX_FLOATS} "
@@ -233,8 +243,7 @@ def _column_blocks(n: int) -> list[slice]:
 def lr_at_round(lr0: float, t: int, decay: float = 0.99) -> float:
     """Geometric decay per round: lr0 * decay**t (default factor 0.99); lr0 = inf stays inf."""
     _check_sgd(lr0, lr_decay=decay, lr_name="lr0")
-    if t < 0:
-        raise ValueError(f"round index must be >= 0, got {t}")
+    _check_count("round index", t, 0)
     return lr0 * decay**t if lr0 < np.inf else lr0  # decay**t may be 0, and inf * 0 is NaN
 
 

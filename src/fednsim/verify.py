@@ -28,17 +28,12 @@ import numpy as np
 from .data import out_local_distribution
 from .losses import _check_loss, _kl_terms, _log_softmax
 from .metrics import gradient_diversity
+from .model import _check_count
 from .rng import NS_VERIFY, stream
 
 COLUMN_SUM_TOL = 1e-9
 INCREASE_TOL = 1e-12  # how far the diversity may rise from one beta of the grid to the next
 SLOPE_TOL = 1e-6  # how far the diversity slope may rise above -M/(1+beta)^2
-
-
-def _check_trials(count: int) -> None:
-    """The one valid range of a check's count of random instances."""
-    if count < 1:
-        raise ValueError(f"trials must be >= 1, got {count}")
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +330,7 @@ def smoothness_violation(lam: float, num_classes: int, trials: int, seed: int = 
     """
     if not (lam > 0.0):
         raise ValueError(f"lam must be > 0, got {lam}")
-    _check_trials(trials)
+    _check_count("trials", trials)
     rng = stream(seed, NS_VERIFY, 1)
     worst = -np.inf
     for _ in range(trials):
@@ -372,7 +367,7 @@ class CheckResult:
 def run_all(trials: int = 100, seed: int = 0) -> list[CheckResult]:
     """The full verification report; every entry must pass.  The diversity
     checks draw half as many instances as `trials`, and at least one."""
-    _check_trials(trials)
+    _check_count("trials", trials)
     results = []
 
     rng = stream(seed, NS_VERIFY, 0)

@@ -104,6 +104,13 @@ class TestRunCommand:
         assert run_cli("run", path) == 1
         assert "beta" in capsys.readouterr().err
 
+    def test_config_line_without_equals_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("rounds = 2\n  rounds 3  # a comment = no key\n")
+        assert run_cli("run", path) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:2: expected 'key = value', got 'rounds 3  # a comment = no key'\n")
+
     def test_missing_config_exit_1(self, tmp_path):
         assert run_cli("run", tmp_path / "missing.cfg") == 1
 
@@ -411,12 +418,23 @@ class TestMetricsCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "rounds.csv" in err and "no rounds" in err
 
+    def test_single_round_csv_has_no_forgetting(self, tiny_config, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("run", tiny_config, "--out", out) == 0
+        path = out / "rounds.csv"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:2]))
+        capsys.readouterr()
+        assert run_cli("metrics", path) == 0
+        assert capsys.readouterr().out == ("rounds logged: 1 (final round 1)\n"
+                                           "forgetting_F undefined for a single logged round\n")
+
     # edit -> the error it ends in
     MALFORMED = {
         "header": "unexpected CSV header",
         "cell": "holds a non-number",
         "no_class_columns": "unexpected CSV header",
         "round_repeated": "has round 1; rounds must be >= 1 and strictly increasing",
+        "cell_missing": "row has 11 cells, expected 12",
     }
 
     @pytest.mark.parametrize("edit", MALFORMED)
@@ -432,6 +450,8 @@ class TestMetricsCommand:
         elif edit == "no_class_columns":  # a header and rows without the class columns
             keep = [i for i, name in enumerate(lines[0].split(",")) if "acc_class_" not in name]
             lines = [",".join(line.split(",")[i] for i in keep) for line in lines]
+        elif edit == "cell_missing":
+            lines[2] = lines[2].rsplit(",", 1)[0]
         else:
             lines[2] = "1," + lines[2].split(",", 1)[1]
         path.write_text("\n".join(lines) + "\n")

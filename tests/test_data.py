@@ -166,12 +166,6 @@ def assert_exact_partition(partition, n):
 
 
 class TestShardPartition:
-    def test_small_example(self):
-        ds = synth_dataset(2, 10, 2, 1.0, seed=0)  # 20 samples, 2 classes
-        parts = shard_partition(ds, clients=2, shards_per_client=2, seed=0)
-        assert all(len(p) == 10 for p in parts)
-        assert_exact_partition(parts, 20)
-
     def test_single_client_gets_everything(self):
         ds = synth_dataset(2, 6, 2, 1.0, seed=0)
         (client,) = shard_partition(ds, clients=1, shards_per_client=3, seed=5)
@@ -192,20 +186,8 @@ class TestShardPartition:
         assert sizes <= {1, 2}  # shards are single-class at this size
         assert_exact_partition(parts, 50000)
 
-    def test_deterministic(self):
-        ds = synth_dataset(4, 25, 2, 1.0, seed=0)
-        a = shard_partition(ds, 5, 2, seed=7)
-        b = shard_partition(ds, 5, 2, seed=7)
-        assert all(np.array_equal(x.indices, y.indices) for x, y in zip(a, b))
-
 
 class TestDirichletPartition:
-    def test_exact_partition_over_seeds(self):
-        ds = synth_dataset(5, 40, 2, 1.0, seed=0)
-        for seed in range(20):
-            parts = dirichlet_partition(ds, clients=7, alpha=0.3, seed=seed)
-            assert_exact_partition(parts, len(ds))
-
     def test_huge_alpha_near_uniform(self):
         ds = synth_dataset(4, 250, 2, 1.0, seed=0)
         for seed in (0, 1, 2):
@@ -232,12 +214,6 @@ class TestDirichletPartition:
         ds = synth_dataset(2, 5, 2, 1.0, seed=0)
         with pytest.raises(PartitionError, match="dirichlet_alpha"):
             dirichlet_partition(ds, 2, alpha=1.7e308, seed=0)
-
-    def test_deterministic(self):
-        ds = synth_dataset(3, 30, 2, 1.0, seed=0)
-        a = dirichlet_partition(ds, 4, 0.5, seed=3)
-        b = dirichlet_partition(ds, 4, 0.5, seed=3)
-        assert all(np.array_equal(x.indices, y.indices) for x, y in zip(a, b))
 
 
 class TestPartitionSpec:
@@ -343,12 +319,14 @@ _SPECS = st.builds(
 
 
 class TestPartitionProperties:
-    # the known cases that must raise, pinned: which examples hypothesis draws
-    # depends on the modules imported, so a `-k` run may not draw them
+    # the known cases that must raise, and a sharding deal that must rerun the
+    # same, pinned: which examples hypothesis draws depends on the modules
+    # imported, so a `-k` run may not draw them
     @settings(max_examples=400, deadline=None)
     @given(_DATASETS, _SPECS)
     @example(_labelled([0] * 5 + [1] * 5, 2), PartitionSpec("dirichlet", clients=2, alpha=1.7e308))
     @example(_labelled([0] * 5 + [1] * 5, 2), PartitionSpec("sharding", clients=3, shards_per_client=1))
+    @example(_labelled([0] * 5 + [1] * 5, 2), PartitionSpec("sharding", clients=5, shards_per_client=2))
     def test_partition_invariants(self, dataset, spec):
         n = len(dataset)
         try:

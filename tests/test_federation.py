@@ -531,11 +531,19 @@ class TestRunFederation:
         assert final.min() > 0.4
         assert final.max() <= 2 * final.min()
 
-    def test_dimension_mismatch_rejected(self):
+    def test_dimension_mismatch_rejected(self, monkeypatch):
+        # a model that does not fit the data, or no client to train, is rejected before training
         fed, mlp, dataset, partition, testset = tiny_setup()
-        bad_mlp = MlpConfig(input_dim=5, hidden_dims=(6,), num_classes=3)
-        with pytest.raises(ValueError, match="input_dim"):
-            run_federation(fed, bad_mlp, dataset, partition, testset)
+        empty = [ClientData(c.client_id, np.empty(0, dtype=np.int64)) for c in partition]
+        calls = []
+        monkeypatch.setattr(federation, "local_train", lambda *args, **kwargs: calls.append(args))
+        for pattern, bad_mlp, bad_partition in (
+                ("input_dim", MlpConfig(input_dim=5, hidden_dims=(6,), num_classes=3), partition),
+                ("num_classes", MlpConfig(input_dim=4, hidden_dims=(6,), num_classes=4), partition),
+                ("every client is empty", mlp, empty)):
+            with pytest.raises(ValueError, match=pattern):
+                run_federation(fed, bad_mlp, dataset, bad_partition, testset)
+        assert calls == []
 
     def test_empty_clients_kept_but_never_trained(self):
         dataset = synth_dataset(3, 8, 4, 3.0, seed=1)

@@ -2,8 +2,12 @@
 
 For every quantity, the config dataclass that carries it and every public
 function that takes it reject the same values with a ValueError naming the
-quantity, and accept the same edge values.
+quantity, and accept the same edge values.  Every count and seed is an
+integer, by the one count rule: NaN and 2.5 are rejected wherever one enters.
 """
+
+import re
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -176,6 +180,27 @@ TABLE = [
         "run_all": lambda v: run_all(trials=v),
         "smoothness_violation": lambda v: smoothness_violation(1.7, 5, v),
     }),
+    ("batch_size", r"\bbatch_size must be >= 1", [0, -1], [1, 10**21], {
+        "FederationConfig": lambda v: FederationConfig(batch_size=v),
+    }),
+    ("eval_stride", r"\beval_stride must be >= 1", [0, -1], [1, 10**21], {
+        "FederationConfig": lambda v: FederationConfig(eval_stride=v),
+    }),
+    ("round_index", "round index must be >= 0", [-1, -(10**21)], [0, 10**21], {
+        "lr_at_round": lambda v: lr_at_round(0.1, v),
+    }),
+    ("dataset_classes", "num_classes must be >= 1", [0, -1], [1, 3], {
+        "Dataset": lambda v: Dataset(np.zeros((1, 2)), [0], v),
+    }),
+    # a seed is any integer: every stream keys on it modulo 2**64
+    ("seed", "seed", [], [-1, 0, 2**70], {
+        "FederationConfig": lambda v: FederationConfig(master_seed=v),
+        "PartitionSpec": lambda v: PartitionSpec(seed=v),
+        "ExperimentConfig": lambda v: ExperimentConfig(seed=v),
+        "shard_partition": lambda v: shard_partition(DS, 2, 2, v),
+        "dirichlet_partition": lambda v: dirichlet_partition(DS, 2, 0.5, v),
+        "iid_partition": lambda v: iid_partition(DS, 2, v),
+    }),
     ("labels", "labels out of range", [-1, 3, 2**70], [0, 2], {
         "Dataset": lambda v: Dataset(np.zeros((1, 2)), [v], 3),
         "batch_loss_and_grad": lambda v: batch_loss_and_grad(
@@ -208,4 +233,76 @@ def test_every_entry_point_rejects_the_same_values(pattern, call, value):
 @pytest.mark.parametrize("pattern,call,value", _cases(1))
 def test_every_entry_point_accepts_the_same_edges(pattern, call, value):
     with np.errstate(all="ignore"):  # lr or weight_decay = inf diverges, as the README says
+        call(value)
+
+
+# The count rule: (the name a message starts with, a call that sets the count
+# or seed to the value).  "Class.field" keys are the dataclasses' own fields;
+# ExperimentConfig hands its seed to FederationConfig's master_seed first.
+INTEGERS = {
+    "FederationConfig.rounds": ("rounds", lambda v: FederationConfig(rounds=v)),
+    "FederationConfig.local_epochs": ("local_epochs", lambda v: FederationConfig(local_epochs=v)),
+    "FederationConfig.batch_size": ("batch_size", lambda v: FederationConfig(batch_size=v)),
+    "FederationConfig.eval_stride": ("eval_stride", lambda v: FederationConfig(eval_stride=v)),
+    "FederationConfig.master_seed": ("master_seed", lambda v: FederationConfig(master_seed=v)),
+    "PartitionSpec.clients": ("clients", lambda v: PartitionSpec(clients=v)),
+    "PartitionSpec.shards_per_client": ("shards_per_client",
+                                        lambda v: PartitionSpec(shards_per_client=v)),
+    "PartitionSpec.seed": ("seed", lambda v: PartitionSpec(seed=v)),
+    "MlpConfig.input_dim": ("input_dim", lambda v: MlpConfig(v, (), 2)),
+    "MlpConfig.hidden_dims": ("hidden dims", lambda v: MlpConfig(2, (4, v), 2)),
+    "MlpConfig.num_classes": ("num_classes", lambda v: MlpConfig(2, (), v)),
+    "ExperimentConfig.synth_classes": ("synthetic counts: classes",
+                                       lambda v: ExperimentConfig(synth_classes=v)),
+    "ExperimentConfig.synth_per_class": ("synthetic counts: per class",
+                                         lambda v: ExperimentConfig(synth_per_class=v)),
+    "ExperimentConfig.synth_test_per_class": ("synthetic counts: per class",
+                                              lambda v: ExperimentConfig(synth_test_per_class=v)),
+    "ExperimentConfig.synth_dim": ("synthetic counts: dims",
+                                   lambda v: ExperimentConfig(synth_dim=v)),
+    "ExperimentConfig.clients": ("clients", lambda v: ExperimentConfig(clients=v)),
+    "ExperimentConfig.shards_per_client": ("shards_per_client",
+                                           lambda v: ExperimentConfig(shards_per_client=v)),
+    "ExperimentConfig.hidden_dims": ("hidden dims", lambda v: ExperimentConfig(hidden_dims=(v,))),
+    "ExperimentConfig.rounds": ("rounds", lambda v: ExperimentConfig(rounds=v)),
+    "ExperimentConfig.local_epochs": ("local_epochs", lambda v: ExperimentConfig(local_epochs=v)),
+    "ExperimentConfig.batch_size": ("batch_size", lambda v: ExperimentConfig(batch_size=v)),
+    "ExperimentConfig.seed": ("master_seed", lambda v: ExperimentConfig(seed=v)),
+    "ExperimentConfig.eval_stride": ("eval_stride", lambda v: ExperimentConfig(eval_stride=v)),
+    "ExperimentConfig.checkpoint_stride": ("checkpoint_stride",
+                                           lambda v: ExperimentConfig(checkpoint_stride=v)),
+    "Dataset.num_classes": ("num_classes", lambda v: Dataset(np.zeros((1, 2)), [0], v)),
+    "synth_dataset.num_classes": ("synthetic counts: classes",
+                                  lambda v: synth_dataset(v, 3, 2, 1.0, 0)),
+    "synth_dataset.per_class_n": ("synthetic counts: per class",
+                                  lambda v: synth_dataset(2, v, 2, 1.0, 0)),
+    "synth_dataset.dim": ("synthetic counts: dims", lambda v: synth_dataset(2, 3, v, 1.0, 0)),
+    "shard_partition.clients": ("clients", lambda v: shard_partition(DS, v, 2, 0)),
+    "shard_partition.shards_per_client": ("shards_per_client",
+                                          lambda v: shard_partition(DS, 2, v, 0)),
+    "shard_partition.seed": ("seed", lambda v: shard_partition(DS, 2, 2, v)),
+    "dirichlet_partition.clients": ("clients", lambda v: dirichlet_partition(DS, v, 0.5, 0)),
+    "dirichlet_partition.seed": ("seed", lambda v: dirichlet_partition(DS, 2, 0.5, v)),
+    "iid_partition.clients": ("clients", lambda v: iid_partition(DS, v, 0)),
+    "iid_partition.seed": ("seed", lambda v: iid_partition(DS, 2, v)),
+    "lr_at_round.t": ("round index", lambda v: lr_at_round(0.1, v)),
+    "run_federation.threads": ("threads", _run),
+    "run_all.trials": ("trials", lambda v: run_all(trials=v)),
+    "smoothness_violation.trials": ("trials", lambda v: smoothness_violation(1.7, 5, v)),
+}
+
+
+def test_every_count_field_has_an_integer_row():
+    # a count or seed added to a config dataclass later cannot skip the count rule
+    counts = {f"{cls.__name__}.{name}"
+              for cls in (FederationConfig, PartitionSpec, MlpConfig, ExperimentConfig)
+              for name, hint in get_type_hints(cls).items() if hint in (int, tuple[int, ...])}
+    assert counts <= set(INTEGERS), counts - set(INTEGERS)
+
+
+@pytest.mark.parametrize("entry", INTEGERS)
+@pytest.mark.parametrize("value", [NAN, 2.5])
+def test_every_count_and_seed_is_an_integer(entry, value):
+    name, call = INTEGERS[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be an integer, got {value}$"):
         call(value)

@@ -21,7 +21,6 @@ from fednsim.verify import (
     mixture_gradient_diversity,
     mse_split_discrepancy,
     random_diversity_instance,
-    random_split_instance,
     run_all,
     simplex_grid,
     smoothness_violation,
@@ -57,18 +56,6 @@ class TestDiversityCurve:
         assert mixture_gradient_diversity(inst, 0.0) == pytest.approx(2.0, abs=1e-12)
         assert diversity_closed_form(inst, 0.0) == pytest.approx(2.0, abs=1e-12)
 
-    def test_closed_form_matches_direct_on_random_instances(self):
-        rng = np.random.default_rng(17)
-        worst = 0.0
-        for _ in range(100):
-            inst = random_diversity_instance(rng)
-            for beta in beta_grid(inst.num_classes, points=9):
-                gap = abs(
-                    mixture_gradient_diversity(inst, beta) - diversity_closed_form(inst, beta)
-                )
-                worst = max(worst, gap)
-        assert worst < 1e-9
-
     def test_full_mixture_endpoint_two_ways(self):
         # at beta = C - 1 every mixture vector is all-ones: diversity is 1
         rng = np.random.default_rng(3)
@@ -92,14 +79,6 @@ class TestDiversityCurve:
         report = check_diversity_curve(cyclic_instance([np.array([0.7, 0.3])]))
         assert not beta_grid(2).any()
         assert report.max_slope_excess == 0.0 and report.max_increase <= INCREASE_TOL
-
-    def test_property_sweep_50_seeds(self):
-        for seed in range(50):
-            rng = np.random.default_rng(seed)
-            report = check_diversity_curve(random_diversity_instance(rng))
-            assert report.max_increase <= INCREASE_TOL, f"seed {seed}"
-            assert report.max_slope_excess <= SLOPE_TOL, f"seed {seed}"
-            assert report.max_closed_form_gap < 1e-9, f"seed {seed}"
 
     def test_diversity_at_zero_at_least_one(self):
         rng = np.random.default_rng(23)
@@ -139,13 +118,6 @@ class TestSplitIdentities:
         assert abs(direct_nt - weighted_nt) < 1e-15
         assert mse_split_discrepancy(inst) < 1e-12
 
-    def test_random_instances_within_tolerance(self):
-        rng = np.random.default_rng(99)
-        for _ in range(100):
-            inst = random_split_instance(rng)
-            assert kl_split_discrepancy(inst) < 1e-9
-            assert mse_split_discrepancy(inst) < 1e-9
-
     def test_missing_class_rejected(self):
         with pytest.raises(ValueError, match="every class"):
             SplitInstance(np.zeros((2, 3)), np.zeros((2, 3)), np.array([0, 1]))
@@ -156,10 +128,9 @@ class TestSplitIdentities:
 
 
 class TestUniformArgmin:
-    @pytest.mark.parametrize("classes,subdivisions", [(2, 50), (3, 51), (4, 52)])
     @pytest.mark.parametrize("kind", ["vertices", "permutations"])
-    def test_argmin_at_uniform(self, classes, subdivisions, kind):
-        report = check_uniform_argmin(classes, kind, subdivisions)
+    def test_argmin_at_uniform(self, kind):  # C = 2 and 3 are criterion 3's
+        report = check_uniform_argmin(4, kind, 52)
         assert report.argmin_distance <= report.grid_step
         assert report.uniform_excess <= 1e-12
 
@@ -192,9 +163,6 @@ class TestUniformArgmin:
 
 
 class TestSmoothnessBound:
-    def test_quadratic_equality(self):
-        assert smoothness_violation(1.7, 5, trials=100) <= 1e-9
-
     def test_rejects_bad_lambda(self):
         with pytest.raises(ValueError):
             smoothness_violation(0.0, 3, trials=1)

@@ -134,7 +134,6 @@ def _cmd_run(args, cfg: ExperimentConfig) -> int:
 
     result = run_federation(
         fed, mlp, train, partition, test,
-        threads=args.threads,
         checkpoint_stride=cfg.checkpoint_stride,
         checkpoint_fn=checkpoint,
     )

@@ -19,7 +19,7 @@ from typing import get_type_hints
 from .data import PartitionSpec, _check_separation, _check_synth_counts
 from .federation import FederationConfig
 from .losses import LossConfig
-from .model import MlpConfig, _check_count, read_file
+from .model import MlpConfig, _check_choice, _check_count, read_file
 
 DATA_SOURCES = ("synth", "idx")
 IDX_KEYS = ("idx_train_images", "idx_train_labels", "idx_test_images", "idx_test_labels")
@@ -87,8 +87,7 @@ class ExperimentConfig:
     out_dir: str = "runs"
 
     def __post_init__(self):
-        if self.data not in DATA_SOURCES:
-            raise ValueError(f"data must be one of {', '.join(DATA_SOURCES)}, got {self.data!r}")
+        _check_choice("data", self.data, DATA_SOURCES)
         for per_class in (self.synth_per_class, self.synth_test_per_class):
             _check_synth_counts(self.synth_classes, per_class, self.synth_dim)
         _check_separation(self.synth_separation, "synth_separation")

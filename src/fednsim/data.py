@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import _check_labels, _int64_labels
-from .model import MAX_FLOATS, _check_count, read_file, sized_part, write_file
+from .model import (MAX_FLOATS, _check_choice, _check_count, _check_real, read_file, sized_part,
+                    write_file)
 from .rng import NS_PARTITION, NS_SYNTH_MEANS, NS_SYNTH_SAMPLES, standard_normal, stream
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -94,21 +95,16 @@ class PartitionSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.strategy not in PARTITION_STRATEGIES:
-            raise ValueError(
-                f"unknown strategy {self.strategy!r}, expected one of {PARTITION_STRATEGIES}"
-            )
+        _check_choice("strategy", self.strategy, PARTITION_STRATEGIES)
         _check_count("clients", self.clients, high=MAX_FLOATS)  # one array holds a client each
         _check_count("shards_per_client", self.shards_per_client)
         _check_count("seed", self.seed, low=None)
-        if not (0.0 < self.alpha < np.inf):
-            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
+        _check_real("alpha", self.alpha, 0, None, low_open=True)
 
 
 def _check_separation(separation: float, name: str = "separation") -> None:
     """The one valid range of the synthetic class-mean separation."""
-    if not (0.0 <= separation < np.inf):
-        raise ValueError(f"{name} must be finite and >= 0, got {separation}")
+    _check_real(name, separation, 0, None)
 
 
 def _check_synth_counts(num_classes: int, per_class_n: int, dim: int) -> None:
@@ -140,6 +136,7 @@ def synth_dataset(
     """
     _check_synth_counts(num_classes, per_class_n, dim)
     _check_separation(separation)
+    _check_count("seed", seed, low=None)
     mean_rng = stream(seed, NS_SYNTH_MEANS)
     dirs = mean_rng.normal(size=(num_classes, dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)

@@ -47,7 +47,9 @@ from .metrics import (
 from .model import (
     MAX_FLOATS,
     MlpConfig,
+    _check_choice,
     _check_count,
+    _check_real,
     _check_sgd,
     _column_blocks,
     backward,
@@ -64,14 +66,12 @@ AGGREGATION_MODES = ("size_weighted", "uniform")
 
 def _check_aggregation(mode: str) -> None:
     """The one rule for an aggregation mode."""
-    if mode not in AGGREGATION_MODES:
-        raise ValueError(f"unknown aggregation {mode!r}, expected one of {AGGREGATION_MODES}")
+    _check_choice("aggregation", mode, AGGREGATION_MODES)
 
 
 def _check_sampling(ratio: float) -> None:
     """The one valid range of the client sampling ratio."""
-    if not (0.0 < ratio <= 1.0):
-        raise ValueError(f"sampling_ratio must be in (0, 1], got {ratio}")
+    _check_real("sampling_ratio", ratio, 0, 1, low_open=True)
 
 
 class DivergenceError(RuntimeError):
@@ -138,6 +138,7 @@ class FederationResult:
 def sample_count(clients: int, ratio: float, eligible: int) -> int:
     """How many clients every round samples: max(1, round(ratio * clients)),
     at most the `eligible` count."""
+    _check_count("clients", clients, high=MAX_FLOATS)
     _check_sampling(ratio)
     return min(max(1, round(ratio * clients)), eligible)
 
@@ -152,8 +153,9 @@ def sample_clients(
     restricts the pool (empty clients are never trained); the target count
     is still based on the full client count.
     """
+    count = sample_count(clients, ratio, clients if eligible is None else len(eligible))
+    _check_count("master_seed", master_seed, low=None)
     pool = np.arange(clients) if eligible is None else np.asarray(sorted(eligible))
-    count = sample_count(clients, ratio, len(pool))
     rng = stream(master_seed, NS_ROUND_SAMPLE, round_t)
     picked = rng.choice(pool, size=count, replace=False)
     return sorted(int(i) for i in picked)
@@ -243,7 +245,7 @@ def local_train(
     return [ClientUpdate(cid, w[k], n, float(loss_total[k] / steps)) for k, cid in enumerate(ids)]
 
 
-def aggregate(updates: list[ClientUpdate], mode: str = "size_weighted") -> np.ndarray:
+def aggregate(updates: list[ClientUpdate], mode: str) -> np.ndarray:
     """Parameter averaging over client updates.
 
     size_weighted weighs by local sample counts; uniform is a plain mean.

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import _check_choice, _check_real
+
 _KL_TEACHER_FLOOR = 1e-15
 
 
@@ -39,10 +41,8 @@ def _softmaxes(z: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _check_loss(tau: float = 1.0, mu: float = 0.0) -> None:
     """The one valid range of the temperature and of the proximal weight."""
-    if not (0.0 < tau < np.inf):
-        raise ValueError(f"tau must be finite and > 0, got {tau}")
-    if not (0.0 <= mu < np.inf):
-        raise ValueError(f"mu must be finite and >= 0, got {mu}")
+    _check_real("tau", tau, 0, None, low_open=True)
+    _check_real("mu", mu, 0, None)
 
 
 def _check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -198,13 +198,10 @@ class LossConfig:
     interp_lambda: float = 0.5
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        if not (self.beta >= 0.0 and np.isfinite(self.beta)):
-            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
+        _check_choice("method", self.method, METHODS)
+        _check_real("beta", self.beta, 0, None)
         _check_loss(self.tau, self.mu)
-        if not (0.0 <= self.interp_lambda <= 1.0):
-            raise ValueError(f"interp_lambda must be in [0, 1], got {self.interp_lambda}")
+        _check_real("interp_lambda", self.interp_lambda, 0, 1)
 
     @property
     def needs_teacher(self) -> bool:

@@ -13,6 +13,7 @@ bias vector of length fan_out.  Layer l maps activations via
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 import os
 import struct
@@ -39,6 +40,25 @@ def _check_count(name: str, value, low: int | None = 1, high: int | None = None)
         raise ValueError(f"{name} must be >= {low}, got {value}")
     if high is not None and value > high:
         raise ValueError(f"{name} must be <= {high}, got {value}")
+
+
+def _check_real(name: str, value, low, high, *, low_open=False, high_open=False) -> None:
+    """The one rule for a real setting: a real number (numpy's too), not NaN, in
+    [low, high] with each side open where asked, and finite where `high` is None.
+    The ValueError starts with `name`.  Scalar tests only: some callers run it every step."""
+    if type(value) is not float and not isinstance(value, numbers.Real):  # floats skip the slow ABC
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    below_top = value < math.inf if high is None else value < high if high_open else value <= high
+    if not ((low < value if low_open else low <= value) and below_top):  # NaN fails both
+        bounds = (f"finite and {'>' if low_open else '>='} {low}" if high is None else
+                  f"in {'(' if low_open else '['}{low}, {high}{')' if high_open else ']'}")
+        raise ValueError(f"{name} must be {bounds}, got {value}")
+
+
+def _check_choice(name: str, value, choices: tuple[str, ...]) -> None:
+    """The one rule for a named choice: one of the strings `choices`."""
+    if not (isinstance(value, str) and value in choices):
+        raise ValueError(f"unknown {name} {value!r}, expected one of {choices}")
 
 
 @dataclass(frozen=True)
@@ -96,6 +116,7 @@ def init_params(config: MlpConfig, seed: int) -> np.ndarray:
 
     Deterministic: same (config, seed) gives a bit-identical vector.
     """
+    _check_count("seed", seed, low=None)
     rng = stream(seed, NS_INIT)
     params = np.zeros(config.param_count(), dtype=np.float64)
     for i, (w, _b) in enumerate(unpack_params(config, params)):
@@ -188,15 +209,11 @@ def backward(
 
 
 def _check_sgd(lr=0.0, momentum=0.0, weight_decay=0.0, lr_decay=1.0, lr_name="lr") -> None:
-    """The one valid range of each SGD setting; scalar tests only, as it runs every step."""
-    if not (lr >= 0.0):
-        raise ValueError(f"{lr_name} must be >= 0, got {lr}")
-    if not (0.0 <= momentum < 1.0):
-        raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-    if not (weight_decay >= 0.0):
-        raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
-    if not (0.0 < lr_decay <= 1.0):
-        raise ValueError(f"lr_decay must be in (0, 1], got {lr_decay}")
+    """The one valid range of each SGD setting."""
+    _check_real(lr_name, lr, 0, None)
+    _check_real("momentum", momentum, 0, 1, high_open=True)
+    _check_real("weight_decay", weight_decay, 0, None)
+    _check_real("lr_decay", lr_decay, 0, 1, low_open=True)
 
 
 def sgd_momentum_step(
@@ -240,11 +257,11 @@ def _column_blocks(n: int) -> list[slice]:
     return [slice(lo, lo + _BLOCK) for lo in range(0, n, _BLOCK)]
 
 
-def lr_at_round(lr0: float, t: int, decay: float = 0.99) -> float:
-    """Geometric decay per round: lr0 * decay**t (default factor 0.99); lr0 = inf stays inf."""
+def lr_at_round(lr0: float, t: int, decay: float) -> float:
+    """Geometric decay per round: lr0 * decay**t."""
     _check_sgd(lr0, lr_decay=decay, lr_name="lr0")
     _check_count("round index", t, 0)
-    return lr0 * decay**t if lr0 < np.inf else lr0  # decay**t may be 0, and inf * 0 is NaN
+    return lr0 * decay**t
 
 
 class OutputError(Exception):

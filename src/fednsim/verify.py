@@ -28,7 +28,7 @@ import numpy as np
 from .data import out_local_distribution
 from .losses import _check_loss, _kl_terms, _log_softmax
 from .metrics import gradient_diversity
-from .model import _check_count
+from .model import _check_choice, _check_count, _check_real
 from .rng import NS_VERIFY, stream
 
 COLUMN_SUM_TOL = 1e-9
@@ -81,8 +81,8 @@ def cyclic_instance(bases: list[np.ndarray]) -> DiversityInstance:
     return DiversityInstance(np.asarray(rows))
 
 
-def random_diversity_instance(rng: np.random.Generator, num_classes: int | None = None) -> DiversityInstance:
-    c = int(rng.integers(3, 9)) if num_classes is None else num_classes
+def random_diversity_instance(rng: np.random.Generator) -> DiversityInstance:
+    c = int(rng.integers(3, 9))
     blocks = int(rng.integers(1, 4))
     return cyclic_instance([rng.dirichlet(np.ones(c)) for _ in range(blocks)])
 
@@ -116,9 +116,9 @@ def slope_bound_constant(instance: DiversityInstance) -> float:
     return (2.0 * c**3 / (k**3 * (c - 1) ** 2)) * var_sum
 
 
-def beta_grid(num_classes: int, points: int = 51) -> np.ndarray:
-    """Evenly spaced beta values on the admissible range [0, C/2 - 1]."""
-    return np.linspace(0.0, num_classes / 2.0 - 1.0, points)
+def beta_grid(num_classes: int) -> np.ndarray:
+    """51 evenly spaced beta values on the admissible range [0, C/2 - 1]."""
+    return np.linspace(0.0, num_classes / 2.0 - 1.0, 51)
 
 
 @dataclass
@@ -128,24 +128,21 @@ class DiversityReport:
     max_closed_form_gap: float
 
 
-def check_diversity_curve(
-    instance: DiversityInstance, betas: np.ndarray | None = None
-) -> DiversityReport:
+def check_diversity_curve(instance: DiversityInstance) -> DiversityReport:
     """Measure the diversity curve's largest rise, its slope's largest excess
-    over the rate bound -M/(1+beta)^2, and its largest gap to the closed form.
+    over the rate bound -M/(1+beta)^2, and its largest gap to the closed form,
+    on the instance's `beta_grid`.
 
     The slope is measured by central differences at interior grid points.
     A curve that never increases has `max_increase <= INCREASE_TOL`, and
     one that meets the bound has `max_slope_excess <= SLOPE_TOL`.
     """
-    if betas is None:
-        betas = beta_grid(instance.num_classes)
-    betas = np.asarray(betas, dtype=np.float64)
+    betas = beta_grid(instance.num_classes)
     lams = np.array([mixture_gradient_diversity(instance, b) for b in betas])
     closed = np.array([diversity_closed_form(instance, b) for b in betas])
     gap = float(np.abs(lams - closed).max())
 
-    max_increase = float(np.diff(lams).max()) if len(betas) > 1 else 0.0
+    max_increase = float(np.diff(lams).max())
     m_const = slope_bound_constant(instance)
     # central differences at interior points; a grid of zero width there
     # (every beta is 0 when C = 2) has no slope
@@ -153,11 +150,7 @@ def check_diversity_curve(
     slopes = (lams[2:] - lams[:-2])[wide] / (betas[2:] - betas[:-2])[wide]
     excess = slopes + m_const / (1.0 + betas[1:-1][wide]) ** 2
     max_excess = float(excess.max()) if excess.size else 0.0
-    return DiversityReport(
-        max_increase=max_increase,
-        max_slope_excess=max_excess,
-        max_closed_form_gap=gap,
-    )
+    return DiversityReport(max_increase, max_excess, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -259,14 +252,13 @@ def symmetric_family(num_classes: int, kind: str) -> np.ndarray:
     'vertices': the C one-hot corners.  'permutations': all distinct
     permutations of one fixed generic distribution.
     """
+    _check_choice("family kind", kind, ("vertices", "permutations"))
     if kind == "vertices":
         return np.eye(num_classes)
-    if kind == "permutations":
-        base = np.array(_GENERIC_BASE[:num_classes], dtype=np.float64)
-        base = base / base.sum()
-        perms = sorted(set(itertools.permutations(base.tolist())))
-        return np.array(perms, dtype=np.float64)
-    raise ValueError(f"unknown family kind {kind!r}")
+    base = np.array(_GENERIC_BASE[:num_classes], dtype=np.float64)
+    base = base / base.sum()
+    perms = sorted(set(itertools.permutations(base.tolist())))
+    return np.array(perms, dtype=np.float64)
 
 
 @dataclass
@@ -320,7 +312,7 @@ def expected_distance(p: np.ndarray, family: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def smoothness_violation(lam: float, num_classes: int, trials: int, seed: int = 0) -> float:
+def smoothness_violation(lam: float, num_classes: int, trials: int, seed: int) -> float:
     """Max violation of the mixture upper bound on quadratic class losses.
 
     Class losses (lam/2)||w - w_c||^2 have curvature exactly lam and zero
@@ -328,9 +320,10 @@ def smoothness_violation(lam: float, num_classes: int, trials: int, seed: int = 
     L(w) <= sum_c p_c L_c(w_c) + (lam/2) sum_c p_c ||w - w_c||^2
     holds with equality; any positive violation is a defect.
     """
-    if not (lam > 0.0):
-        raise ValueError(f"lam must be > 0, got {lam}")
+    _check_real("lam", lam, 0, None, low_open=True)
+    _check_count("num_classes", num_classes, 2)
     _check_count("trials", trials)
+    _check_count("seed", seed, low=None)
     rng = stream(seed, NS_VERIFY, 1)
     worst = -np.inf
     for _ in range(trials):
@@ -364,10 +357,11 @@ class CheckResult:
         return f"{status:4s} {self.name:40s} measured={self.measured:.3e} tol={self.tolerance:.1e}{extra}"
 
 
-def run_all(trials: int = 100, seed: int = 0) -> list[CheckResult]:
+def run_all(trials: int, seed: int) -> list[CheckResult]:
     """The full verification report; every entry must pass.  The diversity
     checks draw half as many instances as `trials`, and at least one."""
     _check_count("trials", trials)
+    _check_count("seed", seed, low=None)
     results = []
 
     rng = stream(seed, NS_VERIFY, 0)
@@ -381,30 +375,20 @@ def run_all(trials: int = 100, seed: int = 0) -> list[CheckResult]:
         gap_worst = max(gap_worst, report.max_closed_form_gap)
         inc_worst = max(inc_worst, report.max_increase)
         excess_worst = max(excess_worst, report.max_slope_excess)
-    results.append(
-        CheckResult("diversity_closed_form", gap_worst < 1e-9, gap_worst, 1e-9)
-    )
-    results.append(
-        CheckResult("diversity_nonincreasing", inc_worst <= INCREASE_TOL, inc_worst, INCREASE_TOL)
-    )
-    results.append(
-        CheckResult("diversity_slope_bound", excess_worst <= SLOPE_TOL, excess_worst, SLOPE_TOL)
-    )
+    results += [
+        CheckResult("diversity_closed_form", gap_worst < 1e-9, gap_worst, 1e-9),
+        CheckResult("diversity_nonincreasing", inc_worst <= INCREASE_TOL, inc_worst, INCREASE_TOL),
+        CheckResult("diversity_slope_bound", excess_worst <= SLOPE_TOL, excess_worst, SLOPE_TOL),
+    ]
 
     # partial check: per-family minimality for two concrete symmetric families,
     # not the supremum over all symmetric mixtures
     for num_classes, subdivisions in ((2, 50), (3, 51)):
         for kind in ("vertices", "permutations"):
             report = check_uniform_argmin(num_classes, kind, subdivisions)
-            results.append(
-                CheckResult(
-                    f"uniform_argmin_{kind}_c{num_classes}",
-                    report.is_uniform,
-                    report.argmin_distance,
-                    report.grid_step,
-                    detail=f"uniform_excess={report.uniform_excess:.1e}",
-                )
-            )
+            results.append(CheckResult(
+                f"uniform_argmin_{kind}_c{num_classes}", report.is_uniform, report.argmin_distance,
+                report.grid_step, detail=f"uniform_excess={report.uniform_excess:.1e}"))
 
     viol = smoothness_violation(1.7, 5, trials, seed)
     results.append(CheckResult("smooth_mixture_equality", viol <= 1e-9, viol, 1e-9))

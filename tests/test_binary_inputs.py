@@ -264,9 +264,9 @@ ACCEPTED = {
     "hidden_dims": {"", "1,2"},
     "batch_size": _BIG,
     "sampling_ratio": _TINY,
-    "lr0": _ZERO | _TINY | _HUGE | {"inf"},
+    "lr0": _ZERO | _TINY | _HUGE,
     "momentum": _ZERO | _TINY,
-    "weight_decay": _ZERO | _TINY | _HUGE | {"inf"},
+    "weight_decay": _ZERO | _TINY | _HUGE,
     "lr_decay": _TINY,
     "beta": _ZERO | _TINY | _HUGE,
     "tau": _TINY | _HUGE,
@@ -276,9 +276,7 @@ ACCEPTED = {
     "eval_stride": _BIG,
     "checkpoint_stride": {"0"} | _BIG,
 }
-DIVERGES = {("run", key, value) for key, values in (
-    ("lr0", ("1e308", "inf")), ("weight_decay", ("1e308", "inf")), ("synth_separation", ("1e308",)))
-    for value in values}
+DIVERGES = {("run", key, "1e308") for key in ("lr0", "weight_decay", "synth_separation")}
 
 # Each case runs under its own alarm, so that a count that is accepted trains until it
 # fails its case

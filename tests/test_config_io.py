@@ -139,8 +139,7 @@ _NAMES = st.text(alphabet="abcXYZ019_-./", max_size=12)
 
 
 def _floats(lo=None, hi=None, **kw):
-    kw.setdefault("allow_infinity", False)
-    return st.floats(lo, hi, allow_nan=False, **kw)
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
 
 
 VALID_VALUES = dict(
@@ -165,9 +164,9 @@ VALID_VALUES = dict(
     local_epochs=st.integers(1, 10**9),
     batch_size=st.integers(1, 10**9),
     sampling_ratio=_floats(0.0, 1.0, exclude_min=True),
-    lr0=_floats(0.0, allow_infinity=True),
+    lr0=_floats(0.0),
     momentum=_floats(0.0, 1.0, exclude_max=True),
-    weight_decay=_floats(0.0, allow_infinity=True),
+    weight_decay=_floats(0.0),
     lr_decay=_floats(0.0, 1.0, exclude_min=True),
     beta=_floats(0.0),
     tau=_floats(0.0, exclude_min=True),

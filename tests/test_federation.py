@@ -392,11 +392,14 @@ class TestLocalTrain:
         assert str(err.value) == "non-finite loss and parameters at round 4, client 2"
 
     def test_nonfinite_last_step_diverges(self):
-        # one step per session: only the returned parameters show the blow-up
-        fed, mlp, dataset, partition, _ = tiny_setup(lr0=np.inf, local_epochs=1, batch_size=100)
+        # one step per session: only the returned parameters show the blow-up.  lr0 and
+        # weight_decay are finite, and the step's lr0 * weight_decay * w is not
+        fed, mlp, dataset, partition, _ = tiny_setup(lr0=1e308, weight_decay=1e308,
+                                                     local_epochs=1, batch_size=100)
         with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
             local_train(init_params(mlp, 0), [partition[3], partition[1]], dataset, fed, mlp, 2)
         assert (err.value.round_t, err.value.client_id) == (2, 1)
+        assert err.value.nonfinite == "parameters"
 
     def test_unequal_sizes_rejected(self):
         fed, mlp, dataset, _, _ = tiny_setup()
@@ -455,7 +458,7 @@ class TestLocalTrain:
 class TestAggregate:
     def test_single_update_unchanged(self):
         p = np.array([1.0, -2.0, 3.0])
-        out = aggregate([ClientUpdate(0, p.copy(), 5, 0.0)])
+        out = aggregate([ClientUpdate(0, p.copy(), 5, 0.0)], "size_weighted")
         assert np.array_equal(out, p)
 
     def test_size_weighted_arithmetic(self):
@@ -476,7 +479,8 @@ class TestAggregate:
         rng = np.random.default_rng(1)
         updates = [ClientUpdate(i, rng.normal(size=10), i + 1, 0.0) for i in range(6)]
         shuffled = [updates[i] for i in [3, 0, 5, 1, 4, 2]]
-        assert aggregate(updates).tobytes() == aggregate(shuffled).tobytes()
+        assert (aggregate(updates, "size_weighted").tobytes()
+                == aggregate(shuffled, "size_weighted").tobytes())
 
     def test_weights_normalized(self):
         # identical params with wildly different sizes must come back unchanged
@@ -487,7 +491,7 @@ class TestAggregate:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            aggregate([])
+            aggregate([], "size_weighted")
 
     @pytest.mark.parametrize("columns", [64, model._BLOCK])  # 64: 400 columns in 7 blocks, 1 ragged
     @pytest.mark.parametrize("clients", [1, 3, 5])

@@ -374,18 +374,19 @@ class TestSgdMomentum:
 
 class TestLrSchedule:
     def test_values(self):
-        assert lr_at_round(0.01, 0) == 0.01
-        assert abs(lr_at_round(0.01, 1) - 0.0099) < 1e-18
-        assert abs(lr_at_round(0.01, 2) - 0.009801) < 1e-18
+        assert lr_at_round(0.01, 0, 0.99) == 0.01
+        assert abs(lr_at_round(0.01, 1, 0.99) - 0.0099) < 1e-18
+        assert abs(lr_at_round(0.01, 2, 0.99) - 0.009801) < 1e-18
 
     def test_rejects_negative_round(self):
         with pytest.raises(ValueError):
-            lr_at_round(0.01, -1)
+            lr_at_round(0.01, -1, 0.99)
 
     @pytest.mark.parametrize("t,decay", [(0, 0.99), (3, 1.0), (200, 0.01), (10**6, 0.5)])
-    def test_infinite_lr0_stays_infinite(self, t, decay):
-        # decay**t underflows to 0 in the last two, and inf * 0 is NaN
-        assert lr_at_round(np.inf, t, decay) == np.inf
+    def test_infinite_lr0_rejected(self, t, decay):
+        # no schedule starts at inf: decay**t underflows to 0 in the last two, and inf * 0 is NaN
+        with pytest.raises(ValueError, match=r"^lr0 must be finite and >= 0, got inf$"):
+            lr_at_round(np.inf, t, decay)
 
 
 class TestCheckpoint:

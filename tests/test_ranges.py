@@ -4,6 +4,9 @@ For every quantity, the config dataclass that carries it and every public
 function that takes it reject the same values with a ValueError naming the
 quantity, and accept the same edge values.  Every count and seed is an
 integer, by the one count rule: NaN and 2.5 are rejected wherever one enters.
+Every real setting is a real number, by the one real rule: "x", None, 1j and
+an array are rejected wherever one enters, and so are NaN and, where no bound is
+given above, inf.
 """
 
 import re
@@ -42,8 +45,8 @@ from fednsim.losses import (
     ntd_mse_loss_and_grad,
     softmax_temp,
 )
-from fednsim.model import MAX_FLOATS, MlpConfig, lr_at_round, sgd_momentum_step
-from fednsim.verify import SplitInstance, run_all, smoothness_violation
+from fednsim.model import MAX_FLOATS, MlpConfig, init_params, lr_at_round, sgd_momentum_step
+from fednsim.verify import SplitInstance, run_all, smoothness_violation, symmetric_family
 
 NAN, INF = float("nan"), float("inf")
 Z_L = np.array([0.3, -1.2, 2.0])
@@ -69,16 +72,17 @@ def _split(tau):
 
 # (quantity, message pattern, rejected values, accepted edge values, {entry point: call})
 TABLE = [
-    ("lr0", r"\blr0? must", [NAN, -0.1, -INF], [0.0, INF], {
+    ("lr0", r"\blr0? must be finite and >= 0", [NAN, -0.1, -INF, INF], [0.0, 1e308], {
         "FederationConfig": lambda v: FederationConfig(lr0=v),
-        "lr_at_round": lambda v: lr_at_round(v, 3),
+        "lr_at_round": lambda v: lr_at_round(v, 3, 0.99),
         "sgd_momentum_step": lambda v: _sgd(lr=v),
     }),
     ("momentum", "momentum", [NAN, -0.1, 1.0, INF], [0.0, 0.999], {
         "FederationConfig": lambda v: FederationConfig(momentum=v),
         "sgd_momentum_step": lambda v: _sgd(momentum=v),
     }),
-    ("weight_decay", "weight_decay", [NAN, -1e-9, -INF], [0.0, INF], {
+    ("weight_decay", "weight_decay must be finite and >= 0", [NAN, -1e-9, -INF, INF],
+     [0.0, 1e308], {
         "FederationConfig": lambda v: FederationConfig(weight_decay=v),
         "sgd_momentum_step": lambda v: _sgd(weight_decay=v),
     }),
@@ -86,7 +90,7 @@ TABLE = [
         "FederationConfig": lambda v: FederationConfig(lr_decay=v),
         "lr_at_round": lambda v: lr_at_round(0.1, 3, v),
     }),
-    ("aggregation", "unknown aggregation", ["mean", ""], ["uniform", "size_weighted"], {
+    ("aggregation", "unknown aggregation", ["mean", "", None], ["uniform", "size_weighted"], {
         "FederationConfig": lambda v: FederationConfig(aggregation=v),
         "aggregate": lambda v: aggregate([ClientUpdate(0, np.ones(2), 1, 0.0)], v),
     }),
@@ -102,11 +106,24 @@ TABLE = [
         "sample_count": lambda v: sample_count(10, v, 10),
         "sample_clients": lambda v: sample_clients(10, v, 1, 0),
     }),
+    ("lam", r"^lam must be finite and > 0", [NAN, 0.0, -1.0, INF, -INF], [1e-3, 1e6], {
+        "smoothness_violation": lambda v: smoothness_violation(v, 5, 1, 0),
+    }),
     ("threads", r"\bthreads must be >= 1", [0, -1], [1], {
         "run_federation": _run,
     }),
-    ("method", "unknown method", ["nope", ""], ["fedavg", "kd_ntd_interp"], {
+    ("method", "unknown method", ["nope", "", None], ["fedavg", "kd_ntd_interp"], {
         "LossConfig": lambda v: LossConfig(method=v),
+    }),
+    ("strategy", "^unknown strategy", ["nope", "", None], ["iid", "dirichlet"], {
+        "PartitionSpec": lambda v: PartitionSpec(v),
+        "ExperimentConfig": lambda v: ExperimentConfig(partition=v),
+    }),
+    ("data", "^unknown data", ["nope", "", None], ["synth", "idx"], {
+        "ExperimentConfig": lambda v: ExperimentConfig(data=v),
+    }),
+    ("family_kind", "^unknown family kind", ["nope", "", None], ["vertices", "permutations"], {
+        "symmetric_family": lambda v: symmetric_family(3, v),
     }),
     ("beta", "beta must be finite and >= 0", [NAN, -0.1, INF, -INF], [0.0, 1e6], {
         "LossConfig": lambda v: LossConfig(beta=v),
@@ -140,6 +157,7 @@ TABLE = [
     }),
     ("num_classes", "num_classes must be >= 2", [1, 0, -1], [2], {
         "MlpConfig": lambda v: MlpConfig(2, (), v),
+        "smoothness_violation": lambda v: smoothness_violation(1.7, v, 1, 0),
     }),
     ("checkpoint_stride", "checkpoint_stride must be >= 0", [-1], [0, 1], {
         "ExperimentConfig": lambda v: ExperimentConfig(checkpoint_stride=v),
@@ -150,6 +168,8 @@ TABLE = [
         "shard_partition": lambda v: shard_partition(DS, v, 2, 0),
         "dirichlet_partition": lambda v: dirichlet_partition(DS, v, 0.5, 0),
         "iid_partition": lambda v: iid_partition(DS, v, 0),
+        "sample_count": lambda v: sample_count(v, 0.5, 1),
+        "sample_clients": lambda v: sample_clients(v, 0.5, 1, 0),
     }),
     ("shards_per_client", "shards_per_client", [0, -1], [1], {
         "PartitionSpec": lambda v: PartitionSpec(shards_per_client=v),
@@ -177,8 +197,8 @@ TABLE = [
         "synth_dataset.dim": lambda v: synth_dataset(2, 3, v, 1.0, 0),
     }),
     ("trials", r"\btrials must be >= 1", [0, -1], [1], {
-        "run_all": lambda v: run_all(trials=v),
-        "smoothness_violation": lambda v: smoothness_violation(1.7, 5, v),
+        "run_all": lambda v: run_all(v, 0),
+        "smoothness_violation": lambda v: smoothness_violation(1.7, 5, v, 0),
     }),
     ("batch_size", r"\bbatch_size must be >= 1", [0, -1], [1, 10**21], {
         "FederationConfig": lambda v: FederationConfig(batch_size=v),
@@ -187,7 +207,7 @@ TABLE = [
         "FederationConfig": lambda v: FederationConfig(eval_stride=v),
     }),
     ("round_index", "round index must be >= 0", [-1, -(10**21)], [0, 10**21], {
-        "lr_at_round": lambda v: lr_at_round(0.1, v),
+        "lr_at_round": lambda v: lr_at_round(0.1, v, 0.99),
     }),
     ("dataset_classes", "num_classes must be >= 1", [0, -1], [1, 3], {
         "Dataset": lambda v: Dataset(np.zeros((1, 2)), [0], v),
@@ -200,6 +220,11 @@ TABLE = [
         "shard_partition": lambda v: shard_partition(DS, 2, 2, v),
         "dirichlet_partition": lambda v: dirichlet_partition(DS, 2, 0.5, v),
         "iid_partition": lambda v: iid_partition(DS, 2, v),
+        "synth_dataset": lambda v: synth_dataset(2, 3, 2, 1.0, v),
+        "init_params": lambda v: init_params(MlpConfig(2, (), 2), v),
+        "sample_clients": lambda v: sample_clients(3, 0.5, 1, v),
+        "smoothness_violation": lambda v: smoothness_violation(1.7, 5, 1, v),
+        "run_all": lambda v: run_all(1, v),
     }),
     ("labels", "labels out of range", [-1, 3, 2**70], [0, 2], {
         "Dataset": lambda v: Dataset(np.zeros((1, 2)), [v], 3),
@@ -232,8 +257,7 @@ def test_every_entry_point_rejects_the_same_values(pattern, call, value):
 
 @pytest.mark.parametrize("pattern,call,value", _cases(1))
 def test_every_entry_point_accepts_the_same_edges(pattern, call, value):
-    with np.errstate(all="ignore"):  # lr or weight_decay = inf diverges, as the README says
-        call(value)
+    call(value)
 
 
 # The count rule: (the name a message starts with, a call that sets the count
@@ -285,10 +309,18 @@ INTEGERS = {
     "dirichlet_partition.seed": ("seed", lambda v: dirichlet_partition(DS, 2, 0.5, v)),
     "iid_partition.clients": ("clients", lambda v: iid_partition(DS, v, 0)),
     "iid_partition.seed": ("seed", lambda v: iid_partition(DS, 2, v)),
-    "lr_at_round.t": ("round index", lambda v: lr_at_round(0.1, v)),
+    "lr_at_round.t": ("round index", lambda v: lr_at_round(0.1, v, 0.99)),
     "run_federation.threads": ("threads", _run),
-    "run_all.trials": ("trials", lambda v: run_all(trials=v)),
-    "smoothness_violation.trials": ("trials", lambda v: smoothness_violation(1.7, 5, v)),
+    "run_all.trials": ("trials", lambda v: run_all(v, 0)),
+    "run_all.seed": ("seed", lambda v: run_all(3, v)),
+    "smoothness_violation.num_classes": ("num_classes", lambda v: smoothness_violation(1.7, v, 3, 0)),
+    "smoothness_violation.trials": ("trials", lambda v: smoothness_violation(1.7, 5, v, 0)),
+    "smoothness_violation.seed": ("seed", lambda v: smoothness_violation(1.7, 5, 3, v)),
+    "synth_dataset.seed": ("seed", lambda v: synth_dataset(2, 3, 2, 1.0, v)),
+    "init_params.seed": ("seed", lambda v: init_params(MlpConfig(2, (), 2), v)),
+    "sample_count.clients": ("clients", lambda v: sample_count(v, 0.5, 1)),
+    "sample_clients.clients": ("clients", lambda v: sample_clients(v, 0.5, 1, 0)),
+    "sample_clients.master_seed": ("master_seed", lambda v: sample_clients(3, 0.5, 1, v)),
 }
 
 
@@ -305,4 +337,75 @@ def test_every_count_field_has_an_integer_row():
 def test_every_count_and_seed_is_an_integer(entry, value):
     name, call = INTEGERS[entry]
     with pytest.raises(ValueError, match=f"^{re.escape(name)} must be an integer, got {value}$"):
+        call(value)
+
+
+# The real rule: (the name a message starts with, a call that sets the setting to the
+# value), for every real entry point of TABLE and every float field of the four config
+# dataclasses.  ExperimentConfig builds LossConfig, then FederationConfig, then PartitionSpec.
+REALS = {
+    "FederationConfig.lr0": ("lr0", lambda v: FederationConfig(lr0=v)),
+    "lr_at_round.lr0": ("lr0", lambda v: lr_at_round(v, 3, 0.99)),
+    "sgd_momentum_step.lr": ("lr", lambda v: _sgd(lr=v)),
+    "FederationConfig.momentum": ("momentum", lambda v: FederationConfig(momentum=v)),
+    "sgd_momentum_step.momentum": ("momentum", lambda v: _sgd(momentum=v)),
+    "FederationConfig.weight_decay": ("weight_decay", lambda v: FederationConfig(weight_decay=v)),
+    "sgd_momentum_step.weight_decay": ("weight_decay", lambda v: _sgd(weight_decay=v)),
+    "FederationConfig.lr_decay": ("lr_decay", lambda v: FederationConfig(lr_decay=v)),
+    "lr_at_round.decay": ("lr_decay", lambda v: lr_at_round(0.1, 3, v)),
+    "FederationConfig.sampling_ratio": ("sampling_ratio",
+                                        lambda v: FederationConfig(sampling_ratio=v)),
+    "sample_count.ratio": ("sampling_ratio", lambda v: sample_count(10, v, 10)),
+    "sample_clients.ratio": ("sampling_ratio", lambda v: sample_clients(10, v, 1, 0)),
+    "LossConfig.beta": ("beta", lambda v: LossConfig(beta=v)),
+    "fedntd_objective.beta": ("beta", lambda v: fedntd_objective(Z_L, Z_G, 1, v, 1.0)),
+    "LossConfig.interp_lambda": ("interp_lambda", lambda v: LossConfig(interp_lambda=v)),
+    "kd_ntd_interp_objective.lam": ("interp_lambda",
+                                    lambda v: kd_ntd_interp_objective(Z_L, Z_G, 1, v, 1.0)),
+    "LossConfig.tau": ("tau", lambda v: LossConfig(tau=v)),
+    "softmax_temp.tau": ("tau", lambda v: softmax_temp(Z_L, v)),
+    "not_true_softmax.tau": ("tau", lambda v: not_true_softmax(Z_L, 1, v)),
+    "kd_loss_and_grad.tau": ("tau", lambda v: kd_loss_and_grad(Z_L, Z_G, v)),
+    "ntd_loss_and_grad.tau": ("tau", lambda v: ntd_loss_and_grad(Z_L, Z_G, 1, v)),
+    "fedntd_objective.tau": ("tau", lambda v: fedntd_objective(Z_L, Z_G, 1, 1.0, v)),
+    "kd_ntd_interp_objective.tau": ("tau", lambda v: kd_ntd_interp_objective(Z_L, Z_G, 1, 0.5, v)),
+    "SplitInstance.tau": ("tau", _split),
+    "LossConfig.mu": ("mu", lambda v: LossConfig(mu=v)),
+    "fedprox_penalty.mu": ("mu", lambda v: fedprox_penalty(Z_L, Z_G, v)),
+    "PartitionSpec.alpha": ("alpha", lambda v: PartitionSpec(alpha=v)),
+    "dirichlet_partition.alpha": ("alpha", lambda v: dirichlet_partition(DS, 2, v, 0)),
+    "synth_dataset.separation": ("separation", lambda v: synth_dataset(2, 3, 2, v, 0)),
+    "smoothness_violation.lam": ("lam", lambda v: smoothness_violation(v, 5, 1, 0)),
+    "ExperimentConfig.synth_separation": ("synth_separation",
+                                          lambda v: ExperimentConfig(synth_separation=v)),
+    "ExperimentConfig.dirichlet_alpha": ("alpha", lambda v: ExperimentConfig(dirichlet_alpha=v)),
+    "ExperimentConfig.sampling_ratio": ("sampling_ratio",
+                                        lambda v: ExperimentConfig(sampling_ratio=v)),
+    "ExperimentConfig.lr0": ("lr0", lambda v: ExperimentConfig(lr0=v)),
+    "ExperimentConfig.momentum": ("momentum", lambda v: ExperimentConfig(momentum=v)),
+    "ExperimentConfig.weight_decay": ("weight_decay", lambda v: ExperimentConfig(weight_decay=v)),
+    "ExperimentConfig.lr_decay": ("lr_decay", lambda v: ExperimentConfig(lr_decay=v)),
+    "ExperimentConfig.beta": ("beta", lambda v: ExperimentConfig(beta=v)),
+    "ExperimentConfig.tau": ("tau", lambda v: ExperimentConfig(tau=v)),
+    "ExperimentConfig.mu": ("mu", lambda v: ExperimentConfig(mu=v)),
+    "ExperimentConfig.interp_lambda": ("interp_lambda",
+                                       lambda v: ExperimentConfig(interp_lambda=v)),
+}
+
+
+def test_every_float_field_has_a_real_row():
+    # a real setting added to a config dataclass later cannot skip the real rule
+    reals = {f"{cls.__name__}.{name}"
+             for cls in (FederationConfig, LossConfig, PartitionSpec, ExperimentConfig)
+             for name, hint in get_type_hints(cls).items() if hint is float}
+    assert reals <= set(REALS), reals - set(REALS)
+
+
+@pytest.mark.parametrize("entry", REALS)
+@pytest.mark.parametrize("value", ["x", None, 1j, np.array([1.0, 2.0])],
+                         ids=["x", "None", "1j", "array"])
+def test_every_real_setting_is_a_real_number(entry, value):
+    name, call = REALS[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be a real number, got "
+                                         f"{re.escape(repr(value))}$"):
         call(value)
